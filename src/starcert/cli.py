@@ -32,6 +32,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 from enum import Enum
@@ -94,6 +95,11 @@ class SpecFileError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # let values such as '-0.5,0' start with a minus sign
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -505,8 +511,10 @@ def cmd_identities(args) -> int:
 
 def _add_sampling_flags(sp) -> None:
     sp.add_argument("--radii", type=_parse_radii, default=None,
-                    help="comma-separated sampling radii (default 0.10..0.99 "
-                         "step 0.01 plus 0.995)")
+                    help="comma-separated ascending candidate radii; each "
+                         "functional is sampled on the largest one its tail "
+                         "allowance accepts (default 0.10..0.99 step 0.01 "
+                         "plus 0.995)")
     sp.add_argument("--angles", type=int, default=None,
                     help="samples per circle (default 2048)")
     sp.add_argument("--no-refine", action="store_true",

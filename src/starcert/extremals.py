@@ -40,6 +40,7 @@ from .series import (
     shift,
 )
 from .functionals import lhs_a, lhs_b
+from .criteria import CriterionKind, CriterionParams, build_spec
 from .oracle import SamplingConfig, SupEstimate, sup_on_disk
 
 
@@ -86,32 +87,25 @@ class ExtremalParams:
             raise SeriesError("gamma must be nonzero")
         if not 0.0 < self.alpha < 1.0:
             raise SeriesError(f"alpha must lie in (0, 1), got {self.alpha}")
+        family_a = self.family is ExtremalFamily.EXTREMAL_A
+        spec = build_spec(CriterionParams(
+            kind=CriterionKind.THM_A if family_a else CriterionKind.THM_B,
+            n=self.n, beta=self.beta, gamma=self.gamma, alpha=self.alpha))
+        s = spec.rhs_bound
         scale_ref = max(abs(self.beta), abs(self.gamma))
-        if self.family is ExtremalFamily.EXTREMAL_A:
-            s = (0.5 * abs(self.n * self.gamma - self.beta)
-                 if self.alpha <= 0.5
-                 else abs(self.n * self.gamma * (1 - self.alpha)
-                          - self.alpha * self.beta))
+        if family_a:
             if abs(self.beta) < 1e-12 * scale_ref:
                 raise DegenerateExtremalError("beta=0")
             if s < 1e-12 * scale_ref:
                 raise DegenerateExtremalError("S=0")
-            ratio = (self.beta / self.gamma).real
-            limit = float(self.n) if self.alpha <= 0.5 else self.n * (
-                1.0 / self.alpha - 1.0)
-            margin = limit - ratio
-            if margin <= 0:
-                raise InadmissibleExtremalError(
-                    f"Re(beta/gamma) < {limit:.6g}", margin)
+            constraint = f"Re(beta/gamma) < {self.n * spec.rho:.6g}"
         else:
-            s = ((0.5 if self.alpha <= 0.5 else 1.0 - self.alpha)
-                 * abs(self.beta + self.gamma * (self.n + 1)))
             if abs(self.beta + self.gamma) < 1e-12 * scale_ref:
                 raise DegenerateExtremalError("beta+gamma=0")
-            margin = (self.beta / self.gamma).real + (self.n + 1)
-            if margin <= 0:
-                raise InadmissibleExtremalError(
-                    f"Re(beta/gamma) > -{self.n + 1}", margin)
+            constraint = f"Re(beta/gamma) > -{self.n + 1}"
+        if not spec.admissible:
+            raise InadmissibleExtremalError(constraint,
+                                            spec.admissibility_margin)
         object.__setattr__(self, "S", float(s))
 
 

@@ -29,10 +29,6 @@ from .series import (
 
 
 class FunctionalKind(Enum):
-    STARLIKE_Q = "starlike_q"    # z f'/f
-    CONVEX_Q = "convex_q"        # 1 + z f''/f'
-    W_FUNC = "w_func"            # f/(z f') - 1
-    CENTERED_Q = "centered_q"    # f/(z f') - 1/(2 alpha)
     LHS_A = "lhs_a"              # (beta-gamma) zf'/f + gamma (1 + zf''/f')
     LHS_B = "lhs_b"              # beta (zf'/f - 1) + gamma zf''/f'
     MOCANU_Q = "mocanu_q"        # (1-alpha) zf'/f + alpha (1 + zf''/f')

@@ -1,9 +1,11 @@
 """Numerical certification engine over the sampled unit disk.
 
-Estimates suprema of |series| on a grid of circles (with golden-section
-refinement of the argmax angle), checks the strict hypothesis and
-conclusion inequalities of each criterion with explicit margins, and
-demonstrates the boundary-maximum lemma numerically.
+Each functional is a polynomial, so its sup modulus and its minimum real
+part over a disk sit on the boundary circle; one circle per functional is
+sampled, with golden-section refinement of the extremum angle.  Checks the
+strict hypothesis and conclusion inequalities of each criterion with
+explicit margins, counts zeros of ``f/z`` and ``f'`` by the argument
+principle, and demonstrates the boundary-maximum lemma numerically.
 
 A passing verdict is always ``CERTIFIED_SAMPLED``: every sampled point
 plus the heuristic tail allowance satisfies the strict inequality.  That
@@ -58,8 +60,9 @@ def _default_radii() -> tuple[float, ...]:
 class SamplingConfig:
     """Grid and policy for sup estimation on the disk.
 
-    ``margin_policy`` is fixed: a hypothesis certifies only when the
-    sampled sup plus the per-radius tail allowance stays below the bound.
+    ``radii`` are candidate circles, ascending.  The margin policy is
+    fixed: a hypothesis certifies only when the sampled sup plus the tail
+    allowance at the sampled radius stays below the bound.
     """
 
     radii: tuple[float, ...] = field(default_factory=_default_radii)
@@ -67,7 +70,6 @@ class SamplingConfig:
     refine: bool = True
     refine_tol: float = 1e-10
     denom_floor: float = 1e-9
-    margin_policy: str = "sup_plus_tail_below_bound"
 
     def __post_init__(self):
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
@@ -91,7 +93,7 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class SupEstimate:
-    """Sampled supremum of |series| over the configured circles."""
+    """Sampled supremum of |series| over the largest accepted disk."""
 
     sup: float
     witness_r: float
@@ -104,7 +106,7 @@ class SupEstimate:
 
 @dataclass(frozen=True)
 class MinRealEstimate:
-    """Sampled infimum of Re(series) over the configured circles."""
+    """Sampled infimum of Re(series) over the largest candidate disk."""
 
     min_re: float
     witness_r: float
@@ -194,93 +196,82 @@ def _refine_circle(a: Series, r: float, theta0: float, span: float,
     return (x, fx) if fx <= f0 else (theta0, f0)
 
 
-def sup_on_disk(a: Series, cfg: SamplingConfig | None = None) -> SupEstimate:
-    """Sampled supremum of ``|a|`` over the configured circles.
+def _circle_extremum(a: Series, r: float, cfg: SamplingConfig, sign: float):
+    """Grid extremum of ``|a|`` (sign=+1, max) or ``Re a`` (sign=-1, min)
+    on ``|z| = r``, ties toward the smallest angle, refined if configured.
+    Returns ``(theta, extremum, a(z))``."""
+    theta, units = _angles(cfg.angles)
+    vals = evaluate_grid(a, r * units)
+    vals = np.abs(vals) if sign > 0 else vals.real
+    j = int(np.argmax(sign * vals))
+    best_theta, best = float(theta[j]), float(vals[j])
+    if cfg.refine:
+        best_theta, best = _refine_circle(a, r, best_theta,
+                                          2.0 * np.pi / cfg.angles,
+                                          cfg.refine_tol, sign)
+    z = r * complex(math.cos(best_theta), math.sin(best_theta))
+    return best_theta, best, complex(evaluate_grid(a, np.asarray([z]))[0])
 
-    Circles whose tail allowance is infinite (coefficient growth too fast
-    for the radius) are skipped and flagged.  Ties in the grid argmax are
-    broken toward the smallest angle.
+
+def sup_on_disk(a: Series, cfg: SamplingConfig | None = None) -> SupEstimate:
+    """Sampled supremum of ``|a|`` over ``|z| <= r``, taken on ``|z| = r``
+    (maximum modulus), for the largest candidate ``r`` whose tail
+    allowance is finite.  The heuristic refuses ``r`` iff ``q r >= 1``, so
+    the refused radii, reported as skipped, are the top of the ladder.
     """
     cfg = cfg or SamplingConfig()
-    theta, units = _angles(cfg.angles)
-    span = 2.0 * np.pi / cfg.angles
-    best = -math.inf
-    best_r = best_theta = 0.0
-    best_value = 0j
-    best_tail = 0.0
-    worst_with_tail = -math.inf
-    skipped = []
-    for r in cfg.radii:
-        tail = tail_estimate(a, r)
-        if math.isinf(tail):
-            skipped.append(r)
-            continue
-        vals = np.abs(evaluate_grid(a, r * units))
-        j = int(np.argmax(vals))
-        peak_theta, peak = float(theta[j]), float(vals[j])
-        if cfg.refine:
-            peak_theta, peak = _refine_circle(a, r, peak_theta, span,
-                                              cfg.refine_tol, +1.0)
-        if peak > best:
-            best, best_r, best_theta, best_tail = peak, r, peak_theta, tail
-            z = r * complex(math.cos(peak_theta), math.sin(peak_theta))
-            best_value = complex(evaluate_grid(a, np.asarray([z]))[0])
-        worst_with_tail = max(worst_with_tail, peak + tail)
-    if not math.isfinite(best):
+    for i in reversed(range(len(cfg.radii))):
+        tail = tail_estimate(a, cfg.radii[i])
+        if not math.isinf(tail):
+            break
+    else:
         raise DegenerateSeriesError(
             "every sampling radius was refused by the tail heuristic"
         )
+    r = cfg.radii[i]
+    theta, peak, value = _circle_extremum(a, r, cfg, +1.0)
     return SupEstimate(
-        sup=best,
-        witness_r=best_r,
-        witness_theta=best_theta,
-        witness_value=best_value,
-        sup_plus_tail=worst_with_tail,
-        tail_at_witness=best_tail,
-        skipped_radii=tuple(skipped),
+        sup=peak,
+        witness_r=r,
+        witness_theta=theta,
+        witness_value=value,
+        sup_plus_tail=peak + tail,
+        tail_at_witness=tail,
+        skipped_radii=cfg.radii[i + 1:],
     )
 
 
 def min_real_on_disk(a: Series, cfg: SamplingConfig | None = None) -> MinRealEstimate:
-    """Sampled infimum of ``Re(a)`` over the configured circles (raw; the
-    tail allowance is reported by the caller, not folded in)."""
+    """Sampled infimum of ``Re(a)`` over the largest candidate disk, taken on
+    its boundary (minimum principle); the tail allowance is not folded in."""
     cfg = cfg or SamplingConfig()
-    theta, units = _angles(cfg.angles)
-    span = 2.0 * np.pi / cfg.angles
-    best = math.inf
-    best_r = best_theta = 0.0
-    best_value = 0j
-    for r in cfg.radii:
-        vals = evaluate_grid(a, r * units).real
-        j = int(np.argmin(vals))
-        low_theta, low = float(theta[j]), float(vals[j])
-        if cfg.refine:
-            low_theta, low = _refine_circle(a, r, low_theta, span,
-                                            cfg.refine_tol, -1.0)
-        if low < best:
-            best, best_r, best_theta = low, r, low_theta
-            z = r * complex(math.cos(low_theta), math.sin(low_theta))
-            best_value = complex(evaluate_grid(a, np.asarray([z]))[0])
-    return MinRealEstimate(min_re=best, witness_r=best_r,
-                           witness_theta=best_theta, witness_value=best_value)
+    r = cfg.radii[-1]
+    theta, low, value = _circle_extremum(a, r, cfg, -1.0)
+    return MinRealEstimate(min_re=low, witness_r=r, witness_theta=theta,
+                           witness_value=value)
 
 
 def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig,
                             cap: int = 32):
-    """Sample points where |f/z| or |f'| drops below the floor."""
+    """Zeros of ``f/z`` or ``f'`` inside the outer candidate circle: samples
+    below the floor, or else a nonzero argument-principle count (untrusted,
+    so also flagged, when a phase step reaches pi/2) reported at the sample
+    of least modulus.  A zero-free polynomial has its least modulus on the
+    boundary, so near-zeros inside show on this circle too."""
+    r = cfg.radii[-1]
     theta, units = _angles(cfg.angles)
-    u = unit_part(f)
-    fp = derivative(f.series)
     out = []
-    for r in cfg.radii:
-        pts = r * units
-        for label, s in (("f/z", u), ("f'", fp)):
-            mags = np.abs(evaluate_grid(s, pts))
-            bad = np.nonzero(mags < cfg.denom_floor)[0]
-            for j in bad[:cap]:
-                out.append((float(r), float(theta[j]), label, float(mags[j])))
-        if len(out) >= cap:
-            break
+    for label, s in (("f/z", unit_part(f)), ("f'", derivative(f.series))):
+        vals = evaluate_grid(s, r * units)
+        mags = np.abs(vals)
+        bad = np.nonzero(mags < cfg.denom_floor)[0]
+        if not bad.size:
+            # summed principal phase steps / 2 pi = zeros inside the circle
+            steps = np.angle(np.roll(vals, -1) * np.conj(vals))
+            if (np.max(np.abs(steps)) >= 0.5 * np.pi
+                    or round(np.sum(steps) / (2.0 * np.pi)) != 0):
+                bad = [int(np.argmin(mags))]
+        out.extend((r, float(theta[j]), label, float(mags[j])) for j in bad)
     return tuple(out[:cap])
 
 
@@ -412,20 +403,12 @@ def jack_demo(w: Series, m: int, r: float,
         raise ValueError(
             f"series does not vanish to order {m} at the origin"
         )
-    theta, units = _angles(cfg.angles)
-    vals = np.abs(evaluate_grid(w, r * units))
-    j = int(np.argmax(vals))
-    if vals[j] < 1e-14:
+    peak_theta, peak, w0 = _circle_extremum(w, r, cfg, +1.0)
+    if peak < 1e-14:
         raise DegenerateSeriesError(
             f"|w| below 1e-14 everywhere on |z| = {r}; no maximum to probe"
         )
-    peak_theta, peak = float(theta[j]), float(vals[j])
-    if cfg.refine:
-        span = 2.0 * np.pi / cfg.angles
-        peak_theta, peak = _refine_circle(w, r, peak_theta, span,
-                                          cfg.refine_tol, +1.0)
     z0 = r * complex(math.cos(peak_theta), math.sin(peak_theta))
-    w0 = complex(evaluate_grid(w, np.asarray([z0]))[0])
     w1 = complex(evaluate_grid(derivative(w), np.asarray([z0]))[0])
     k = z0 * w1 / w0
     imag_ok = abs(k.imag) <= 1e-6 * (1.0 + abs(k))

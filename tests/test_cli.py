@@ -168,6 +168,15 @@ def test_extremal_a_probe_run(capsys):
     assert "closed-form match: beta_form" in out
 
 
+def test_extremal_negative_complex_flag(capsys):
+    code = main(["extremal", "--family", "EXTREMAL_B", "--n", "1",
+                 "--alpha", "0.3", "--beta", "-0.5,0", "--gamma", "1,0.5",
+                 *FAST])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "beta=[-0.5, 0.0]" in out
+
+
 def test_extremal_s_zero_exit_2(capsys):
     code = main(["extremal", "--family", "EXTREMAL_A", "--n", "1",
                  "--alpha", "0.4", "--beta", "1", "--gamma", "1"])

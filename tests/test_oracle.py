@@ -114,6 +114,29 @@ def test_sup_skips_radii_with_infinite_tail():
     assert est.witness_r == 0.2
 
 
+def test_one_circle_equals_best_single_radius():
+    # maximum modulus and minimum principle: sampling only the outer
+    # candidate circle gives the best result of sampling each radius alone
+    rng = np.random.default_rng(11)
+    radii = (0.3, 0.6, 0.9, 0.95)
+    cfg = SamplingConfig(radii=radii, angles=256)
+    singles = [SamplingConfig(radii=(r,), angles=256) for r in radii]
+    for _ in range(10):
+        mags = 0.5 ** np.arange(12) * rng.uniform(0.5, 1.0, 12)
+        s = Series(mags * np.exp(2j * np.pi * rng.uniform(0, 1, 12)))
+        est = sup_on_disk(s, cfg)
+        per_radius = [sup_on_disk(s, c) for c in singles]
+        best = max(per_radius, key=lambda e: e.sup)
+        assert (est.sup, est.witness_r, est.witness_theta) == (
+            best.sup, best.witness_r, best.witness_theta)
+        assert est.sup_plus_tail == max(e.sup_plus_tail for e in per_radius)
+        low = min_real_on_disk(s, cfg)
+        best_low = min((min_real_on_disk(s, c) for c in singles),
+                       key=lambda e: e.min_re)
+        assert (low.min_re, low.witness_r, low.witness_theta) == (
+            best_low.min_re, best_low.witness_r, best_low.witness_theta)
+
+
 def test_min_real_halfplane_quotient():
     # zf'/f for z/(1-z) is 1/(1-z), whose min Re on |z| = r is 1/(1+r);
     # cap the radius so the truncated geometric series is resolved there
@@ -208,6 +231,29 @@ def test_denominator_violation_detected():
     assert rep.denominator_violations
     assert any(label == "f'" for _, _, label, _ in rep.denominator_violations)
     assert rep.verdict is not Verdict.CERTIFIED_SAMPLED
+
+
+def test_denominator_zero_between_samples_detected():
+    # f'(z) = 1 + 2az vanishes at |z| = 0.9055, between two default radii
+    # and off every sampling ray; f/z = 1 + az has no zero in the disk
+    a = complex(math.cos(1.0), math.sin(1.0)) / (2 * 0.9055)
+    f = SchlichtCandidate(n=1, series=make_series([0, 1, a] + [0] * 29))
+    p = CriterionParams(kind=CriterionKind.THM_A, n=1, beta=0.1, gamma=1.0,
+                        alpha=0.5)
+    rep = check_criterion(f, p, SamplingConfig())
+    assert [label for _, _, label, _ in rep.denominator_violations] == ["f'"]
+    assert rep.verdict is not Verdict.CERTIFIED_SAMPLED
+
+
+def test_truncated_koebe_derivative_zeros_detected():
+    # the truncated Koebe derivative has positive increasing coefficients,
+    # so its zeros crowd the unit circle (Enestrom-Kakeya)
+    f = builtin_candidate("koebe", 128)
+    p = CriterionParams(kind=CriterionKind.THM_A, n=1, beta=0.0, gamma=1.0,
+                        alpha=0.5)
+    rep = check_criterion(f, p, SamplingConfig())
+    assert rep.denominator_violations
+    assert rep.verdict is Verdict.HYPOTHESIS_FAILED
 
 
 def test_mocanu_halfplane_certifies():

@@ -518,7 +518,7 @@ def _add_sampling_flags(sp) -> None:
     sp.add_argument("--angles", type=int, default=None,
                     help="samples per circle (default 2048)")
     sp.add_argument("--no-refine", action="store_true",
-                    help="skip golden-section refinement of circle extrema")
+                    help="skip Newton refinement of circle extrema")
     sp.add_argument("--out", default=None, help="write a JSON report here")
 
 

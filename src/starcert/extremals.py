@@ -119,7 +119,7 @@ def build_extremal_a(p: ExtremalParams, trunc_order: int = DEFAULT_TRUNC_ORDER
     exponent = (s * s - abs(beta) ** 2) / (n * np.conj(beta) * gamma)
     inner = pow_unit(monomial(np.conj(beta) / s, n, work) + 1.0,
                      complex(exponent))
-    h = integrate_offset(inner, beta / gamma, n)
+    h = integrate_offset(inner, beta / gamma)
     base = scale(h, beta / gamma)
     fz = pow_unit(base, gamma / beta)
     return as_schlicht(n, shift(fz, 1))
@@ -133,7 +133,7 @@ def build_extremal_b(p: ExtremalParams, trunc_order: int = DEFAULT_TRUNC_ORDER
     work = trunc_order - 1
     beta, gamma, n, s = p.beta, p.gamma, p.n, p.S
     inner = exp_unit(monomial(s / (n * gamma), n, work))
-    h = integrate_offset(inner, beta / gamma + 1.0, n)
+    h = integrate_offset(inner, beta / gamma + 1.0)
     base = scale(h, (beta + gamma) / gamma)
     fz = pow_unit(base, gamma / (beta + gamma))
     return as_schlicht(n, shift(fz, 1))

@@ -2,10 +2,11 @@
 
 Each functional is a polynomial, so its sup modulus and its minimum real
 part over a disk sit on the boundary circle; one circle per functional is
-sampled, with golden-section refinement of the extremum angle.  Checks the
-strict hypothesis and conclusion inequalities of each criterion with
-explicit margins, counts zeros of ``f/z`` and ``f'`` by the argument
-principle, and demonstrates the boundary-maximum lemma numerically.
+sampled, and the angle of the grid extremum is refined by Newton steps on
+the circle's trigonometric sum.  Checks the strict hypothesis and
+conclusion inequalities of each criterion with explicit margins, counts
+zeros of ``f/z`` and ``f'`` by the argument principle, and demonstrates
+the boundary-maximum lemma numerically.
 
 A passing verdict is always ``CERTIFIED_SAMPLED``: every sampled point
 plus the heuristic tail allowance satisfies the strict inequality.  That
@@ -41,7 +42,11 @@ from .functionals import (
 )
 from .criteria import CriterionKind, CriterionParams, CriterionSpec, build_spec
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Samples of f/z or f' below this modulus count as denominator zeros.
+_DENOM_FLOOR = 1e-9
+# Newton refinement guards: the step cap and the smallest step (radians).
+_NEWTON_STEPS = 10
+_NEWTON_TINY = 1e-13
 
 TAIL_DISCLAIMER = (
     "tail allowance is a coefficient-growth heuristic, not a rigorous bound"
@@ -68,8 +73,6 @@ class SamplingConfig:
     radii: tuple[float, ...] = field(default_factory=_default_radii)
     angles: int = 2048
     refine: bool = True
-    refine_tol: float = 1e-10
-    denom_floor: float = 1e-9
 
     def __post_init__(self):
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
@@ -159,41 +162,41 @@ def _angles(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _angle_cache[m]
 
 
-def _golden_extremum(fn, lo: float, hi: float, tol: float, sign: float):
-    """Golden-section search for max (sign=+1) / min (sign=-1) of ``fn``."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = sign * fn(c)
-    fd = sign * fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = sign * fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = sign * fn(d)
-    x = c if fc >= fd else d
-    return x, sign * max(fc, fd)
+def _objective(v, sign: float):
+    return np.abs(v) if sign > 0 else v.real
 
 
 def _refine_circle(a: Series, r: float, theta0: float, span: float,
-                   tol: float, sign: float):
-    def val(theta: float) -> float:
-        z = r * complex(math.cos(theta), math.sin(theta))
-        acc = 0j
-        for c in a.coeffs[::-1]:
-            acc = acc * z + c
-        return abs(acc) if sign > 0 else acc.real
-
-    x, fx = _golden_extremum(val, theta0 - span, theta0 + span, tol, sign)
-    f0 = val(theta0)
-    # Never report worse than the grid point itself.
-    if sign > 0:
-        return (x, fx) if fx >= f0 else (theta0, f0)
-    return (x, fx) if fx <= f0 else (theta0, f0)
+                   sign: float, value0: complex):
+    """Newton steps on the angle from the grid point ``(theta0, value0)``
+    toward the max of ``|a|`` (sign=+1) or min of ``Re a`` (sign=-1) on
+    ``|z| = r``, ``a`` being the trigonometric sum of ``c_k r^k``.  Stops on
+    wrong-sign curvature, a step out of ``theta0 +- span``, a tiny step or the
+    cap.  Returns refined ``(theta, a(z))`` if better, else the grid point."""
+    # One or three evaluate_grid points per step would cost more than this.
+    k = np.arange(a.coeffs.size)
+    b = a.coeffs * r ** k
+    sums = np.stack([b, 1j * k * b, -(k * k) * b])  # p, p', p'' in theta
+    theta = theta0
+    for _ in range(_NEWTON_STEPS):
+        p, p1, p2 = sums @ np.exp(1j * k * theta)
+        if sign > 0:  # half the derivatives of |p|^2
+            d1 = (p.conjugate() * p1).real
+            d2 = abs(p1) ** 2 + (p.conjugate() * p2).real
+        else:
+            d1, d2 = p1.real, p2.real
+        if sign * d2 >= 0.0:
+            break
+        step = float(d1 / d2)
+        if abs(theta - step - theta0) > span:
+            break
+        theta -= step
+        if abs(step) < _NEWTON_TINY:
+            break
+    z = r * complex(math.cos(theta), math.sin(theta))
+    value = evaluate_grid(a, np.asarray([z]))[0]
+    better = sign * (_objective(value, sign) - _objective(value0, sign)) > 0
+    return (theta, value) if better else (theta0, value0)
 
 
 def _circle_extremum(a: Series, r: float, cfg: SamplingConfig, sign: float):
@@ -202,15 +205,12 @@ def _circle_extremum(a: Series, r: float, cfg: SamplingConfig, sign: float):
     Returns ``(theta, extremum, a(z))``."""
     theta, units = _angles(cfg.angles)
     vals = evaluate_grid(a, r * units)
-    vals = np.abs(vals) if sign > 0 else vals.real
-    j = int(np.argmax(sign * vals))
-    best_theta, best = float(theta[j]), float(vals[j])
+    j = int(np.argmax(sign * _objective(vals, sign)))
+    best_theta, value = float(theta[j]), vals[j]
     if cfg.refine:
-        best_theta, best = _refine_circle(a, r, best_theta,
-                                          2.0 * np.pi / cfg.angles,
-                                          cfg.refine_tol, sign)
-    z = r * complex(math.cos(best_theta), math.sin(best_theta))
-    return best_theta, best, complex(evaluate_grid(a, np.asarray([z]))[0])
+        best_theta, value = _refine_circle(
+            a, r, best_theta, 2.0 * np.pi / cfg.angles, sign, value)
+    return best_theta, float(_objective(value, sign)), complex(value)
 
 
 def sup_on_disk(a: Series, cfg: SamplingConfig | None = None) -> SupEstimate:
@@ -264,7 +264,7 @@ def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig,
     for label, s in (("f/z", unit_part(f)), ("f'", derivative(f.series))):
         vals = evaluate_grid(s, r * units)
         mags = np.abs(vals)
-        bad = np.nonzero(mags < cfg.denom_floor)[0]
+        bad = np.nonzero(mags < _DENOM_FLOOR)[0]
         if not bad.size:
             # summed principal phase steps / 2 pi = zeros inside the circle
             steps = np.angle(np.roll(vals, -1) * np.conj(vals))
@@ -319,7 +319,17 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
         cross_min = cross_margin = None
         worst = (est.witness_r, est.witness_theta, est.witness_value)
     else:
-        hyp_est = sup_on_disk(_functional_series(f, spec), cfg)
+        if spec.kind in (CriterionKind.LEMMA_A, CriterionKind.LEMMA_B):
+            target = w_func(f)
+        else:
+            target = centered_quotient(f, spec.alpha)
+        try:
+            hyp_est = sup_on_disk(_functional_series(f, spec), cfg)
+            con_est = sup_on_disk(target, cfg)
+        except DegenerateSeriesError:
+            return VerificationReport(
+                kind=p.kind, spec=spec, verdict=Verdict.DEGENERATE, config=cfg,
+                denominator_violations=violations, skipped_radii=cfg.radii)
         hyp_sup = hyp_est.sup
         hyp_tail = hyp_est.sup_plus_tail - hyp_est.sup
         hyp_margin = spec.rhs_bound - hyp_est.sup_plus_tail
@@ -327,11 +337,6 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
         witness = (hyp_est.witness_r, hyp_est.witness_theta)
         worst = (hyp_est.witness_r, hyp_est.witness_theta, hyp_est.witness_value)
 
-        if spec.kind in (CriterionKind.LEMMA_A, CriterionKind.LEMMA_B):
-            target = w_func(f)
-        else:
-            target = centered_quotient(f, spec.alpha)
-        con_est = sup_on_disk(target, cfg)
         conclusion_sup = con_est.sup
         conclusion_margin = spec.conclusion_radius - con_est.sup
         conclusion_ok = conclusion_margin > 0

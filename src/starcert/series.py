@@ -267,17 +267,14 @@ def pow_unit(a: Series, e: complex) -> Series:
     return exp_unit(scale(log_unit(a), e))
 
 
-def integrate_offset(g: Series, c: complex, n: int) -> Series:
+def integrate_offset(g: Series, c: complex) -> Series:
     """The shifted antiderivative: with ``F(z) = integral of t^(c-1) g(t)
     from 0 to z`` factored as ``F = z^c h(z)``, returns ``h``.
 
     ``h_k = g_k / (c + k)``; the symbolic ``z^c`` factor is the caller's to
     reattach (in the extremal constructions an outer power cancels it
-    exactly).  ``n`` is the step of the sparsity pattern the caller built
-    ``g`` with; it is validated but does not enter the formula.
+    exactly).
     """
-    if n < 1:
-        raise SeriesError(f"structure step n must be >= 1, got {n}")
     gc = g.coeffs
     scale_ref = max(1.0, float(np.max(np.abs(gc))))
     if abs(gc[0]) < UNIT_TOL * scale_ref:
@@ -295,14 +292,11 @@ def integrate_offset(g: Series, c: complex, n: int) -> Series:
 
 
 def evaluate(a: Series, z: complex) -> complex:
-    """Horner evaluation of the truncated polynomial at ``|z| <= 1``."""
+    """The truncated polynomial at one point ``|z| <= 1``."""
     z = complex(z)
     if abs(z) > 1.0 + 1e-12:
         raise EvaluationDomainError(f"|z| = {abs(z):.6f} exceeds the unit disk")
-    acc = 0j
-    for c in a.coeffs[::-1]:
-        acc = acc * z + c
-    return acc
+    return complex(evaluate_grid(a, np.asarray([z]))[0])
 
 
 def evaluate_grid(a: Series, z: np.ndarray) -> np.ndarray:

@@ -94,6 +94,15 @@ def test_check_koebe_thm_a_exit_1(koebe_spec, capsys):
     assert "verdict: HYPOTHESIS_FAILED" in out
 
 
+def test_check_every_radius_refused_exit_2(koebe_spec, capsys):
+    code = main(["check", koebe_spec, "--kind", "THM_A",
+                 "--beta", "0.1", "--gamma", "2", "--alpha", "0.5", *FAST])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "verdict: DEGENERATE" in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_check_inadmissible_exit_2(identity_spec):
     code = main(["check", identity_spec, "--kind", "LEMMA_A",
                  "--beta", "2", "--gamma", "1", "--rho", "1", *FAST])

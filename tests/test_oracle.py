@@ -7,6 +7,7 @@ from starcert.series import (
     Series,
     SchlichtCandidate,
     builtin_candidate,
+    derivative,
     evaluate,
     make_series,
     monomial,
@@ -106,6 +107,28 @@ def test_sup_refinement_never_below_grid():
                 >= sup_on_disk(s, coarse).sup - 1e-12)
 
 
+def test_refined_witness_is_first_order_stationary():
+    # d/dtheta |p|^2 = -2 |p|^2 Im(z p'/p) and d/dtheta Re p = -Im(z p')
+    rng = np.random.default_rng(5)
+    cfg = SamplingConfig(radii=(0.9,), angles=256)
+    k = np.arange(16)
+    for _ in range(20):
+        mags = 0.6 ** k * rng.uniform(0.5, 1.0, 16)
+        s = Series(mags * np.exp(2j * np.pi * rng.uniform(0, 1, 16)))
+        ds = derivative(s)
+        est = sup_on_disk(s, cfg)
+        assert type(est.witness_theta) is float
+        z = 0.9 * complex(math.cos(est.witness_theta),
+                          math.sin(est.witness_theta))
+        q = z * evaluate(ds, z) / evaluate(s, z)
+        assert abs(q.imag) / (1.0 + abs(q)) <= 1e-12
+        low = min_real_on_disk(s, cfg)
+        z = 0.9 * complex(math.cos(low.witness_theta),
+                          math.sin(low.witness_theta))
+        scale = float(np.sum(k * np.abs(s.coeffs) * 0.9 ** k))
+        assert abs((z * evaluate(ds, z)).imag) <= 1e-12 * scale
+
+
 def test_sup_skips_radii_with_infinite_tail():
     s = Series(np.array([2.0**k for k in range(17)]))
     cfg = SamplingConfig(radii=(0.2, 0.9), angles=64)
@@ -160,6 +183,17 @@ def test_identity_function_certifies_thm_b():
     assert rep.conclusion_margin > 0
     assert rep.cross_margin > 0
     assert not rep.denominator_violations
+
+
+def test_constant_functional_witness_is_grid_argmax():
+    # every functional of f = z is constant: no angle beats the first one
+    f = builtin_candidate("identity", 32)
+    p = CriterionParams(kind=CriterionKind.THM_B, n=1, beta=0.1, gamma=1.0,
+                        alpha=0.5)
+    cfg = SamplingConfig(radii=(0.2, 0.5, 0.8, 0.9), angles=256)
+    rep = check_criterion(f, p, cfg)
+    assert rep.hypothesis_witness == (0.9, 0.0)
+    assert rep.conclusion_witness == (0.9, 0.0)
 
 
 def test_identity_function_certifies_lemma_a():
@@ -219,6 +253,18 @@ def test_extremal_b_certifies():
     assert rep.verdict is Verdict.CERTIFIED_SAMPLED
     # lhs_b is S z, so the sampled sup sits at S * (top radius)
     assert rep.hypothesis_sup == pytest.approx(1.5 * 0.995, rel=1e-9)
+
+
+def test_every_radius_refused_is_degenerate():
+    f = builtin_candidate("koebe", 128)
+    cfg = SamplingConfig(radii=(0.2, 0.5, 0.8, 0.9), angles=256)
+    for beta, gamma, alpha in ((0.1, 2.0, 0.5), (0.2, 1 - 0.2j, 0.7)):
+        p = CriterionParams(kind=CriterionKind.THM_A, n=1, beta=beta,
+                            gamma=gamma, alpha=alpha)
+        rep = check_criterion(f, p, cfg)
+        assert rep.verdict is Verdict.DEGENERATE
+        assert rep.skipped_radii == cfg.radii
+        assert rep.hypothesis_sup is None
 
 
 def test_denominator_violation_detected():
@@ -284,8 +330,7 @@ def test_jack_pure_power():
 
 
 def test_jack_closed_form_example():
-    # argmax at z0 = 0.5 where (1 + z0)/(1 + 0.5 z0) = 1.2; the angle is
-    # located to ~sqrt(eps) only (the modulus is flat at its maximum)
+    # argmax at z0 = 0.5 where (1 + z0)/(1 + 0.5 z0) = 1.2
     w = make_series([0, 1, 0.5] + [0] * 5)
     res = jack_demo(w, 1, 0.5, CFG)
     assert res.conforms

@@ -165,7 +165,7 @@ def test_fundamental_theorem_roundtrip():
     rng = np.random.default_rng(7)
     for _ in range(20):
         g = rand_series(rng, 20, unit=1.0)
-        integral = shift(integrate_offset(g, 1.0, 1), 1)
+        integral = shift(integrate_offset(g, 1.0), 1)
         assert max_coeff_diff(derivative(integral), g) < 1e-12
 
 
@@ -253,18 +253,18 @@ def test_log_exp_inverse():
 # ---------------------------------------------------------------- integrate_offset
 
 def test_integrate_offset_unit_case():
-    h = integrate_offset(make_series([1.0, 0.0]), 1.0, 1)
+    h = integrate_offset(make_series([1.0, 0.0]), 1.0)
     assert h.coeffs[0] == 1 and h.coeffs[1] == 0
 
 
 def test_integrate_offset_termwise():
-    h = integrate_offset(make_series([1.0, 1.0]), 2.0, 1)
+    h = integrate_offset(make_series([1.0, 1.0]), 2.0)
     assert np.allclose(h.coeffs, [0.5, 1 / 3], atol=1e-16)
 
 
 def test_integrate_offset_resonance_names_index():
     with pytest.raises(ResonantExponentError) as exc:
-        integrate_offset(make_series([1.0, 1.0]), -1.0, 1)
+        integrate_offset(make_series([1.0, 1.0]), -1.0)
     assert exc.value.k == 1
 
 
@@ -272,7 +272,7 @@ def test_integrate_offset_skips_resonance_on_exact_zero():
     # only structure powers carry coefficients; the empty slot at the
     # resonant index must not manufacture an error
     g = make_series([1.0, 0.0, 0.5])
-    h = integrate_offset(g, -1.0, 2)
+    h = integrate_offset(g, -1.0)
     assert h.coeffs[1] == 0
 
 
@@ -280,14 +280,14 @@ def test_integrate_offset_formal_identity():
     rng = np.random.default_rng(31)
     for c in (0.7, -0.35 + 0.4j, 2.5 - 1j):
         g = rand_series(rng, 24, unit=1.0)
-        h = integrate_offset(g, c, 1)
+        h = integrate_offset(g, c)
         lhs = add(scale(h, c), shift(derivative(h), 1))
         assert max_coeff_diff(lhs, g) < 1e-12
 
 
 def test_integrate_offset_requires_nonzero_constant():
     with pytest.raises(SeriesError):
-        integrate_offset(make_series([0.0, 1.0]), 1.0, 1)
+        integrate_offset(make_series([0.0, 1.0]), 1.0)
 
 
 # ---------------------------------------------------------------- evaluate / tail

@@ -85,6 +85,8 @@ _VERDICT_EXIT = {
 
 _BUILTINS = ("identity", "koebe", "halfplane")
 
+_REFUSED = "not sampled: the tail heuristic refused every candidate radius"
+
 
 class UsageError(Exception):
     pass
@@ -291,6 +293,12 @@ def write_report(path: str, body_text: str) -> None:
     Path(path).write_text(payload)
 
 
+def _write_out(args, command: str, sections: dict) -> None:
+    if args.out:
+        write_report(args.out, render_report_body(command, sections))
+        print(f"report written to {args.out}")
+
+
 def _fmt_c(z: complex | None) -> str:
     if z is None:
         return "none"
@@ -348,13 +356,19 @@ def _print_verification(rep: VerificationReport) -> None:
     if spec.hypothesis_shape == "positive_real":
         print(f"hypothesis: min Re(lhs) = {_fmt(rep.hypothesis_sup)} "
               f"(needs > 0) -> margin {_fmt(rep.hypothesis_margin)}")
+    elif rep.hypothesis_margin is None:
+        print(f"hypothesis: {_REFUSED}")
+        print("conclusion: not sampled: the hypothesis was not sampled")
     else:
         print(f"hypothesis: sup |lhs| = {_fmt(rep.hypothesis_sup)} "
               f"+ tail {_fmt(rep.hypothesis_tail)} vs bound "
               f"{_fmt(spec.rhs_bound)} -> margin {_fmt(rep.hypothesis_margin)}")
-        print(f"conclusion: sup |f/(zf') - {_fmt(spec.conclusion_center)}| = "
-              f"{_fmt(rep.conclusion_sup)} vs {_fmt(spec.conclusion_radius)} "
-              f"-> margin {_fmt(rep.conclusion_margin)}")
+        if rep.conclusion_margin is None:
+            print(f"conclusion: {_REFUSED}")
+        else:
+            print(f"conclusion: sup |f/(zf') - {_fmt(spec.conclusion_center)}| = "
+                  f"{_fmt(rep.conclusion_sup)} vs {_fmt(spec.conclusion_radius)} "
+                  f"-> margin {_fmt(rep.conclusion_margin)}")
         if rep.cross_min_re is not None:
             print(f"cross-check: min Re(zf'/f) = {_fmt(rep.cross_min_re)} vs "
                   f"alpha {_fmt(spec.alpha)} -> margin {_fmt(rep.cross_margin)}")
@@ -382,15 +396,12 @@ def cmd_check(args) -> int:
     params = _criterion_params(args, fs.n)
     rep = check_criterion(f, params, cfg)
     _print_verification(rep)
-    if args.out:
-        body = render_report_body("check", {
-            "function": function_spec_to_dict(fs),
-            "criterion_params": params,
-            "sampling": cfg,
-            "result": rep,
-        })
-        write_report(args.out, body)
-        print(f"report written to {args.out}")
+    _write_out(args, "check", {
+        "function": function_spec_to_dict(fs),
+        "criterion_params": params,
+        "sampling": cfg,
+        "result": rep,
+    })
     return _VERDICT_EXIT[rep.verdict]
 
 
@@ -442,18 +453,15 @@ def cmd_extremal(args) -> int:
                            gamma=params.gamma, alpha=params.alpha)
     rep = check_criterion(f, crit, cfg)
     _print_verification(rep)
-    if args.out:
-        body = render_report_body("extremal", {
-            "extremal_params": params,
-            "trunc": args.trunc,
-            "coefficients": [complex(c) for c in f.series.coeffs[: k + 1]],
-            "selfcheck": selfcheck,
-            "criterion_params": crit,
-            "sampling": cfg,
-            "result": rep,
-        })
-        write_report(args.out, body)
-        print(f"report written to {args.out}")
+    _write_out(args, "extremal", {
+        "extremal_params": params,
+        "trunc": args.trunc,
+        "coefficients": [complex(c) for c in f.series.coeffs[: k + 1]],
+        "selfcheck": selfcheck,
+        "criterion_params": crit,
+        "sampling": cfg,
+        "result": rep,
+    })
     return _VERDICT_EXIT[rep.verdict]
 
 
@@ -478,16 +486,13 @@ def cmd_jack(args) -> int:
     print(f"imaginary part within tolerance: {'yes' if res.imag_ok else 'NO'}")
     print(f"real part >= order {order}: {'yes' if res.real_ok else 'NO'}")
     print(f"conforms: {'yes' if res.conforms else 'NO'}")
-    if args.out:
-        body = render_report_body("jack", {
-            "function": function_spec_to_dict(fs),
-            "order": order,
-            "radius": args.radius,
-            "sampling": cfg,
-            "result": res,
-        })
-        write_report(args.out, body)
-        print(f"report written to {args.out}")
+    _write_out(args, "jack", {
+        "function": function_spec_to_dict(fs),
+        "order": order,
+        "radius": args.radius,
+        "sampling": cfg,
+        "result": res,
+    })
     return EXIT_OK if res.conforms else EXIT_FAILED
 
 
@@ -502,10 +507,7 @@ def cmd_identities(args) -> int:
           f"{res.max_residual_b!r}")
     ok = res.max_residual_a < args.tol and res.max_residual_b < args.tol
     print(f"tolerance {args.tol!r}: {'PASS' if ok else 'FAIL'}")
-    if args.out:
-        body = render_report_body("identities", {"sweep": res, "tol": args.tol})
-        write_report(args.out, body)
-        print(f"report written to {args.out}")
+    _write_out(args, "identities", {"sweep": res, "tol": args.tol})
     return EXIT_OK if ok else EXIT_FAILED
 
 

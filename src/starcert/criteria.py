@@ -116,32 +116,27 @@ def corollary_mapping(gamma_real: float) -> tuple[complex, complex]:
     return 1.0 + 0.0j, complex(-gamma_real)
 
 
-def _thm_a_branches(n: int, alpha: float, beta: complex,
-                    gamma: complex) -> tuple[float | None, float | None]:
-    low = 0.5 * abs(n * gamma - beta) if alpha <= 0.5 else None
-    high = abs(n * gamma * (1.0 - alpha) - alpha * beta) if alpha >= 0.5 else None
-    return low, high
-
-
-def _thm_b_branches(n: int, alpha: float, beta: complex,
-                    gamma: complex) -> tuple[float | None, float | None]:
-    base = abs(beta + gamma * (n + 1))
-    low = 0.5 * base if alpha <= 0.5 else None
-    high = (1.0 - alpha) * base if alpha >= 0.5 else None
-    return low, high
+def _effective_params(p: CriterionParams) -> tuple[complex, complex]:
+    """The (beta, gamma) a criterion's formulas take: COR_A's after the
+    corollary substitution, every other kind's as given."""
+    if p.kind is CriterionKind.COR_A:
+        return corollary_mapping(p.gamma.real)
+    return p.beta, p.gamma
 
 
 def branch_bounds(p: CriterionParams) -> tuple[float | None, float | None]:
     """The (alpha <= 1/2, alpha >= 1/2) branch bounds; both are populated
     only at alpha = 1/2 exactly."""
+    beta, gamma = _effective_params(p)
     if p.kind in (CriterionKind.THM_A, CriterionKind.COR_A):
-        beta, gamma = (p.beta, p.gamma)
-        if p.kind is CriterionKind.COR_A:
-            beta, gamma = corollary_mapping(p.gamma.real)
-        return _thm_a_branches(p.n, p.alpha, beta, gamma)
-    if p.kind is CriterionKind.THM_B:
-        return _thm_b_branches(p.n, p.alpha, p.beta, p.gamma)
-    raise ParameterError(f"branch bounds undefined for {p.kind.value}")
+        low = 0.5 * abs(p.n * gamma - beta)
+        high = abs(p.n * gamma * (1.0 - p.alpha) - p.alpha * beta)
+    elif p.kind is CriterionKind.THM_B:
+        base = abs(beta + gamma * (p.n + 1))
+        low, high = 0.5 * base, (1.0 - p.alpha) * base
+    else:
+        raise ParameterError(f"branch bounds undefined for {p.kind.value}")
+    return (low if p.alpha <= 0.5 else None), (high if p.alpha >= 0.5 else None)
 
 
 def _merge_branches(low: float | None, high: float | None) -> float:
@@ -156,96 +151,43 @@ def _merge_branches(low: float | None, high: float | None) -> float:
 
 def build_spec(p: CriterionParams) -> CriterionSpec:
     """Bound, admissibility and conclusion geometry for one criterion."""
-    ratio = p.beta / p.gamma
-    if p.kind is CriterionKind.LEMMA_A:
-        margin = p.n * p.rho - ratio.real
-        return CriterionSpec(
-            kind=p.kind,
-            lhs=FunctionalKind.LHS_A,
-            hypothesis_shape="modulus",
-            rhs_bound=abs(p.n * p.rho * p.gamma - p.beta) / (1.0 + p.rho),
-            admissible=margin > 0,
-            admissibility_margin=margin,
-            conclusion_center=1.0,
-            conclusion_radius=p.rho,
-            eff_beta=p.beta,
-            eff_gamma=p.gamma,
-            alpha=None,
-            rho=p.rho,
-        )
-
-    if p.kind is CriterionKind.LEMMA_B:
-        margin = ratio.real + (p.n + 1)
-        return CriterionSpec(
-            kind=p.kind,
-            lhs=FunctionalKind.LHS_B,
-            hypothesis_shape="modulus",
-            rhs_bound=p.rho / (1.0 + p.rho) * abs(p.beta + p.gamma * (p.n + 1)),
-            admissible=margin > 0,
-            admissibility_margin=margin,
-            conclusion_center=1.0,
-            conclusion_radius=p.rho,
-            eff_beta=p.beta,
-            eff_gamma=p.gamma,
-            alpha=None,
-            rho=p.rho,
-        )
-
-    if p.kind in (CriterionKind.THM_A, CriterionKind.COR_A):
-        eff_beta, eff_gamma = p.beta, p.gamma
-        if p.kind is CriterionKind.COR_A:
-            eff_beta, eff_gamma = corollary_mapping(p.gamma.real)
-            ratio = eff_beta / eff_gamma
-        bound = _merge_branches(*_thm_a_branches(p.n, p.alpha, eff_beta, eff_gamma))
-        limit = float(p.n) if p.alpha <= 0.5 else p.n * (1.0 / p.alpha - 1.0)
-        margin = limit - ratio.real
-        radius = 1.0 / (2.0 * p.alpha)
-        return CriterionSpec(
-            kind=p.kind,
-            lhs=FunctionalKind.LHS_A,
-            hypothesis_shape="modulus",
-            rhs_bound=bound,
-            admissible=margin > 0,
-            admissibility_margin=margin,
-            conclusion_center=radius,
-            conclusion_radius=radius,
-            eff_beta=eff_beta,
-            eff_gamma=eff_gamma,
-            alpha=p.alpha,
-            rho=implied_rho(p),
-        )
-
-    if p.kind is CriterionKind.THM_B:
-        bound = _merge_branches(*_thm_b_branches(p.n, p.alpha, p.beta, p.gamma))
-        margin = ratio.real + (p.n + 1)
-        radius = 1.0 / (2.0 * p.alpha)
-        return CriterionSpec(
-            kind=p.kind,
-            lhs=FunctionalKind.LHS_B,
-            hypothesis_shape="modulus",
-            rhs_bound=bound,
-            admissible=margin > 0,
-            admissibility_margin=margin,
-            conclusion_center=radius,
-            conclusion_radius=radius,
-            eff_beta=p.beta,
-            eff_gamma=p.gamma,
-            alpha=p.alpha,
-            rho=implied_rho(p),
-        )
-
-    # MOCANU: class-membership shape only, no modulus bound to certify.
+    beta, gamma = _effective_params(p)
+    ratio = (beta / gamma).real
+    if p.kind is CriterionKind.MOCANU:
+        # class-membership shape only, no modulus bound to certify
+        lhs, bound, margin = FunctionalKind.MOCANU_Q, 0.0, None
+        shape = "positive_real"
+        alpha, rho, center, radius = p.alpha, None, 0.0, 0.0
+    else:
+        shape = "modulus"
+        # A lemma concludes |Q - 1| < rho; a theorem runs its lemma at the
+        # implied rho and concludes |Q - 1/(2 alpha)| < 1/(2 alpha).
+        if p.kind in _RHO_KINDS:
+            alpha, rho, center, radius = None, p.rho, 1.0, p.rho
+        else:
+            alpha, rho = p.alpha, implied_rho(p)
+            center = radius = 1.0 / (2.0 * p.alpha)
+        if p.kind in (CriterionKind.LEMMA_B, CriterionKind.THM_B):
+            lhs, margin = FunctionalKind.LHS_B, ratio + (p.n + 1)
+        else:
+            lhs, margin = FunctionalKind.LHS_A, p.n * rho - ratio
+        if p.kind is CriterionKind.LEMMA_A:
+            bound = abs(p.n * rho * gamma - beta) / (1.0 + rho)
+        elif p.kind is CriterionKind.LEMMA_B:
+            bound = rho / (1.0 + rho) * abs(beta + gamma * (p.n + 1))
+        else:
+            bound = _merge_branches(*branch_bounds(p))
     return CriterionSpec(
         kind=p.kind,
-        lhs=FunctionalKind.MOCANU_Q,
-        hypothesis_shape="positive_real",
-        rhs_bound=0.0,
-        admissible=True,
-        admissibility_margin=None,
-        conclusion_center=0.0,
-        conclusion_radius=0.0,
-        eff_beta=p.beta,
-        eff_gamma=p.gamma,
-        alpha=p.alpha,
-        rho=None,
+        lhs=lhs,
+        hypothesis_shape=shape,
+        rhs_bound=bound,
+        admissible=margin is None or margin > 0,
+        admissibility_margin=margin,
+        conclusion_center=center,
+        conclusion_radius=radius,
+        eff_beta=beta,
+        eff_gamma=gamma,
+        alpha=alpha,
+        rho=rho,
     )

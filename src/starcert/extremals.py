@@ -43,6 +43,9 @@ from .functionals import lhs_a, lhs_b
 from .criteria import CriterionKind, CriterionParams, build_spec
 from .oracle import SamplingConfig, SupEstimate, sup_on_disk
 
+# Coefficient residual below which lhs_a matches a closed form.
+_MATCH_TOL = 1e-9
+
 
 class ExtremalFamily(Enum):
     EXTREMAL_A = "EXTREMAL_A"
@@ -179,8 +182,7 @@ def _moebius_form(x: complex, s: float, n: int, order: int) -> Series:
 
 
 def probe_identity_a(f: SchlichtCandidate, p: ExtremalParams,
-                     cfg: SamplingConfig | None = None,
-                     match_tol: float = 1e-9) -> ProbeIdentityA:
+                     cfg: SamplingConfig | None = None) -> ProbeIdentityA:
     """Compare ``lhs_a(f)`` against the beta- and gamma-built Moebius
     forms and sample its sup against the bound S."""
     left = lhs_a(f, p.beta, p.gamma)
@@ -193,8 +195,8 @@ def probe_identity_a(f: SchlichtCandidate, p: ExtremalParams,
 
     r_beta = resid(p.beta)
     r_gamma = resid(p.gamma)
-    m_beta = r_beta < match_tol
-    m_gamma = r_gamma < match_tol
+    m_beta = r_beta < _MATCH_TOL
+    m_gamma = r_gamma < _MATCH_TOL
     matched = {(True, True): "both", (True, False): "beta_form",
                (False, True): "gamma_form", (False, False): "neither"}[
         (m_beta, m_gamma)]

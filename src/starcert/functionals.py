@@ -119,8 +119,13 @@ def identity_b_residual(f: SchlichtCandidate, beta: complex, gamma: complex) -> 
     return max_coeff_diff(left, scale(right, -1.0))
 
 
-def random_candidate(n: int, trunc_order: int, rng: np.random.Generator,
-                     amp: float = 0.15, decay: float = 0.15) -> SchlichtCandidate:
+# Scale and geometric decay of random_candidate's tail coefficients.
+_RANDOM_AMP = 0.15
+_RANDOM_DECAY = 0.15
+
+
+def random_candidate(n: int, trunc_order: int,
+                     rng: np.random.Generator) -> SchlichtCandidate:
     """Random class member with geometrically decaying tail coefficients.
 
     The decay keeps f', f/z, f/z + (f/z)' z and the capped w/z^n zero-free
@@ -131,7 +136,8 @@ def random_candidate(n: int, trunc_order: int, rng: np.random.Generator,
     arr = np.zeros(trunc_order + 1, dtype=np.complex128)
     arr[1] = 1.0
     count = trunc_order - n
-    radii = amp * decay ** np.arange(count) * rng.uniform(0.5, 1.0, count)
+    radii = (_RANDOM_AMP * _RANDOM_DECAY ** np.arange(count)
+             * rng.uniform(0.5, 1.0, count))
     phases = rng.uniform(0.0, 2.0 * np.pi, count)
     arr[n + 1 :] = radii * np.exp(1j * phases)
     return SchlichtCandidate(n=n, series=Series(arr))

@@ -9,9 +9,9 @@ zeros of ``f/z`` and ``f'`` by the argument principle, and demonstrates
 the boundary-maximum lemma numerically.
 
 A passing verdict is always ``CERTIFIED_SAMPLED``: every sampled point
-plus the heuristic tail allowance satisfies the strict inequality.  That
-is deliberately weaker than a proof over the open disk and the reports
-say so.
+satisfies each strict inequality, the modulus hypothesis with its heuristic
+tail allowance added (no other check folds in a tail).  That is
+deliberately weaker than a proof over the open disk and the reports say so.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .series import (
 )
 from .functionals import (
     FunctionalKind,
-    centered_quotient,
     lhs_a,
     lhs_b,
     mocanu_functional,
@@ -44,6 +43,8 @@ from .criteria import CriterionKind, CriterionParams, CriterionSpec, build_spec
 
 # Samples of f/z or f' below this modulus count as denominator zeros.
 _DENOM_FLOOR = 1e-9
+# At most this many denominator violations are reported.
+_DENOM_CAP = 32
 # Newton refinement guards: the step cap and the smallest step (radians).
 _NEWTON_STEPS = 10
 _NEWTON_TINY = 1e-13
@@ -251,8 +252,7 @@ def min_real_on_disk(a: Series, cfg: SamplingConfig | None = None) -> MinRealEst
                            witness_value=value)
 
 
-def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig,
-                            cap: int = 32):
+def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig):
     """Zeros of ``f/z`` or ``f'`` inside the outer candidate circle: samples
     below the floor, or else a nonzero argument-principle count (untrusted,
     so also flagged, when a phase step reaches pi/2) reported at the sample
@@ -272,22 +272,55 @@ def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig,
                     or round(np.sum(steps) / (2.0 * np.pi)) != 0):
                 bad = [int(np.argmin(mags))]
         out.extend((r, float(theta[j]), label, float(mags[j])) for j in bad)
-    return tuple(out[:cap])
+    return tuple(out[:_DENOM_CAP])
 
 
 def _functional_series(f: SchlichtCandidate, spec: CriterionSpec) -> Series:
-    if spec.lhs is FunctionalKind.LHS_A:
-        return lhs_a(f, spec.eff_beta, spec.eff_gamma)
-    if spec.lhs is FunctionalKind.LHS_B:
-        return lhs_b(f, spec.eff_beta, spec.eff_gamma)
     if spec.lhs is FunctionalKind.MOCANU_Q:
         return mocanu_functional(f, spec.alpha)
-    raise ValueError(f"no hypothesis functional for {spec.lhs}")
+    lhs = lhs_a if spec.lhs is FunctionalKind.LHS_A else lhs_b
+    return lhs(f, spec.eff_beta, spec.eff_gamma)
+
+
+@dataclass(frozen=True)
+class _Sample:
+    """One sampled inequality of a criterion; the value, tail, margin and
+    witness are None when the tail heuristic refused every radius."""
+
+    value: float | None = None            # sup |a| or min Re a
+    tail: float | None = None             # allowance at the sampled radius
+    margin: float | None = None
+    witness: tuple[float, float] | None = None
+    witness_value: complex | None = None
+    skipped: tuple[float, ...] = ()
+
+
+def _sample(a: Series, shape: str, bound: float, cfg: SamplingConfig,
+            fold_tail: bool = False) -> _Sample:
+    """Sample ``sup |a| < bound`` (shape "modulus") or ``min Re a > bound``
+    (shape "positive_real") and its margin.  Only a modulus check with
+    ``fold_tail`` adds the tail allowance to its sup before comparing; the
+    positive-real path computes no allowance and reports a tail of 0."""
+    if shape == "positive_real":
+        low = min_real_on_disk(a, cfg)
+        return _Sample(low.min_re, 0.0, low.min_re - bound,
+                       (low.witness_r, low.witness_theta), low.witness_value)
+    try:
+        est = sup_on_disk(a, cfg)
+    except DegenerateSeriesError:
+        return _Sample(skipped=cfg.radii)
+    top = est.sup_plus_tail if fold_tail else est.sup
+    return _Sample(est.sup, est.sup_plus_tail - est.sup, bound - top,
+                   (est.witness_r, est.witness_theta), est.witness_value,
+                   est.skipped_radii)
 
 
 def check_criterion(f: SchlichtCandidate, p: CriterionParams,
                     cfg: SamplingConfig | None = None) -> VerificationReport:
-    """Sample the hypothesis and conclusion of one criterion.
+    """Sample the hypothesis and conclusion of one criterion, as the spec
+    describes them.  A check whose every radius the tail heuristic refuses
+    leaves its fields None and makes the verdict DEGENERATE, unless the
+    hypothesis was sampled and failed; a refused hypothesis ends the run.
 
     The implication 'hypothesis implies conclusion' is a theorem, so a run
     where the hypothesis certifies but the conclusion fails is escalated
@@ -304,56 +337,27 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
                                   verdict=Verdict.DEGENERATE, config=cfg)
 
     violations = _denominator_violations(f, cfg)
-
+    # Only the modulus hypothesis folds its tail allowance into the margin;
+    # the conclusion and every positive-real check compare the bare sample.
+    hyp = _sample(_functional_series(f, spec), spec.hypothesis_shape,
+                  spec.rhs_bound, cfg, fold_tail=True)
+    con = cross = _Sample()
     if spec.hypothesis_shape == "positive_real":
-        est = min_real_on_disk(_functional_series(f, spec), cfg)
-        hyp_margin = est.min_re
-        hyp_ok = hyp_margin > 0
-        witness = (est.witness_r, est.witness_theta)
-        conclusion_sup = est.min_re
-        conclusion_margin = hyp_margin
-        conclusion_ok = hyp_ok
-        conclusion_witness = witness
-        hyp_sup: float = est.min_re
-        hyp_tail = 0.0
-        cross_min = cross_margin = None
-        worst = (est.witness_r, est.witness_theta, est.witness_value)
-    else:
-        if spec.kind in (CriterionKind.LEMMA_A, CriterionKind.LEMMA_B):
-            target = w_func(f)
-        else:
-            target = centered_quotient(f, spec.alpha)
-        try:
-            hyp_est = sup_on_disk(_functional_series(f, spec), cfg)
-            con_est = sup_on_disk(target, cfg)
-        except DegenerateSeriesError:
-            return VerificationReport(
-                kind=p.kind, spec=spec, verdict=Verdict.DEGENERATE, config=cfg,
-                denominator_violations=violations, skipped_radii=cfg.radii)
-        hyp_sup = hyp_est.sup
-        hyp_tail = hyp_est.sup_plus_tail - hyp_est.sup
-        hyp_margin = spec.rhs_bound - hyp_est.sup_plus_tail
-        hyp_ok = hyp_margin > 0
-        witness = (hyp_est.witness_r, hyp_est.witness_theta)
-        worst = (hyp_est.witness_r, hyp_est.witness_theta, hyp_est.witness_value)
-
-        conclusion_sup = con_est.sup
-        conclusion_margin = spec.conclusion_radius - con_est.sup
-        conclusion_ok = conclusion_margin > 0
-        conclusion_witness = (con_est.witness_r, con_est.witness_theta)
-
-        cross_min = cross_margin = None
-        if spec.kind in (CriterionKind.THM_A, CriterionKind.COR_A,
-                         CriterionKind.THM_B):
-            cross = min_real_on_disk(starlike_quotient(f), cfg)
-            cross_min = cross.min_re
-            cross_margin = cross.min_re - spec.alpha
-            conclusion_ok = conclusion_ok and cross_margin > 0
+        con = hyp
+    elif hyp.margin is not None:
+        con = _sample(w_func(f) + (1.0 - spec.conclusion_center), "modulus",
+                      spec.conclusion_radius, cfg)
+        if spec.alpha is not None:
+            cross = _sample(starlike_quotient(f), "positive_real", spec.alpha, cfg)
 
     escalation = None
-    if not hyp_ok:
+    if hyp.margin is None:
+        verdict = Verdict.DEGENERATE
+    elif not hyp.margin > 0:
         verdict = Verdict.HYPOTHESIS_FAILED
-    elif not conclusion_ok:
+    elif con.margin is None:
+        verdict = Verdict.DEGENERATE
+    elif not (con.margin > 0 and (cross.margin is None or cross.margin > 0)):
         verdict = Verdict.CONCLUSION_FAILED
         escalation = (
             "hypothesis certified on samples but the concluded inequality "
@@ -366,23 +370,23 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
     else:
         verdict = Verdict.CERTIFIED_SAMPLED
 
-    skipped = hyp_est.skipped_radii if spec.hypothesis_shape == "modulus" else ()
     return VerificationReport(
         kind=p.kind,
         spec=spec,
         verdict=verdict,
-        hypothesis_sup=hyp_sup,
-        hypothesis_tail=hyp_tail,
-        hypothesis_margin=hyp_margin,
-        hypothesis_witness=witness,
-        conclusion_sup=conclusion_sup,
-        conclusion_margin=conclusion_margin,
-        conclusion_witness=conclusion_witness,
-        cross_min_re=cross_min,
-        cross_margin=cross_margin,
-        worst_witness=worst,
+        hypothesis_sup=hyp.value,
+        hypothesis_tail=hyp.tail,
+        hypothesis_margin=hyp.margin,
+        hypothesis_witness=hyp.witness,
+        conclusion_sup=con.value,
+        conclusion_margin=con.margin,
+        conclusion_witness=con.witness,
+        cross_min_re=cross.value,
+        cross_margin=cross.margin,
+        worst_witness=(None if hyp.witness is None
+                       else (*hyp.witness, hyp.witness_value)),
         denominator_violations=violations,
-        skipped_radii=skipped,
+        skipped_radii=hyp.skipped,
         escalation=escalation,
         config=cfg,
     )

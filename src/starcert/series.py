@@ -16,7 +16,7 @@ Series values are immutable; all functions here are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,8 @@ RESONANCE_TOL = 1e-8
 # Coefficients below this relative level count as zero in the tail
 # heuristic; they are rounding dust, not information about growth.
 TAIL_DUST = 1e-14
+# Largest drift of c0 from 0 or c1 from 1 that as_schlicht snaps away.
+_SNAP_TOL = 1e-13
 
 
 class SeriesError(ValueError):
@@ -380,14 +382,14 @@ class SchlichtCandidate:
         return self.series.trunc_order
 
 
-def as_schlicht(n: int, s: Series, snap_tol: float = 1e-13) -> SchlichtCandidate:
+def as_schlicht(n: int, s: Series) -> SchlichtCandidate:
     """Snap the analytically forced values ``c0 = 0, c1 = 1`` to exact
     floats (recording the pre-snap deviation) and certify the class shape."""
     c = s.coeffs.copy()
     delta = max(abs(c[0]), abs(c[1] - 1.0))
-    if delta > snap_tol:
+    if delta > _SNAP_TOL:
         raise SeriesError(
-            f"normalization drift {delta:.3e} exceeds {snap_tol:.0e}; "
+            f"normalization drift {delta:.3e} exceeds {_SNAP_TOL:.0e}; "
             "refusing to snap"
         )
     c[0] = 0.0

@@ -101,6 +101,25 @@ def test_check_every_radius_refused_exit_2(koebe_spec, capsys):
     assert code == 2
     assert "verdict: DEGENERATE" in captured.out
     assert "Traceback" not in captured.err
+    assert ("hypothesis: not sampled: the tail heuristic refused every "
+            "candidate radius") in captured.out
+    assert "none" not in captured.out
+
+
+def test_check_refused_conclusion_exit_1(tmp_path, capsys):
+    # the hypothesis samples r = 0.2 and fails; only the conclusion is refused
+    spec = write_spec(tmp_path, "c.json", {
+        "kind": "COEFFS", "n": 1, "trunc": 8,
+        "coeffs": [[-1.27, -0.37], [1.01, -0.54], [-1.31, 0.32], [-0.79, 1.21],
+                   [0.11, -0.19], [-0.04, 0.53], [-1.15, 0.76]]})
+    code = main(["check", spec, "--kind", "LEMMA_B", "--beta", "0.1",
+                 "--gamma", "1", "--rho", "1", *FAST])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "verdict: HYPOTHESIS_FAILED" in out
+    assert ("conclusion: not sampled: the tail heuristic refused every "
+            "candidate radius") in out
+    assert "skipped radii (tail heuristic refused): [0.5, 0.8, 0.9]" in out
 
 
 def test_check_inadmissible_exit_2(identity_spec):

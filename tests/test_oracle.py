@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from starcert.series import (
     evaluate,
     make_series,
     monomial,
+    schlicht_from_tail,
 )
 from starcert.functionals import random_candidate
 from starcert.criteria import CriterionKind, CriterionParams
@@ -265,6 +267,50 @@ def test_every_radius_refused_is_degenerate():
         assert rep.verdict is Verdict.DEGENERATE
         assert rep.skipped_radii == cfg.radii
         assert rep.hypothesis_sup is None
+
+
+def test_refused_conclusion_keeps_sampled_hypothesis():
+    # the hypothesis tail accepts r = 0.2 while the conclusion's refuses
+    # every radius: the failed hypothesis decides the verdict
+    tail = [-1.27 - 0.37j, 1.01 - 0.54j, -1.31 + 0.32j, -0.79 + 1.21j,
+            0.11 - 0.19j, -0.04 + 0.53j, -1.15 + 0.76j]
+    f = schlicht_from_tail(1, tail, 8)
+    p = CriterionParams(kind=CriterionKind.LEMMA_B, n=1, beta=0.1, gamma=1.0,
+                        rho=1.0)
+    cfg = SamplingConfig(radii=(0.2, 0.5, 0.8, 0.9), angles=256)
+    rep = check_criterion(f, p, cfg)
+    assert rep.verdict is Verdict.HYPOTHESIS_FAILED
+    assert rep.hypothesis_witness[0] == 0.2
+    assert rep.hypothesis_margin == pytest.approx(-4.56, abs=0.01)
+    assert rep.skipped_radii == (0.5, 0.8, 0.9)
+    assert rep.conclusion_sup is None and rep.conclusion_margin is None
+
+
+def test_cor_a_is_thm_a_at_corollary_parameters():
+    for name in ("identity", "halfplane", "koebe"):
+        f = builtin_candidate(name, 32 if name == "identity" else 128)
+        for gamma, alpha in ((-0.5, 0.3), (0.5, 0.7), (-2.0, 0.5)):
+            cor = check_criterion(f, CriterionParams(
+                kind=CriterionKind.COR_A, n=1, gamma=gamma, alpha=alpha), CFG)
+            thm = check_criterion(f, CriterionParams(
+                kind=CriterionKind.THM_A, n=1, beta=1.0, gamma=-gamma,
+                alpha=alpha), CFG)
+            spec = dataclasses.replace(cor.spec, kind=CriterionKind.THM_A)
+            assert dataclasses.replace(
+                cor, kind=CriterionKind.THM_A, spec=spec) == thm, (name, gamma)
+
+
+def test_lemma_conclusion_samples_w():
+    # for f = z/(1-z), f/(zf') - 1 = -z, so sup |w| on |z| = 0.9 is 0.9
+    f = builtin_candidate("halfplane", 128)
+    cfg = SamplingConfig(radii=(0.2, 0.5, 0.8, 0.9), angles=256)
+    for kind, beta, rho in ((CriterionKind.LEMMA_A, 0.0, 1.0),
+                            (CriterionKind.LEMMA_B, 0.1, 0.5)):
+        p = CriterionParams(kind=kind, n=1, beta=beta, gamma=1.0, rho=rho)
+        rep = check_criterion(f, p, cfg)
+        assert abs(rep.conclusion_sup - 0.9) < 1e-12
+        assert rep.conclusion_margin == rho - rep.conclusion_sup
+        assert rep.cross_margin is None
 
 
 def test_denominator_violation_detected():

@@ -7,8 +7,12 @@ extremal    construct an extremal family member and self-check it
 jack        locate a circle maximum and report z0 w'(z0)/w(z0)
 identities  randomized conformance sweep of the rewrite identities
 
-Exit codes: 0 = certified / assertions pass, 1 = hypothesis or conclusion
-failure, 2 = inadmissible or degenerate input, 3 = usage error.
+Flags are spelled out in full; abbreviations are refused.
+
+Exit codes, decided only by :func:`main`: 0 = certified / assertions pass,
+1 = hypothesis or conclusion failure, 2 = inadmissible or degenerate input
+(stderr ``rejected: <message>``), 3 = usage error (stderr ``usage error:``,
+``spec file error:`` or ``parameter error: <message>``).
 
 Function spec files are JSON with complex scalars as two-element
 ``[re, im]`` arrays::
@@ -53,7 +57,6 @@ from .series import (
 from .functionals import ParameterError, identity_sweep, w_func
 from .criteria import CriterionKind, CriterionParams
 from .extremals import (
-    DegenerateExtremalError,
     ExtremalFamily,
     ExtremalParams,
     InadmissibleExtremalError,
@@ -62,7 +65,6 @@ from .extremals import (
     verify_identity_b,
 )
 from .oracle import (
-    DegenerateSeriesError,
     SamplingConfig,
     Verdict,
     VerificationReport,
@@ -98,7 +100,8 @@ class SpecFileError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # no abbreviations: '--n' would otherwise be read as '--no-refine'
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # let values such as '-0.5,0' start with a minus sign
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
@@ -315,32 +318,21 @@ def _fmt(x) -> str:
 
 def _sampling_config(args) -> SamplingConfig:
     kwargs = {}
-    if getattr(args, "radii", None):
+    if args.radii:
         kwargs["radii"] = args.radii
-    if getattr(args, "angles", None):
+    if args.angles is not None:
         kwargs["angles"] = args.angles
-    if getattr(args, "no_refine", False):
+    if args.no_refine:
         kwargs["refine"] = False
-    try:
-        return SamplingConfig(**kwargs)
-    except ValueError as e:
-        raise UsageError(str(e))
+    return SamplingConfig(**kwargs)
 
 
-def _criterion_params(args, default_n: int) -> CriterionParams:
-    kind = CriterionKind(args.kind)
-    n = args.n if args.n is not None else default_n
-    if n != default_n:
-        raise UsageError(
-            f"--n {n} conflicts with the function's class index {default_n}")
-    kwargs = dict(kind=kind, n=n, gamma=args.gamma,
+def _criterion_params(args, n: int) -> CriterionParams:
+    kwargs = dict(kind=CriterionKind(args.kind), n=n, gamma=args.gamma,
                   alpha=args.alpha, rho=args.rho)
     if args.beta is not None:
         kwargs["beta"] = args.beta
-    try:
-        return CriterionParams(**kwargs)
-    except ParameterError as e:
-        raise UsageError(str(e))
+    return CriterionParams(**kwargs)
 
 
 def _print_verification(rep: VerificationReport) -> None:
@@ -388,11 +380,7 @@ def _print_verification(rep: VerificationReport) -> None:
 def cmd_check(args) -> int:
     fs = load_function_spec(args.spec)
     cfg = _sampling_config(args)
-    try:
-        f = candidate_from_spec(fs)
-    except (DegenerateExtremalError, InadmissibleExtremalError, SeriesError) as e:
-        print(f"cannot build function from spec: {e}", file=sys.stderr)
-        return EXIT_REJECTED
+    f = candidate_from_spec(fs)
     params = _criterion_params(args, fs.n)
     rep = check_criterion(f, params, cfg)
     _print_verification(rep)
@@ -407,22 +395,10 @@ def cmd_check(args) -> int:
 
 def cmd_extremal(args) -> int:
     cfg = _sampling_config(args)
-    try:
-        params = ExtremalParams(
-            family=ExtremalFamily(args.family), n=args.n, alpha=args.alpha,
-            beta=args.beta, gamma=args.gamma)
-    except InadmissibleExtremalError as e:
-        print(f"inadmissible: {e.constraint} violated (margin {e.margin!r})",
-              file=sys.stderr)
-        return EXIT_REJECTED
-    except (DegenerateExtremalError, SeriesError) as e:
-        print(f"rejected: {e}", file=sys.stderr)
-        return EXIT_REJECTED
-    try:
-        f = build_extremal(params, args.trunc)
-    except SeriesError as e:
-        print(f"construction failed: {e}", file=sys.stderr)
-        return EXIT_REJECTED
+    params = ExtremalParams(
+        family=ExtremalFamily(args.family), n=args.n, alpha=args.alpha,
+        beta=args.beta, gamma=args.gamma)
+    f = build_extremal(params, args.trunc)
 
     print(f"family: {params.family.value}  n={params.n}  "
           f"alpha={params.alpha!r}  beta={_fmt_c(params.beta)}  "
@@ -440,12 +416,10 @@ def cmd_extremal(args) -> int:
         selfcheck["identity_residual"] = resid
         crit_kind = CriterionKind.THM_B
     else:
-        probe = probe_identity_a(f, params, cfg)
+        probe = probe_identity_a(f, params)
         print(f"closed-form match: {probe.matched} "
               f"(beta-form residual {probe.residual_beta_form!r}, "
               f"gamma-form residual {probe.residual_gamma_form!r})")
-        print(f"sampled sup |lhs_a| = {probe.sampled_sup!r} vs S = "
-              f"{probe.bound!r} -> margin {probe.sup_margin!r}")
         selfcheck["probe"] = probe
         crit_kind = CriterionKind.THM_A
 
@@ -468,19 +442,9 @@ def cmd_extremal(args) -> int:
 def cmd_jack(args) -> int:
     fs = load_function_spec(args.spec)
     cfg = _sampling_config(args)
-    try:
-        w = probe_series_from_spec(fs)
-    except (DegenerateExtremalError, InadmissibleExtremalError, SeriesError) as e:
-        print(f"cannot build series from spec: {e}", file=sys.stderr)
-        return EXIT_REJECTED
+    w = probe_series_from_spec(fs)
     order = args.order if args.order is not None else fs.n
-    try:
-        res = jack_demo(w, order, args.radius, cfg)
-    except DegenerateSeriesError as e:
-        print(f"degenerate: {e}", file=sys.stderr)
-        return EXIT_REJECTED
-    except ValueError as e:
-        raise UsageError(str(e))
+    res = jack_demo(w, order, args.radius, cfg)
     print(f"k_est = {_fmt_c(res.k_est)}")
     print(f"max point z0 = {_fmt_c(res.max_point)}  |w(z0)| = {res.max_modulus!r}")
     print(f"imaginary part within tolerance: {'yes' if res.imag_ok else 'NO'}")
@@ -535,8 +499,6 @@ def build_parser() -> _Parser:
     p.add_argument("spec", help="path to a function spec file (JSON)")
     p.add_argument("--kind", required=True,
                    choices=[k.value for k in CriterionKind])
-    p.add_argument("--n", type=int, default=None,
-                   help="class index (default: the spec file's n)")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=_parse_complex, default=None,
                    help="complex as 're,im' (COR_A fixes beta = 1)")
@@ -582,16 +544,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # any exception not named here is a bug and keeps its traceback
     try:
-        args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as e:  # --help / --version paths
         return int(e.code or 0)
-    try:
-        return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -601,6 +559,9 @@ def main(argv=None) -> int:
     except ParameterError as e:
         print(f"parameter error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (SeriesError, InadmissibleExtremalError) as e:
+        print(f"rejected: {e}", file=sys.stderr)
+        return EXIT_REJECTED
 
 
 def entrypoint() -> None:

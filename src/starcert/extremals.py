@@ -41,7 +41,6 @@ from .series import (
 )
 from .functionals import lhs_a, lhs_b
 from .criteria import CriterionKind, CriterionParams, build_spec
-from .oracle import SamplingConfig, SupEstimate, sup_on_disk
 
 # Coefficient residual below which lhs_a matches a closed form.
 _MATCH_TOL = 1e-9
@@ -168,11 +167,6 @@ class ProbeIdentityA:
     matches_beta_form: bool
     matches_gamma_form: bool
     matched: str                    # "beta_form" | "gamma_form" | "both" | "neither"
-    bound: float
-    sampled_sup: float
-    sup_plus_tail: float
-    sup_margin: float
-    witness: tuple[float, float]
 
 
 def _moebius_form(x: complex, s: float, n: int, order: int) -> Series:
@@ -181,10 +175,10 @@ def _moebius_form(x: complex, s: float, n: int, order: int) -> Series:
     return div(num, den)
 
 
-def probe_identity_a(f: SchlichtCandidate, p: ExtremalParams,
-                     cfg: SamplingConfig | None = None) -> ProbeIdentityA:
+def probe_identity_a(f: SchlichtCandidate,
+                     p: ExtremalParams) -> ProbeIdentityA:
     """Compare ``lhs_a(f)`` against the beta- and gamma-built Moebius
-    forms and sample its sup against the bound S."""
+    forms; ``check_criterion`` samples its sup as the THM_A hypothesis."""
     left = lhs_a(f, p.beta, p.gamma)
     order = left.trunc_order
     keep = max(1, order - 1)
@@ -200,18 +194,12 @@ def probe_identity_a(f: SchlichtCandidate, p: ExtremalParams,
     matched = {(True, True): "both", (True, False): "beta_form",
                (False, True): "gamma_form", (False, False): "neither"}[
         (m_beta, m_gamma)]
-    est: SupEstimate = sup_on_disk(left, cfg or SamplingConfig())
     return ProbeIdentityA(
         residual_beta_form=r_beta,
         residual_gamma_form=r_gamma,
         matches_beta_form=m_beta,
         matches_gamma_form=m_gamma,
         matched=matched,
-        bound=p.S,
-        sampled_sup=est.sup,
-        sup_plus_tail=est.sup_plus_tail,
-        sup_margin=p.S - est.sup_plus_tail,
-        witness=(est.witness_r, est.witness_theta),
     )
 
 

@@ -32,6 +32,7 @@ from .series import (
 )
 from .functionals import (
     FunctionalKind,
+    ParameterError,
     lhs_a,
     lhs_b,
     mocanu_functional,
@@ -78,13 +79,13 @@ class SamplingConfig:
     def __post_init__(self):
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         if not self.radii:
-            raise ValueError("at least one sampling radius is required")
+            raise ParameterError("at least one sampling radius is required")
         if any(not 0.0 < r < 1.0 for r in self.radii):
-            raise ValueError("sampling radii must lie strictly inside (0, 1)")
+            raise ParameterError("sampling radii must lie strictly inside (0, 1)")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("sampling radii must be strictly ascending")
+            raise ParameterError("sampling radii must be strictly ascending")
         if self.angles < 64:
-            raise ValueError(f"need at least 64 angles per circle, got {self.angles}")
+            raise ParameterError(f"need at least 64 angles per circle, got {self.angles}")
 
 
 class Verdict(Enum):
@@ -403,13 +404,13 @@ def jack_demo(w: Series, m: int, r: float,
     """
     cfg = cfg or SamplingConfig()
     if m < 1:
-        raise ValueError(f"vanishing order must be >= 1, got {m}")
+        raise ParameterError(f"vanishing order must be >= 1, got {m}")
     if not 0.0 < r < 1.0:
-        raise ValueError(f"radius must lie in (0, 1), got {r}")
+        raise ParameterError(f"radius must lie in (0, 1), got {r}")
     mags = np.abs(w.coeffs)
     scale_ref = float(mags.max()) if mags.size else 0.0
     if scale_ref > 0 and np.any(mags[:m] > 1e-12 * scale_ref):
-        raise ValueError(
+        raise ParameterError(
             f"series does not vanish to order {m} at the origin"
         )
     peak_theta, peak, w0 = _circle_extremum(w, r, cfg, +1.0)

@@ -16,7 +16,6 @@ from starcert.series import (
     Series,
     builtin_candidate,
     div,
-    make_series,
     max_coeff_diff,
     monomial,
     mul,
@@ -243,13 +242,15 @@ def test_criterion_09_typo_resolution(grid_reports):
     matches = set()
     worst_beta = 0.0
     best_gamma = math.inf
-    for p, f, _rep in grid_reports[ExtremalFamily.EXTREMAL_A]:
-        probe = probe_identity_a(f, p, ACC_CFG)
+    for p, f, rep in grid_reports[ExtremalFamily.EXTREMAL_A]:
+        probe = probe_identity_a(f, p)
         matches.add(probe.matched)
         worst_beta = max(worst_beta, probe.residual_beta_form)
         best_gamma = min(best_gamma, probe.residual_gamma_form)
-        assert probe.sup_margin > 0
-        assert probe.sup_plus_tail < probe.bound
+        # the sup-vs-S bound is the THM_A hypothesis of the grid report
+        assert rep.hypothesis_margin > 0
+        assert rep.spec.rhs_bound == p.S
+        assert rep.hypothesis_sup + rep.hypothesis_tail < p.S
     assert matches == {"beta_form"}, matches
     assert worst_beta < 1e-9
 
@@ -260,7 +261,7 @@ def test_criterion_09_typo_resolution(grid_reports):
     print(f"\n[criterion 09] PASS - beta-form matches on all 36 family-A "
           f"grid points (worst residual {worst_beta:.2e}); gamma-form "
           f"never (best residual {best_gamma:.2e}); finding documented "
-          f"in README.md; sup-vs-S bound held on every probe")
+          f"in README.md; sup-vs-S bound held on every THM_A report")
 
 
 def _run_matrix(tmp_path, tag):

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from starcert.cli import (
-    FunctionSpec,
     SpecFileError,
     function_spec_to_dict,
     load_function_spec,
@@ -155,6 +154,20 @@ def test_check_conflicting_n_exit_3(identity_spec):
                  "--beta", "1", "--gamma", "1", "--alpha", "0.5"]) == 3
 
 
+def test_check_abbreviated_flag_exit_3(identity_spec, capsys):
+    code = main(["check", identity_spec, "--kind", "THM_B", "--beta", "0.1",
+                 "--gamma", "1", "--alpha", "0.5", "--ang", "256"])
+    assert code == 3
+    assert "unrecognized arguments: --ang 256" in capsys.readouterr().err
+
+
+def test_check_zero_angles_exit_3(identity_spec, capsys):
+    code = main(["check", identity_spec, "--kind", "THM_B", "--beta", "0.1",
+                 "--gamma", "1", "--alpha", "0.5", "--angles", "0"])
+    assert code == 3
+    assert "got 0" in capsys.readouterr().err
+
+
 def test_check_report_roundtrip_and_determinism(identity_spec, tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
@@ -267,6 +280,52 @@ def test_identities_sweep_fast(capsys):
     assert code == 0
     assert "max residual, identity A" in out
     assert "PASS" in out
+
+
+# ------------------------------------------------------------------- errors
+
+ERROR_SPECS = {
+    "s0.json": {"kind": "EXTREMAL_A", "n": 1, "trunc": 64,
+                "extremal": {"alpha": 0.4, "beta": [1, 0], "gamma": [1, 0]}},
+    "a2.json": {"kind": "COEFFS", "n": 2, "trunc": 8, "coeffs": [[0.3, 0]]},
+    "zero.json": {"kind": "COEFFS", "n": 1, "trunc": 8, "coeffs": []},
+    "half_z.json": {"kind": "COEFFS", "n": 1, "trunc": 8, "coeffs": [[0.5, 0]]},
+    "identity.json": {"kind": "BUILTIN", "builtin": "identity", "n": 1,
+                      "trunc": 32},
+}
+THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    pytest.param(["check", "s0.json", *THM_B], 2, id="check-S0"),
+    pytest.param(["check", "a2.json", *THM_B], 2, id="check-a2-nonzero"),
+    pytest.param(["extremal", "--family", "EXTREMAL_A", "--n", "1", "--alpha",
+                  "0.4", "--beta", "2", "--gamma", "1"], 2,
+                 id="extremal-inadmissible"),
+    pytest.param(["extremal", "--family", "EXTREMAL_B", "--n", "1", "--alpha",
+                  "1.5", "--beta", "1", "--gamma", "1"], 2,
+                 id="extremal-alpha-out-of-range"),
+    pytest.param(["jack", "zero.json"], 2, id="jack-zero-series"),
+    pytest.param(["jack", "half_z.json", "--radius", "1.5"], 3,
+                 id="jack-radius"),
+    pytest.param(["jack", "half_z.json", "--order", "3"], 3, id="jack-order"),
+    pytest.param(["check", "identity.json", *THM_B, "--angles", "10"], 3,
+                 id="check-angles"),
+    pytest.param(["check", "identity.json", *THM_B, "--radii", "0.5,0.2"], 3,
+                 id="check-radii-descending"),
+    pytest.param(["check", "identity.json", "--kind", "LEMMA_A", "--beta",
+                  "0.1", "--gamma", "1"], 3, id="check-lemma-without-rho"),
+    pytest.param(["check", "identity.json", *THM_B, "--n", "3"], 3,
+                 id="check-n"),
+])
+def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, argv, expected):
+    for name, payload in ERROR_SPECS.items():
+        write_spec(tmp_path, name, payload)
+    argv = [str(tmp_path / a) if a in ERROR_SPECS else a for a in argv]
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------------- misc

@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from starcert.criteria import (
     CriterionKind,
     CriterionParams,
-    CriterionSpec,
     branch_bounds,
     build_spec,
     corollary_mapping,

@@ -15,7 +15,8 @@ from starcert.extremals import (
     probe_identity_a,
     verify_identity_b,
 )
-from starcert.oracle import SamplingConfig
+from starcert.criteria import CriterionKind, CriterionParams
+from starcert.oracle import SamplingConfig, check_criterion
 
 FAST_CFG = SamplingConfig(
     radii=tuple(round(0.1 + 0.05 * i, 10) for i in range(18)) + (0.99,),
@@ -31,6 +32,13 @@ def params_a(n=1, alpha=0.4, beta=0.2j, gamma=1.0):
 def params_b(n=1, alpha=0.5, beta=1.0, gamma=1.0):
     return ExtremalParams(family=ExtremalFamily.EXTREMAL_B, n=n, alpha=alpha,
                           beta=beta, gamma=gamma)
+
+
+def thm_a_report(f, p):
+    """The THM_A check whose hypothesis is sup |lhs_a(f)| < S."""
+    crit = CriterionParams(kind=CriterionKind.THM_A, n=p.n, beta=p.beta,
+                           gamma=p.gamma, alpha=p.alpha)
+    return check_criterion(f, crit, FAST_CFG)
 
 
 # ------------------------------------------------------------------ parameters
@@ -155,22 +163,25 @@ def test_identity_b_residual_for_identity_function_is_s():
 def test_probe_matches_beta_form_only():
     p = params_a()
     f = build_extremal_a(p, 128)
-    probe = probe_identity_a(f, p, FAST_CFG)
+    probe = probe_identity_a(f, p)
     assert probe.matched == "beta_form"
     assert probe.residual_beta_form < 1e-9
     assert probe.residual_gamma_form > 1e-9
-    assert probe.sup_margin > 0
-    assert probe.sup_plus_tail < probe.bound
+    rep = thm_a_report(f, p)
+    assert rep.hypothesis_margin > 0
+    assert rep.spec.rhs_bound == p.S
+    assert rep.hypothesis_sup + rep.hypothesis_tail < p.S
 
 
 def test_probe_identity_function_no_match_below_bound():
     # f = z with |beta| < S: trivially below the bound, no closed-form match
     p = params_a(n=1, alpha=0.4, beta=0.2j, gamma=1.0)
     f = builtin_candidate("identity", 64)
-    probe = probe_identity_a(f, p, FAST_CFG)
+    probe = probe_identity_a(f, p)
     assert probe.matched == "neither"
-    assert probe.sampled_sup == pytest.approx(abs(p.beta), abs=1e-12)
-    assert probe.sup_margin > 0
+    rep = thm_a_report(f, p)
+    assert rep.hypothesis_sup == pytest.approx(abs(p.beta), abs=1e-12)
+    assert rep.hypothesis_margin > 0
 
 
 # ------------------------------------------------------------------ grid

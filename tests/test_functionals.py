@@ -5,11 +5,9 @@ from starcert.series import (
     Series,
     SchlichtCandidate,
     builtin_candidate,
-    make_series,
     max_coeff_diff,
     mul,
     scale,
-    shift,
 )
 from starcert.functionals import (
     ParameterError,

@@ -1,4 +1,4 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module or test file imports a name it never uses.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree with ``ast``.  A name counts as used when it appears as a bare name
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "starcert"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "starcert"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:

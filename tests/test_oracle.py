@@ -14,7 +14,6 @@ from starcert.series import (
     monomial,
     schlicht_from_tail,
 )
-from starcert.functionals import random_candidate
 from starcert.criteria import CriterionKind, CriterionParams
 from starcert.extremals import ExtremalFamily, ExtremalParams, build_extremal_b
 from starcert.oracle import (

@@ -505,7 +505,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=_parse_complex, required=True,
                    help="complex as 're,im'")
     p.add_argument("--rho", type=float, default=None,
-                   help="disk radius for the LEMMA_* kinds")
+                   help="disk radius (LEMMA_* kinds only)")
     _add_sampling_flags(p)
     p.set_defaults(func=cmd_check)
 

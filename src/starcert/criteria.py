@@ -5,24 +5,21 @@ with a parameter constraint and a concluded disk for ``Q = f/(z f')``:
 
 * ``LEMMA_A``:  |lhs_a| < |n rho gamma - beta| / (1 + rho)   needs Re(beta/gamma) < n rho,
   concludes |Q - 1| < rho.
-* ``THM_A``:    |lhs_a| < |n gamma - beta| / 2               (alpha <= 1/2, Re(beta/gamma) < n)
-  or |lhs_a| < |n gamma (1-alpha) - alpha beta|              (alpha >= 1/2, Re(beta/gamma) < n (1/alpha - 1)),
-  concludes |Q - 1/(2 alpha)| < 1/(2 alpha).
-* ``COR_A``:    THM_A after the substitution (beta, gamma) -> (1, -gamma) for real gamma.
 * ``LEMMA_B``:  |lhs_b| < rho |beta + gamma (n+1)| / (1 + rho)  needs Re(beta/gamma) > -(n+1),
   concludes |Q - 1| < rho.
-* ``THM_B``:    |lhs_b| < |beta + gamma (n+1)| / 2            (alpha <= 1/2)
-  or |lhs_b| < (1-alpha) |beta + gamma (n+1)|                 (alpha >= 1/2), same constraint,
-  same concluded disk as THM_A.
+* ``THM_A``, ``THM_B``:  the family's lemma at rho(alpha) = 1/max(1/2, alpha) - 1,
+  concluding |Q - 1/(2 alpha)| < 1/(2 alpha).  The lemma weight
+  s = 1/(1 + rho) is max(1/2, alpha), so the bounds read |n gamma - beta| / 2
+  and |beta + gamma (n+1)| / 2 for alpha <= 1/2, and |n gamma (1-alpha) - alpha beta|
+  and (1-alpha) |beta + gamma (n+1)| for alpha >= 1/2.
+* ``COR_A``:    THM_A after the substitution (beta, gamma) -> (1, -gamma) for real gamma.
 * ``MOCANU``:   hypothesis shape Re(mocanu functional) > 0; no modulus bound.
 
 All admissibility inequalities are strict; a zero margin is inadmissible.
-At alpha = 1/2 both branch formulas are evaluated and must agree.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,8 +35,6 @@ class CriterionKind(Enum):
     MOCANU = "MOCANU"
 
 
-_ALPHA_KINDS = {CriterionKind.THM_A, CriterionKind.COR_A, CriterionKind.THM_B,
-                CriterionKind.MOCANU}
 _RHO_KINDS = {CriterionKind.LEMMA_A, CriterionKind.LEMMA_B}
 
 
@@ -62,7 +57,11 @@ class CriterionParams:
         if self.kind in _RHO_KINDS:
             if self.rho is None or not self.rho > 0:
                 raise ParameterError(f"{self.kind.value} requires rho > 0")
-        if self.kind in _ALPHA_KINDS:
+            if self.alpha is not None:
+                raise ParameterError(f"{self.kind.value} takes rho, not alpha")
+        else:
+            if self.rho is not None:
+                raise ParameterError(f"{self.kind.value} takes alpha, not rho")
             if self.alpha is None:
                 raise ParameterError(f"{self.kind.value} requires alpha")
             if self.kind is not CriterionKind.MOCANU and not 0 < self.alpha < 1:
@@ -74,12 +73,6 @@ class CriterionParams:
                 raise ParameterError("COR_A takes a real gamma")
             if self.beta != 1:
                 raise ParameterError("COR_A fixes beta = 1; leave beta unset")
-
-    @property
-    def wide_alpha(self) -> bool:
-        """True when a MOCANU check runs outside the (0,1) alpha range."""
-        return (self.kind is CriterionKind.MOCANU and self.alpha is not None
-                and not 0 < self.alpha < 1)
 
 
 @dataclass(frozen=True)
@@ -99,13 +92,11 @@ class CriterionSpec:
 
 
 def implied_rho(p: CriterionParams) -> float:
-    """The disk radius the two-branch criteria run their lemma at:
-    1 for alpha <= 1/2, ``1/alpha - 1`` for alpha >= 1/2."""
+    """The disk radius rho(alpha) = 1/max(1/2, alpha) - 1 a theorem runs its
+    family's lemma at: 1 for alpha <= 1/2, ``1/alpha - 1`` above."""
     if p.kind not in (CriterionKind.THM_A, CriterionKind.THM_B, CriterionKind.COR_A):
         raise ParameterError(f"implied_rho undefined for {p.kind.value}")
-    if p.alpha <= 0.5:
-        return 1.0
-    return 1.0 / p.alpha - 1.0
+    return 1.0 / max(0.5, p.alpha) - 1.0
 
 
 def corollary_mapping(gamma_real: float) -> tuple[complex, complex]:
@@ -124,31 +115,6 @@ def _effective_params(p: CriterionParams) -> tuple[complex, complex]:
     return p.beta, p.gamma
 
 
-def branch_bounds(p: CriterionParams) -> tuple[float | None, float | None]:
-    """The (alpha <= 1/2, alpha >= 1/2) branch bounds; both are populated
-    only at alpha = 1/2 exactly."""
-    beta, gamma = _effective_params(p)
-    if p.kind in (CriterionKind.THM_A, CriterionKind.COR_A):
-        low = 0.5 * abs(p.n * gamma - beta)
-        high = abs(p.n * gamma * (1.0 - p.alpha) - p.alpha * beta)
-    elif p.kind is CriterionKind.THM_B:
-        base = abs(beta + gamma * (p.n + 1))
-        low, high = 0.5 * base, (1.0 - p.alpha) * base
-    else:
-        raise ParameterError(f"branch bounds undefined for {p.kind.value}")
-    return (low if p.alpha <= 0.5 else None), (high if p.alpha >= 0.5 else None)
-
-
-def _merge_branches(low: float | None, high: float | None) -> float:
-    if low is not None and high is not None:
-        if not math.isclose(low, high, rel_tol=0.0, abs_tol=1e-12 * max(1.0, low)):
-            raise RuntimeError(
-                f"branch formulas disagree at alpha = 1/2: {low!r} vs {high!r}"
-            )
-        return low
-    return low if low is not None else high
-
-
 def build_spec(p: CriterionParams) -> CriterionSpec:
     """Bound, admissibility and conclusion geometry for one criterion."""
     beta, gamma = _effective_params(p)
@@ -161,22 +127,24 @@ def build_spec(p: CriterionParams) -> CriterionSpec:
     else:
         shape = "modulus"
         # A lemma concludes |Q - 1| < rho; a theorem runs its lemma at the
-        # implied rho and concludes |Q - 1/(2 alpha)| < 1/(2 alpha).
+        # implied rho and concludes |Q - 1/(2 alpha)| < 1/(2 alpha).  Every
+        # bound is written in the lemma weights s = 1/(1 + rho) and
+        # t = 1 - s = rho/(1 + rho); a theorem's s is max(1/2, alpha)
+        # exactly.  A lemma forms t as rho/(1 + rho), since 1 - s cancels
+        # at small rho.
         if p.kind in _RHO_KINDS:
             alpha, rho, center, radius = None, p.rho, 1.0, p.rho
+            s, t = 1.0 / (1.0 + rho), rho / (1.0 + rho)
         else:
-            alpha, rho = p.alpha, implied_rho(p)
+            alpha, rho, s = p.alpha, implied_rho(p), max(0.5, p.alpha)
+            t = 1.0 - s
             center = radius = 1.0 / (2.0 * p.alpha)
         if p.kind in (CriterionKind.LEMMA_B, CriterionKind.THM_B):
             lhs, margin = FunctionalKind.LHS_B, ratio + (p.n + 1)
+            bound = t * abs(beta + gamma * (p.n + 1))
         else:
             lhs, margin = FunctionalKind.LHS_A, p.n * rho - ratio
-        if p.kind is CriterionKind.LEMMA_A:
-            bound = abs(p.n * rho * gamma - beta) / (1.0 + rho)
-        elif p.kind is CriterionKind.LEMMA_B:
-            bound = rho / (1.0 + rho) * abs(beta + gamma * (p.n + 1))
-        else:
-            bound = _merge_branches(*branch_bounds(p))
+            bound = abs(p.n * gamma * t - s * beta)
     return CriterionSpec(
         kind=p.kind,
         lhs=lhs,

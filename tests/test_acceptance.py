@@ -25,7 +25,6 @@ from starcert.functionals import identity_sweep
 from starcert.criteria import (
     CriterionKind,
     CriterionParams,
-    branch_bounds,
     build_spec,
     corollary_mapping,
 )
@@ -152,6 +151,14 @@ def test_criterion_05_extremal_certification(grid_reports):
 
 
 def test_criterion_06_branch_consistency():
+    # The paper's displayed branches, written out independently of build_spec.
+    def branches(kind, n, beta, gamma, alpha):
+        if kind is CriterionKind.THM_A:
+            return (0.5 * abs(n * gamma - beta),
+                    abs(n * gamma * (1.0 - alpha) - alpha * beta))
+        base = abs(beta + gamma * (n + 1))
+        return 0.5 * base, (1.0 - alpha) * base
+
     rng = np.random.default_rng(20240803)
     worst = 0.0
     for _ in range(1000):
@@ -161,9 +168,16 @@ def test_criterion_06_branch_consistency():
         if abs(gamma) < 0.05:
             gamma += 0.5
         for kind in (CriterionKind.THM_A, CriterionKind.THM_B):
-            low, high = branch_bounds(CriterionParams(
-                kind=kind, n=n, beta=beta, gamma=gamma, alpha=0.5))
-            worst = max(worst, abs(low - high))
+            bound = build_spec(CriterionParams(
+                kind=kind, n=n, beta=beta, gamma=gamma, alpha=0.5)).rhs_bound
+            low, high = branches(kind, n, beta, gamma, 0.5)
+            worst = max(worst, abs(bound - low), abs(bound - high))
+            for alpha, side in ((0.25, 0), (0.5 - 1e-12, 0),
+                                (0.5 + 1e-12, 1), (0.75, 1)):
+                assert build_spec(CriterionParams(
+                    kind=kind, n=n, beta=beta, gamma=gamma,
+                    alpha=alpha)).rhs_bound == branches(
+                        kind, n, beta, gamma, alpha)[side]
     assert worst <= 1e-15
 
     fields_checked = 0
@@ -185,8 +199,9 @@ def test_criterion_06_branch_consistency():
                 assert cor.eff_gamma == thm.eff_gamma
                 assert cor.rho == thm.rho
                 fields_checked += 1
-    print(f"\n[criterion 06] PASS - branch gap at alpha=1/2 <= {worst:.1e} "
-          f"over 1000 tuples; corollary field-for-field on "
+    print(f"\n[criterion 06] PASS - bound vs displayed branches at "
+          f"alpha=1/2 <= {worst:.1e} over 1000 tuples, exact on each side; "
+          f"corollary field-for-field on "
           f"{fields_checked} real-gamma grid points")
 
 

@@ -317,6 +317,11 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
                   "0.1", "--gamma", "1"], 3, id="check-lemma-without-rho"),
     pytest.param(["check", "identity.json", *THM_B, "--n", "3"], 3,
                  id="check-n"),
+    pytest.param(["check", "identity.json", *THM_B, "--rho", "0.3"], 3,
+                 id="check-theorem-with-rho"),
+    pytest.param(["check", "identity.json", "--kind", "LEMMA_A", "--beta",
+                  "0.1", "--gamma", "1", "--rho", "1", "--alpha", "0.9"], 3,
+                 id="check-lemma-with-alpha"),
 ])
 def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, argv, expected):
     for name, payload in ERROR_SPECS.items():

@@ -4,7 +4,6 @@ import pytest
 from starcert.criteria import (
     CriterionKind,
     CriterionParams,
-    branch_bounds,
     build_spec,
     corollary_mapping,
     implied_rho,
@@ -27,6 +26,16 @@ def thm_b(n=1, beta=1.0, gamma=1.0, alpha=0.5):
                            gamma=gamma, alpha=alpha)
 
 
+def displayed_branches(p):
+    """The paper's (alpha <= 1/2, alpha >= 1/2) bounds for THM_A or THM_B,
+    written out independently of ``build_spec``."""
+    if p.kind is CriterionKind.THM_A:
+        return (0.5 * abs(p.n * p.gamma - p.beta),
+                abs(p.n * p.gamma * (1.0 - p.alpha) - p.alpha * p.beta))
+    base = abs(p.beta + p.gamma * (p.n + 1))
+    return 0.5 * base, (1.0 - p.alpha) * base
+
+
 # ------------------------------------------------------------- displayed bounds
 
 def test_lemma_a_displayed_substitution():
@@ -38,8 +47,9 @@ def test_lemma_a_displayed_substitution():
 
 
 def test_thm_a_branch_agreement_at_half():
-    spec = build_spec(thm_a(n=1, beta=0.0, gamma=1.0, alpha=0.5))
-    low, high = branch_bounds(thm_a(n=1, beta=0.0, gamma=1.0, alpha=0.5))
+    p = thm_a(n=1, beta=0.0, gamma=1.0, alpha=0.5)
+    spec = build_spec(p)
+    low, high = displayed_branches(p)
     assert low == high == spec.rhs_bound == 0.5
     assert spec.conclusion_center == 1.0 and spec.conclusion_radius == 1.0
 
@@ -108,6 +118,7 @@ def test_bound_positive_whenever_admissible():
 
 def test_branch_continuity_random_sweep():
     rng = np.random.default_rng(7)
+    alpha_rng = np.random.default_rng(70)    # keeps rng's tuples unchanged
     for _ in range(300):
         n = int(rng.integers(1, 7))
         beta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -117,8 +128,53 @@ def test_branch_continuity_random_sweep():
         for kind in (CriterionKind.THM_A, CriterionKind.THM_B):
             p = CriterionParams(kind=kind, n=n, beta=beta, gamma=gamma,
                                 alpha=0.5)
-            low, high = branch_bounds(p)
-            assert abs(low - high) <= 1e-15
+            bound = build_spec(p).rhs_bound
+            low, high = displayed_branches(p)
+            assert abs(bound - low) <= 1e-15
+            assert abs(bound - high) <= 1e-15
+            for alpha, side in ((0.5 - 1e-9, 0), (0.5 + 1e-9, 1),
+                                (alpha_rng.uniform(0.01, 0.5), 0),
+                                (alpha_rng.uniform(0.5, 0.99), 1)):
+                q = CriterionParams(kind=kind, n=n, beta=beta, gamma=gamma,
+                                    alpha=alpha)
+                assert build_spec(q).rhs_bound == displayed_branches(q)[side]
+
+
+def test_theorem_is_its_lemma_at_implied_rho():
+    # The lemma receives rho(alpha) = 1/alpha - 1 in floating point; the
+    # rounding of 1/alpha moves its weight t = rho/(1 + rho) away from
+    # 1 - alpha by up to alpha/(1 - alpha) relative ulps, and family A also
+    # amplifies by the cancellation in |n gamma t - s beta|.  So the bounds
+    # agree to 1e-15 relative times that amplification, and exactly at
+    # alpha <= 1/2, where rho = 1 and s = t = 1/2 on both sides.
+    rng = np.random.default_rng(8)
+    lemma_of = {CriterionKind.THM_A: CriterionKind.LEMMA_A,
+                CriterionKind.THM_B: CriterionKind.LEMMA_B}
+    for i in range(500):
+        n = int(rng.integers(1, 7))
+        beta = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        gamma = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        alpha = 0.5 if i % 10 == 0 else rng.uniform(0.01, 0.99)
+        for kind, lemma_kind in lemma_of.items():
+            thm = CriterionParams(kind=kind, n=n, beta=beta, gamma=gamma,
+                                  alpha=alpha)
+            t_spec = build_spec(thm)
+            l_spec = build_spec(CriterionParams(
+                kind=lemma_kind, n=n, beta=beta, gamma=gamma,
+                rho=implied_rho(thm)))
+            assert t_spec.lhs is l_spec.lhs
+            assert t_spec.rho == l_spec.rho
+            assert t_spec.admissibility_margin == l_spec.admissibility_margin
+            assert t_spec.admissible == l_spec.admissible
+            if alpha <= 0.5:
+                assert t_spec.rhs_bound == l_spec.rhs_bound
+                continue
+            amplification = alpha / (1.0 - alpha)
+            if kind is CriterionKind.THM_A:
+                amplification *= (abs(n * gamma * (1.0 - alpha))
+                                  + abs(alpha * beta)) / t_spec.rhs_bound
+            assert t_spec.rhs_bound == pytest.approx(
+                l_spec.rhs_bound, rel=1e-15 * amplification, abs=0)
 
 
 def test_implied_rho_values():
@@ -208,13 +264,21 @@ def test_lemma_requires_rho():
         CriterionParams(kind=CriterionKind.LEMMA_A, n=1, beta=0.0, gamma=1.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(kind=CriterionKind.THM_B, alpha=0.5, rho=0.3),
+    dict(kind=CriterionKind.COR_A, alpha=0.5, rho=1.0),
+    dict(kind=CriterionKind.MOCANU, alpha=0.5, rho=2.0),
+    dict(kind=CriterionKind.LEMMA_A, rho=1.0, alpha=0.9),
+    dict(kind=CriterionKind.LEMMA_B, rho=1.0, alpha=0.5),
+])
+def test_unused_parameter_rejected(kwargs):
+    with pytest.raises(ParameterError):
+        CriterionParams(n=1, gamma=1.0, **kwargs)
+
+
 def test_mocanu_wide_alpha_flag():
-    narrow = CriterionParams(kind=CriterionKind.MOCANU, n=1, gamma=1.0,
-                             alpha=0.5)
     wide = CriterionParams(kind=CriterionKind.MOCANU, n=1, gamma=1.0,
                            alpha=2.5)
-    assert not narrow.wide_alpha
-    assert wide.wide_alpha
     spec = build_spec(wide)
     assert spec.hypothesis_shape == "positive_real"
     assert spec.rhs_bound == 0.0

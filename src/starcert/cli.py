@@ -87,6 +87,11 @@ _VERDICT_EXIT = {
 
 _BUILTINS = ("identity", "koebe", "halfplane")
 
+# Leading coefficients an extremal run prints and reports.
+_EMIT_COEFFS = 12
+# Largest identity residual the identities sweep passes.
+_IDENTITY_TOL = 1e-10
+
 _REFUSED = "not sampled: the tail heuristic refused every candidate radius"
 
 
@@ -404,7 +409,7 @@ def cmd_extremal(args) -> int:
           f"alpha={params.alpha!r}  beta={_fmt_c(params.beta)}  "
           f"gamma={_fmt_c(params.gamma)}  S={params.S!r}")
     print(f"normalization snap delta: {f.snap_delta!r}")
-    k = min(args.emit_coeffs, f.trunc_order)
+    k = min(_EMIT_COEFFS, f.trunc_order)
     for i in range(1, k + 1):
         c = f.series.coeffs[i]
         print(f"a_{i} = {_fmt_c(complex(c))}")
@@ -469,9 +474,9 @@ def cmd_identities(args) -> int:
           f"{res.max_residual_a!r}")
     print(f"max residual, identity B (lhs_b (1+w) = -(beta w + gamma (z w' + w))): "
           f"{res.max_residual_b!r}")
-    ok = res.max_residual_a < args.tol and res.max_residual_b < args.tol
-    print(f"tolerance {args.tol!r}: {'PASS' if ok else 'FAIL'}")
-    _write_out(args, "identities", {"sweep": res, "tol": args.tol})
+    ok = res.max_residual_a < _IDENTITY_TOL and res.max_residual_b < _IDENTITY_TOL
+    print(f"tolerance {_IDENTITY_TOL!r}: {'PASS' if ok else 'FAIL'}")
+    _write_out(args, "identities", {"sweep": res, "tol": _IDENTITY_TOL})
     return EXIT_OK if ok else EXIT_FAILED
 
 
@@ -517,8 +522,6 @@ def build_parser() -> _Parser:
     p.add_argument("--beta", type=_parse_complex, required=True)
     p.add_argument("--gamma", type=_parse_complex, required=True)
     p.add_argument("--trunc", type=int, default=DEFAULT_TRUNC_ORDER)
-    p.add_argument("--emit-coeffs", type=int, default=12,
-                   help="how many leading coefficients to print")
     _add_sampling_flags(p)
     p.set_defaults(func=cmd_extremal)
 
@@ -536,7 +539,6 @@ def build_parser() -> _Parser:
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--trunc", type=int, default=48)
     p.add_argument("--seed", type=int, default=20240801)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_identities)
 

@@ -1,14 +1,16 @@
 """Extremal example families built by pure series manipulation.
 
-Both families come from closed-form integrals of the shape
-``( C * integral_0^z t^(c-1) g(t^n ...) dt )^e`` whose fractional power of
-``z`` cancels exactly against the outer exponent (``c * e = 1``), so the
-construction never leaves single-valued series arithmetic:
+Both families are one construction, ``f = z (k h)^e``.  Here
+``h_j = g_j / (c + j)`` is the shifted integral of an inner series ``g``:
+``integral_0^z t^(c-1) g(t) dt = z^c h(z)``.  The outer exponent is
+``e = 1/c``, so the fractional power of ``z`` cancels exactly and the
+construction never leaves single-valued series arithmetic.  Only ``g``,
+``c``, the scale ``k`` and ``e`` depend on the family:
 
-* family A:  inner = (1 + (conj(beta)/S) z^n)^((S^2 - |beta|^2)/(n conj(beta) gamma)),
-  offset c = beta/gamma, outer exponent gamma/beta;
-* family B:  inner = exp((S/(n gamma)) z^n),
-  offset c = beta/gamma + 1, outer exponent gamma/(beta + gamma).
+* family A:  g = (1 + (conj(beta)/S) z^n)^((S^2 - |beta|^2)/(n conj(beta) gamma)),
+  c = k = beta/gamma, e = gamma/beta;
+* family B:  g = exp((S/(n gamma)) z^n),
+  c = beta/gamma + 1, k = (beta + gamma)/gamma, e = gamma/(beta + gamma).
 
 Family B satisfies the exact coefficient identity
 ``beta (zf'/f - 1) + gamma zf''/f' = S z^n``, checked by
@@ -111,41 +113,24 @@ class ExtremalParams:
         object.__setattr__(self, "S", float(s))
 
 
-def build_extremal_a(p: ExtremalParams, trunc_order: int = DEFAULT_TRUNC_ORDER
-                     ) -> SchlichtCandidate:
-    """Family-A candidate at the given truncation order."""
-    if p.family is not ExtremalFamily.EXTREMAL_A:
-        raise SeriesError("params carry a different family")
-    work = trunc_order - 1
-    beta, gamma, n, s = p.beta, p.gamma, p.n, p.S
-    exponent = (s * s - abs(beta) ** 2) / (n * np.conj(beta) * gamma)
-    inner = pow_unit(monomial(np.conj(beta) / s, n, work) + 1.0,
-                     complex(exponent))
-    h = integrate_offset(inner, beta / gamma)
-    base = scale(h, beta / gamma)
-    fz = pow_unit(base, gamma / beta)
-    return as_schlicht(n, shift(fz, 1))
-
-
-def build_extremal_b(p: ExtremalParams, trunc_order: int = DEFAULT_TRUNC_ORDER
-                     ) -> SchlichtCandidate:
-    """Family-B candidate at the given truncation order."""
-    if p.family is not ExtremalFamily.EXTREMAL_B:
-        raise SeriesError("params carry a different family")
-    work = trunc_order - 1
-    beta, gamma, n, s = p.beta, p.gamma, p.n, p.S
-    inner = exp_unit(monomial(s / (n * gamma), n, work))
-    h = integrate_offset(inner, beta / gamma + 1.0)
-    base = scale(h, (beta + gamma) / gamma)
-    fz = pow_unit(base, gamma / (beta + gamma))
-    return as_schlicht(n, shift(fz, 1))
-
-
 def build_extremal(p: ExtremalParams, trunc_order: int = DEFAULT_TRUNC_ORDER
                    ) -> SchlichtCandidate:
+    """The family's candidate ``z (k h)^e`` at the given truncation order."""
+    work = trunc_order - 1
+    beta, gamma, n, s = p.beta, p.gamma, p.n, p.S
     if p.family is ExtremalFamily.EXTREMAL_A:
-        return build_extremal_a(p, trunc_order)
-    return build_extremal_b(p, trunc_order)
+        exponent = (s * s - abs(beta) ** 2) / (n * np.conj(beta) * gamma)
+        g = pow_unit(monomial(np.conj(beta) / s, n, work) + 1.0,
+                     complex(exponent))
+        c = k = beta / gamma
+        e = gamma / beta
+    else:
+        g = exp_unit(monomial(s / (n * gamma), n, work))
+        # k is not folded into c: it keeps the coefficients bit-stable
+        c, k = beta / gamma + 1.0, (beta + gamma) / gamma
+        e = gamma / (beta + gamma)
+    fz = pow_unit(scale(integrate_offset(g, c), k), e)
+    return as_schlicht(n, shift(fz, 1))
 
 
 def verify_identity_b(f: SchlichtCandidate, p: ExtremalParams) -> float:

@@ -93,15 +93,6 @@ def centered_quotient(f: SchlichtCandidate, alpha: float) -> Series:
     return w_func(f) + (1.0 - 1.0 / (2.0 * alpha))
 
 
-def w_log_derivative(f: SchlichtCandidate) -> Series:
-    """``z w'(z) / w(z)`` computed after cancelling the common factor
-    ``z^n``, so the quotient is a genuine series despite ``w(0) = 0``."""
-    w = w_func(f)
-    cap = shift(w, -f.n)
-    num = scale(cap, f.n) + shift(derivative(cap), 1)
-    return div(num, cap)
-
-
 def identity_a_residual(f: SchlichtCandidate, beta: complex, gamma: complex) -> float:
     """Max coefficient residual of ``lhs_a * (1 + w) - (beta - gamma z w')``."""
     w = w_func(f)

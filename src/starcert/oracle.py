@@ -151,7 +151,6 @@ class VerificationReport:
     skipped_radii: tuple[float, ...] = ()
     tail_flag: str = TAIL_DISCLAIMER
     escalation: str | None = None
-    config: SamplingConfig = field(default_factory=SamplingConfig)
 
 
 _angle_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -332,10 +331,7 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
     spec = build_spec(p)
     if not spec.admissible:
         return VerificationReport(kind=p.kind, spec=spec,
-                                  verdict=Verdict.INADMISSIBLE, config=cfg)
-    if f.series.trunc_order < f.n + 2:
-        return VerificationReport(kind=p.kind, spec=spec,
-                                  verdict=Verdict.DEGENERATE, config=cfg)
+                                  verdict=Verdict.INADMISSIBLE)
 
     violations = _denominator_violations(f, cfg)
     # Only the modulus hypothesis folds its tail allowance into the margin;
@@ -389,7 +385,6 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
         denominator_violations=violations,
         skipped_radii=hyp.skipped,
         escalation=escalation,
-        config=cfg,
     )
 
 

@@ -58,10 +58,6 @@ class ResonantExponentError(SeriesError):
         )
 
 
-class EvaluationDomainError(SeriesError):
-    """Evaluation point outside the closed unit disk."""
-
-
 @dataclass(frozen=True, eq=False)
 class Series:
     """Coefficients ``c0..cN`` of a power series truncated at order N."""
@@ -93,30 +89,10 @@ class Series:
             return add(self, other)
         return _add_scalar(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         if isinstance(other, Series):
             return add(self, neg(other))
         return _add_scalar(self, -other)
-
-    def __rsub__(self, other):
-        return _add_scalar(neg(self), other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Series):
-            return div(self, other)
-        return scale(self, 1.0 / complex(other))
 
 
 def make_series(coeffs, trunc_order: int | None = None) -> Series:
@@ -132,12 +108,6 @@ def make_series(coeffs, trunc_order: int | None = None) -> Series:
 
 def zero_series(trunc_order: int) -> Series:
     return Series(np.zeros(trunc_order + 1, dtype=np.complex128))
-
-
-def constant(value: complex, trunc_order: int) -> Series:
-    arr = np.zeros(trunc_order + 1, dtype=np.complex128)
-    arr[0] = value
-    return Series(arr)
 
 
 def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
@@ -293,16 +263,8 @@ def integrate_offset(g: Series, c: complex) -> Series:
     return Series(h)
 
 
-def evaluate(a: Series, z: complex) -> complex:
-    """The truncated polynomial at one point ``|z| <= 1``."""
-    z = complex(z)
-    if abs(z) > 1.0 + 1e-12:
-        raise EvaluationDomainError(f"|z| = {abs(z):.6f} exceeds the unit disk")
-    return complex(evaluate_grid(a, np.asarray([z]))[0])
-
-
 def evaluate_grid(a: Series, z: np.ndarray) -> np.ndarray:
-    """Vectorized Horner evaluation; no domain check (internal sampling)."""
+    """Vectorized Horner evaluation at every point of ``z``."""
     acc = np.full(z.shape, a.coeffs[-1])
     for c in a.coeffs[-2::-1]:
         acc *= z

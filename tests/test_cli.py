@@ -190,13 +190,18 @@ def test_check_report_roundtrip_and_determinism(identity_spec, tmp_path, capsys)
 
 # ------------------------------------------------------------------- extremal
 
-def test_extremal_b_reference_run(capsys):
+def test_extremal_b_reference_run(tmp_path, capsys):
+    report = tmp_path / "ext.json"
     code = main(["extremal", "--family", "EXTREMAL_B", "--n", "1",
-                 "--alpha", "0.5", "--beta", "1", "--gamma", "1", *FAST])
+                 "--alpha", "0.5", "--beta", "1", "--gamma", "1", *FAST,
+                 "--out", str(report)])
     out = capsys.readouterr().out
     assert code == 0
     assert "a_2 = [0.5, " in out
     assert "a_3 = [0.15625, " in out
+    # twelve coefficients printed; the report holds c_0 .. c_12
+    assert "a_12 = " in out and "a_13" not in out
+    assert len(json.loads(report.read_text())["report"]["coefficients"]) == 13
     assert "identity residual" in out
     assert "verdict: CERTIFIED_SAMPLED" in out
 
@@ -322,6 +327,11 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
     pytest.param(["check", "identity.json", "--kind", "LEMMA_A", "--beta",
                   "0.1", "--gamma", "1", "--rho", "1", "--alpha", "0.9"], 3,
                  id="check-lemma-with-alpha"),
+    pytest.param(["extremal", "--family", "EXTREMAL_B", "--n", "1", "--alpha",
+                  "0.5", "--beta", "1", "--gamma", "1", "--emit-coeffs", "3"],
+                 3, id="extremal-emit-coeffs"),
+    pytest.param(["identities", "--per-n", "3", "--tol", "1e-3"], 3,
+                 id="identities-tol"),
 ])
 def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, argv, expected):
     for name, payload in ERROR_SPECS.items():

@@ -9,8 +9,7 @@ from starcert.extremals import (
     GRID_PAIRS_A,
     GRID_PAIRS_B,
     InadmissibleExtremalError,
-    build_extremal_a,
-    build_extremal_b,
+    build_extremal,
     documented_grid,
     probe_identity_a,
     verify_identity_b,
@@ -89,12 +88,12 @@ def test_inadmissible_raises_with_margin():
 def test_spec_example_construction_succeeds():
     # admissible but |beta| > S: construction is fine, certification is not
     p = params_a(n=1, alpha=0.4, beta=1j, gamma=1.0)
-    f = build_extremal_a(p, 64)
+    f = build_extremal(p, 64)
     assert f.series.coeffs[0] == 0 and f.series.coeffs[1] == 1
 
 
 def test_extremal_b_reference_coefficients():
-    f = build_extremal_b(params_b(), 128)
+    f = build_extremal(params_b(), 128)
     assert f.series.coeffs[1] == 1.0
     assert abs(f.series.coeffs[2] - 0.5) < 1e-14
     assert abs(f.series.coeffs[3] - 0.15625) < 1e-14
@@ -102,8 +101,7 @@ def test_extremal_b_reference_coefficients():
 
 def test_normalization_snap_recorded():
     for p in (params_a(), params_b()):
-        f = (build_extremal_a if p.family is ExtremalFamily.EXTREMAL_A
-             else build_extremal_b)(p, 96)
+        f = build_extremal(p, 96)
         assert f.series.coeffs[0] == 0
         assert f.series.coeffs[1] == 1
         assert f.snap_delta < 1e-13
@@ -111,22 +109,17 @@ def test_normalization_snap_recorded():
 
 def test_class_shape_exact_zeros():
     for n in (2, 3):
-        fa = build_extremal_a(params_a(n=n), 96)
-        fb = build_extremal_b(params_b(n=n), 96)
+        fa = build_extremal(params_a(n=n), 96)
+        fb = build_extremal(params_b(n=n), 96)
         for f in (fa, fb):
             assert np.all(f.series.coeffs[2 : n + 1] == 0)
 
 
 def test_sparsity_pattern_matches_structure():
-    f = build_extremal_b(params_b(n=3), 96)
+    f = build_extremal(params_b(n=3), 96)
     idx = np.nonzero(f.series.coeffs)[0]
     # nonzero only at 1 + 3k
     assert np.all((idx - 1) % 3 == 0)
-
-
-def test_family_mismatch_rejected():
-    with pytest.raises(SeriesError):
-        build_extremal_a(params_b(), 64)
 
 
 def test_resonant_exponent_rejected():
@@ -134,21 +127,21 @@ def test_resonant_exponent_rejected():
     # (beta/gamma = -n is not usable here: it forces S = |beta|, a zero
     # inner exponent, and the resonant slot is then exactly empty)
     with pytest.raises(SeriesError):
-        build_extremal_a(params_a(n=2, alpha=0.4, beta=-4.0, gamma=1.0), 64)
+        build_extremal(params_a(n=2, alpha=0.4, beta=-4.0, gamma=1.0), 64)
 
 
 # ------------------------------------------------------------------ identity B
 
 def test_identity_b_residual_small_on_grid_cell():
     for p in (params_b(), params_b(n=2, alpha=0.3, beta=0.5j, gamma=1.0)):
-        f = build_extremal_b(p, 128)
+        f = build_extremal(p, 128)
         assert verify_identity_b(f, p) < 1e-9
 
 
 def test_identity_b_truncation_stability():
     p = params_b(n=2, alpha=0.7, beta=2.0, gamma=1 - 1j)
     for trunc in (64, 128):
-        f = build_extremal_b(p, trunc)
+        f = build_extremal(p, trunc)
         assert verify_identity_b(f, p) < 1e-9
 
 
@@ -162,7 +155,7 @@ def test_identity_b_residual_for_identity_function_is_s():
 
 def test_probe_matches_beta_form_only():
     p = params_a()
-    f = build_extremal_a(p, 128)
+    f = build_extremal(p, 128)
     probe = probe_identity_a(f, p)
     assert probe.matched == "beta_form"
     assert probe.residual_beta_form < 1e-9

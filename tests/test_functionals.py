@@ -4,10 +4,14 @@ import pytest
 from starcert.series import (
     Series,
     SchlichtCandidate,
+    add,
     builtin_candidate,
+    derivative,
+    div,
     max_coeff_diff,
     mul,
     scale,
+    shift,
 )
 from starcert.functionals import (
     ParameterError,
@@ -23,7 +27,6 @@ from starcert.functionals import (
     starlike_quotient,
     unit_part,
     w_func,
-    w_log_derivative,
 )
 
 N = 48
@@ -184,7 +187,8 @@ def test_lhs_b_displayed_quotient_form():
         f = random_candidate(n, N, rng)
         beta, gamma = 0.3 - 0.2j, 0.8 + 0.5j
         w = w_func(f)
-        ratio = w_log_derivative(f)
+        cap = shift(w, -n)
+        ratio = div(add(scale(cap, n), shift(derivative(cap), 1)), cap)
         quotient = mul(scale(w, -1), (scale(ratio, gamma) + (beta + gamma)))
         # divide by (1+w) via multiplying lhs_b by it instead
         lhs = mul(lhs_b(f, beta, gamma), w + 1.0)

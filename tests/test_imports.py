@@ -1,4 +1,5 @@
-"""Source hygiene: no module or test file imports a name it never uses.
+"""Source hygiene: no module or test file imports a name it never uses,
+and no function or class in ``src/starcert`` goes uncalled by the program.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree with ``ast``.  A name counts as used when it appears as a bare name
@@ -6,12 +7,14 @@ anywhere in the module, annotations included.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "starcert"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "starcert"
 MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
            + sorted(TESTS.glob("*.py")))
 
@@ -37,3 +40,56 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(source: str) -> set[str]:
+    """Module-level function and class names."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def references(source: str) -> set[str]:
+    """Names a module refers to, as bare names or attributes, plus the
+    string names in a ``LAYER_FUNCTIONS`` table (the benchmark's tracer
+    looks its functions up by name)."""
+    tree = ast.parse(source)
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "LAYER_FUNCTIONS"
+                      for t in node.targets)):
+            out.update(c.value for c in ast.walk(node.value)
+                       if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return out
+
+
+def unreferenced_definitions() -> list[str]:
+    """Definitions in ``src/starcert`` that no program code refers to.
+
+    Program code is every module but ``__init__`` (a re-export is not a
+    use), the benchmark's ``perfbench/*.py`` and the console-script entry
+    point; tests do not count."""
+    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    refs = set()
+    for path in modules + sorted((ROOT / "perfbench").glob("*.py")):
+        refs |= references(path.read_text())
+    refs.update(re.findall(r'"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text()))
+    return sorted(f"{p.stem}.{name}" for p in modules
+                  for name in definitions(p.read_text()) - refs)
+
+
+def test_guard_flags_an_unreferenced_definition():
+    source = "class A:\n    pass\n\ndef f():\n    return g\n\ndef g():\n    pass\n"
+    assert definitions(source) == {"A", "f", "g"}
+    assert definitions(source) - references(source) == {"A", "f"}
+    table = 'LAYER_FUNCTIONS = (("series", "f"),)\nOTHER = ("A",)\n'
+    assert {"series", "f"} <= references(table)
+    assert "A" not in references(table)
+
+
+def test_every_definition_has_a_caller():
+    assert unreferenced_definitions() == []

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starcert.series import (
-    EvaluationDomainError,
     NonFiniteCoefficientError,
     NonUnitDivisorError,
     ResonantExponentError,
@@ -17,7 +16,7 @@ from starcert.series import (
     builtin_candidate,
     derivative,
     div,
-    evaluate,
+    evaluate_grid,
     exp_unit,
     integrate_offset,
     log_unit,
@@ -293,21 +292,26 @@ def test_integrate_offset_requires_nonzero_constant():
 # ---------------------------------------------------------------- evaluate / tail
 
 def test_evaluate_constant_term():
-    assert evaluate(make_series([1, 1, 1]), 0.0) == 1.0
+    assert evaluate_grid(make_series([1, 1, 1]), np.asarray([0j]))[0] == 1.0
 
 
 def test_evaluate_identity_at_i():
-    assert evaluate(make_series([0, 1]), 1j) == 1j
+    assert evaluate_grid(make_series([0, 1]), np.asarray([1j]))[0] == 1j
 
 
-def test_evaluate_rejects_outside_disk():
-    with pytest.raises(EvaluationDomainError):
-        evaluate(make_series([1, 1]), 1.5)
+def test_evaluate_grid_matches_polyval():
+    rng = np.random.default_rng(11)
+    s = rand_series(rng, 20)
+    z = 0.95 * np.exp(2j * np.pi * rng.uniform(0, 1, 50)).reshape(5, 10)
+    got = evaluate_grid(s, z)
+    assert got.shape == z.shape
+    want = np.polyval(s.coeffs[::-1], z)
+    assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_evaluate_geometric_within_tail_bound():
     s = make_series([1.0] * 33, 32)
-    val = evaluate(s, 0.5)
+    val = evaluate_grid(s, np.asarray([0.5 + 0j]))[0]
     assert abs(val - 2.0) <= tail_estimate(s, 0.5) + 1e-15
 
 

@@ -333,10 +333,12 @@ def _sampling_config(args) -> SamplingConfig:
 
 
 def _criterion_params(args, n: int) -> CriterionParams:
-    kwargs = dict(kind=CriterionKind(args.kind), n=n, gamma=args.gamma,
-                  alpha=args.alpha, rho=args.rho)
+    kwargs = dict(kind=CriterionKind(args.kind), n=n, alpha=args.alpha,
+                  rho=args.rho)
     if args.beta is not None:
         kwargs["beta"] = args.beta
+    if args.gamma is not None:
+        kwargs["gamma"] = args.gamma
     return CriterionParams(**kwargs)
 
 
@@ -383,6 +385,9 @@ def _print_verification(rep: VerificationReport) -> None:
 
 
 def cmd_check(args) -> int:
+    # MOCANU reads only alpha; every other kind needs gamma
+    if args.gamma is None and args.kind != CriterionKind.MOCANU.value:
+        raise UsageError("the following arguments are required: --gamma")
     fs = load_function_spec(args.spec)
     cfg = _sampling_config(args)
     f = candidate_from_spec(fs)
@@ -459,7 +464,7 @@ def cmd_jack(args) -> int:
         "function": function_spec_to_dict(fs),
         "order": order,
         "radius": args.radius,
-        "sampling": cfg,
+        "sampling": {"angles": cfg.angles, "refine": cfg.refine},
         "result": res,
     })
     return EXIT_OK if res.conforms else EXIT_FAILED
@@ -480,12 +485,14 @@ def cmd_identities(args) -> int:
     return EXIT_OK if ok else EXIT_FAILED
 
 
-def _add_sampling_flags(sp) -> None:
+_RADII_HELP = ("comma-separated ascending candidate radii; each functional "
+               "is sampled on the largest one its tail allowance accepts "
+               "(default 0.10..0.99 step 0.01 plus 0.995)")
+
+
+def _add_sampling_flags(sp, radii_help: str = _RADII_HELP) -> None:
     sp.add_argument("--radii", type=_parse_radii, default=None,
-                    help="comma-separated ascending candidate radii; each "
-                         "functional is sampled on the largest one its tail "
-                         "allowance accepts (default 0.10..0.99 step 0.01 "
-                         "plus 0.995)")
+                    help=radii_help)
     sp.add_argument("--angles", type=int, default=None,
                     help="samples per circle (default 2048)")
     sp.add_argument("--no-refine", action="store_true",
@@ -507,8 +514,8 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=_parse_complex, default=None,
                    help="complex as 're,im' (COR_A fixes beta = 1)")
-    p.add_argument("--gamma", type=_parse_complex, required=True,
-                   help="complex as 're,im'")
+    p.add_argument("--gamma", type=_parse_complex, default=None,
+                   help="complex as 're,im' (required except for MOCANU)")
     p.add_argument("--rho", type=float, default=None,
                    help="disk radius (LEMMA_* kinds only)")
     _add_sampling_flags(p)
@@ -530,7 +537,8 @@ def build_parser() -> _Parser:
     p.add_argument("--order", type=int, default=None,
                    help="claimed vanishing order (default: the file's n)")
     p.add_argument("--radius", type=float, default=0.9)
-    _add_sampling_flags(p)
+    _add_sampling_flags(p, radii_help="ignored: jack samples only the "
+                                      "--radius circle (still validated)")
     p.set_defaults(func=cmd_jack)
 
     p = sub.add_parser("identities",

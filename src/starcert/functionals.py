@@ -6,10 +6,17 @@ Every function here maps a normalized candidate ``f`` (class shape
 unit denominators; in particular ``zf'/f = (u + z u')/u`` for ``u = f/z``.
 Constant terms that are forced analytically (1 for the quotients, beta
 for the first combination) are set exactly.
+
+The three quotients ``zf'/f``, ``1 + zf''/f'`` and ``w`` each cost an
+O(N^2) series division, and every other functional only recombines them
+with beta, gamma or alpha.  So each quotient is built at most once per
+candidate and kept in the candidate's private cache; later calls, for any
+parameters, return the same read-only series.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -43,18 +50,35 @@ def unit_part(f: SchlichtCandidate) -> Series:
     return shift(f.series, -1)
 
 
+def _once_per_candidate(build):
+    """Run ``build(f)`` once per candidate; later calls return the series
+    the first call stored in the candidate's quotient cache."""
+
+    @functools.wraps(build)
+    def cached(f: SchlichtCandidate) -> Series:
+        store = f._quotients
+        if build not in store:
+            store[build] = build(f)
+        return store[build]
+
+    return cached
+
+
+@_once_per_candidate
 def starlike_quotient(f: SchlichtCandidate) -> Series:
     """``z f'(z) / f(z)``; constant term exactly 1."""
     u = unit_part(f)
     return div(add(u, shift(derivative(u), 1)), u)
 
 
+@_once_per_candidate
 def convex_quotient(f: SchlichtCandidate) -> Series:
     """``1 + z f''(z) / f'(z)``; constant term exactly 1."""
     fp = derivative(f.series)
     return div(shift(derivative(fp), 1), fp) + 1.0
 
 
+@_once_per_candidate
 def w_func(f: SchlichtCandidate) -> Series:
     """``w = f/(z f') - 1``; vanishes to order >= n for class index n."""
     u = unit_part(f)

@@ -10,7 +10,11 @@ materialize; :func:`integrate_offset` factors the ``z^c`` part out
 symbolically, and :func:`pow_unit`, :func:`exp_unit`, :func:`log_unit`
 stay on the principal branch anchored at the unit constant term.
 
-Series values are immutable; all functions here are pure.
+Series values are immutable and all functions here are pure.  The one
+piece of state is a :class:`SchlichtCandidate`'s private cache of the
+pure quotient series derived from it: each is built once and shared,
+which cannot change a result since neither the candidate nor a cached
+series can change.
 """
 
 from __future__ import annotations
@@ -313,13 +317,18 @@ def max_coeff_diff(a: Series, b: Series) -> float:
 class SchlichtCandidate:
     """A series certified to have the normalized class shape: ``c0 = 0``,
     ``c1 = 1`` and ``c2..cn = 0`` exactly, with enough retained orders for
-    every downstream functional."""
+    every downstream functional.
+
+    Each candidate carries a private cache of the quotient series derived
+    from it (filled by :mod:`starcert.functionals`); it is not a field, so
+    ``repr``, ``dataclasses.asdict`` and reports never see it."""
 
     n: int
     series: Series
     snap_delta: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "_quotients", {})
         if self.n < 1:
             raise SeriesError(f"class index n must be >= 1, got {self.n}")
         s = self.series

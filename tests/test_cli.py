@@ -132,6 +132,31 @@ def test_check_missing_gamma_exit_3(identity_spec):
                  "--alpha", "0.5"]) == 3
 
 
+@pytest.mark.parametrize("kind_flags", [
+    ["--kind", "THM_A", "--alpha", "0.5"],
+    ["--kind", "COR_A", "--alpha", "0.6"],
+    ["--kind", "LEMMA_A", "--beta", "0.1", "--rho", "1"],
+    ["--kind", "LEMMA_B", "--beta", "0.1", "--rho", "1"],
+], ids=lambda flags: flags[1])
+def test_check_missing_gamma_names_the_flag(identity_spec, capsys, kind_flags):
+    assert main(["check", identity_spec, *kind_flags, *FAST]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("usage error:") and "--gamma" in err
+
+
+def test_check_mocanu_needs_no_gamma(identity_spec, tmp_path, capsys):
+    bodies = []
+    for i, extra in enumerate([[], ["--gamma=1.0,0.0"]]):
+        out = tmp_path / f"mocanu{i}.json"
+        code = main(["check", identity_spec, "--kind", "MOCANU", "--alpha",
+                     "0.5", *extra, *FAST, "--out", str(out)])
+        assert code == 0
+        bodies.append(json.loads(out.read_text())["report"])
+    assert capsys.readouterr().err == ""
+    assert bodies[0] == bodies[1]
+
+
 def test_check_gamma_zero_exit_3(identity_spec):
     assert main(["check", identity_spec, "--kind", "THM_B", "--beta", "1",
                  "--gamma", "0", "--alpha", "0.5"]) == 3
@@ -257,6 +282,24 @@ def test_jack_z_squared(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "k_est = [2.0" in out or "k_est = [1.99999" in out
+
+
+def test_jack_report_records_only_the_sampling_it_uses(tmp_path, capsys):
+    spec = write_spec(tmp_path, "w.json",
+                      {"kind": "COEFFS", "n": 2, "trunc": 8,
+                       "coeffs": [[0, 0], [1, 0]]})
+    results = []
+    for i, radii in enumerate(["0.2", "0.3,0.95"]):
+        out = tmp_path / f"jack{i}.json"
+        assert main(["jack", spec, "--radius", "0.9", "--radii", radii,
+                     "--angles", "256", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert report["sampling"] == {"angles": 256, "refine": True}
+        results.append(report["result"])
+    assert results[0] == results[1]
+    capsys.readouterr()
+    assert main(["jack", "--help"]) == 0
+    assert "ignored" in " ".join(capsys.readouterr().out.split())
 
 
 def test_jack_explicit_order_flag(tmp_path):

@@ -1,0 +1,175 @@
+"""The per-candidate quotient cache: each of ``zf'/f``, ``1 + zf''/f'`` and
+``w`` is built once per candidate, and sharing it changes no result.
+
+The uncached reference is built here, on a fresh ``SchlichtCandidate`` with
+the same series for every call, so no call can see another's quotients.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from starcert import functionals
+from starcert.cli import main
+from starcert.criteria import CriterionKind, CriterionParams
+from starcert.extremals import (
+    ExtremalFamily,
+    build_extremal,
+    documented_grid,
+    probe_identity_a,
+    verify_identity_b,
+)
+from starcert.functionals import (
+    convex_quotient,
+    identity_a_residual,
+    identity_b_residual,
+    identity_sweep,
+    lhs_a,
+    mocanu_functional,
+    random_candidate,
+    starlike_quotient,
+    w_func,
+)
+from starcert.oracle import SamplingConfig, check_criterion
+from starcert.series import SchlichtCandidate, builtin_candidate
+
+CFG = SamplingConfig(radii=(0.5, 0.9, 0.99), angles=256)
+QUOTIENTS = (starlike_quotient, convex_quotient, w_func)
+FAMILY_KIND = {ExtremalFamily.EXTREMAL_A: CriterionKind.THM_A,
+               ExtremalFamily.EXTREMAL_B: CriterionKind.THM_B}
+
+
+def fresh(f: SchlichtCandidate) -> SchlichtCandidate:
+    """The same function as ``f`` with an empty quotient cache."""
+    return SchlichtCandidate(f.n, f.series, f.snap_delta)
+
+
+def sample_candidates():
+    rng = np.random.default_rng(7)
+    out = [random_candidate(n, 32, rng) for n in (1, 2, 3)]
+    out.append(builtin_candidate("koebe", 64))
+    for family in ExtremalFamily:
+        out.append(build_extremal(documented_grid(family)[5], 64))
+    return out
+
+
+def grid_cases():
+    """A few grid cells per family, with their extremal parameters, and one
+    koebe THM_A case."""
+    cases = []
+    for family in ExtremalFamily:
+        for p in documented_grid(family)[::11]:
+            cases.append((
+                build_extremal(p, 96),
+                CriterionParams(kind=FAMILY_KIND[family], n=p.n, beta=p.beta,
+                                gamma=p.gamma, alpha=p.alpha),
+                p))
+    cases.append((builtin_candidate("koebe", 128),
+                  CriterionParams(kind=CriterionKind.THM_A, n=1, beta=0.3 + 0.1j,
+                                  gamma=1.0, alpha=0.5),
+                  None))
+    return cases
+
+
+@pytest.mark.parametrize("build", QUOTIENTS, ids=lambda q: q.__name__)
+def test_cached_quotient_is_built_once_and_read_only(build):
+    f = sample_candidates()[0]
+    first = build(f)
+    lhs_a(f, 0.3, 1.0 - 0.5j)          # other functionals reuse, never rebuild
+    mocanu_functional(f, 0.4)
+    assert build(f) is first
+    assert not first.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        first.coeffs[0] = 2.0
+
+
+@pytest.mark.parametrize("build", QUOTIENTS, ids=lambda q: q.__name__)
+def test_cached_quotient_equals_a_fresh_build(build):
+    for f in sample_candidates():
+        lhs_a(f, 0.2, 1.0)              # fill the cache through another caller
+        cached = build(f)
+        assert np.array_equal(cached.coeffs, build(fresh(f)).coeffs)
+        assert np.array_equal(cached.coeffs, build.__wrapped__(fresh(f)).coeffs)
+
+
+def test_cache_is_not_part_of_the_candidate_record():
+    f = builtin_candidate("koebe", 16)
+    starlike_quotient(f)
+    w_func(f)
+    assert set(dataclasses.asdict(f)) == {"n", "series", "snap_delta"}
+    assert "_quotients" not in repr(f)
+
+
+def test_identity_sweep_matches_uncached_reference():
+    ns, per_n, pairs, trunc, seed = (1, 2, 3), 8, 5, 40, 99
+    got = identity_sweep(ns=ns, per_n=per_n, pairs=pairs, trunc_order=trunc,
+                         seed=seed)
+    # identity_sweep's draws, with every residual taken on a fresh candidate
+    rng = np.random.default_rng(seed)
+    bg = [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+           complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+          for _ in range(pairs)]
+    worst_a = worst_b = 0.0
+    for n in ns:
+        for _ in range(per_n):
+            f = random_candidate(n, trunc, rng)
+            for beta, gamma in bg:
+                worst_a = max(worst_a, identity_a_residual(fresh(f), beta, gamma))
+                worst_b = max(worst_b, identity_b_residual(fresh(f), beta, gamma))
+    assert (got.max_residual_a, got.max_residual_b) == (worst_a, worst_b)
+
+
+def test_check_reports_match_uncached_reference():
+    for f, params, extremal in grid_cases():
+        want = check_criterion(fresh(f), params, CFG)
+        # the extremal command's self-check runs first on the same candidate
+        if extremal is not None and extremal.family is ExtremalFamily.EXTREMAL_B:
+            verify_identity_b(f, extremal)
+        elif extremal is not None:
+            probe_identity_a(f, extremal)
+        assert check_criterion(f, params, CFG) == want
+        assert check_criterion(f, params, CFG) == want
+
+
+# ------------------------------------------------------------ operation counts
+
+@pytest.fixture
+def div_calls(monkeypatch):
+    calls = []
+    original = functionals.div
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(functionals, "div", counting)
+    return calls
+
+
+@pytest.mark.parametrize("pairs", [1, 3, 5])
+def test_identity_sweep_divides_three_times_per_candidate(div_calls, pairs):
+    res = identity_sweep(ns=(1, 2), per_n=2, pairs=pairs, trunc_order=24)
+    assert res.functions == 4
+    assert len(div_calls) == 3 * res.functions
+
+
+@pytest.mark.parametrize("kind, expected", [
+    (CriterionKind.THM_A, 3),
+    (CriterionKind.THM_B, 3),
+    (CriterionKind.MOCANU, 2),
+])
+def test_check_criterion_division_count(div_calls, kind, expected):
+    f = builtin_candidate("halfplane", 48)
+    kwargs = {} if kind is CriterionKind.MOCANU else {"beta": 0.2, "gamma": 1.0}
+    check_criterion(f, CriterionParams(kind=kind, n=1, alpha=0.5, **kwargs), CFG)
+    assert len(div_calls) == expected
+
+
+def test_extremal_b_run_divides_three_times(div_calls, capsys):
+    code = main(["extremal", "--family", "EXTREMAL_B", "--n", "1", "--alpha",
+                 "0.5", "--beta", "1", "--gamma", "1", "--trunc", "48",
+                 "--radii", "0.5,0.9", "--angles", "256"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(div_calls) == 3

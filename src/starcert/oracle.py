@@ -2,8 +2,10 @@
 
 Each functional is a polynomial, so its sup modulus and its minimum real
 part over a disk sit on the boundary circle; one circle per functional is
-sampled, and the angle of the grid extremum is refined by Newton steps on
-the circle's trigonometric sum.  Checks the strict hypothesis and
+sampled (one FFT, see :func:`~starcert.series.evaluate_grid`), the grid
+extremum is taken at the smallest of the angles that tie for it up to
+rounding, and its angle is refined by Newton steps on the circle's
+trigonometric sum.  Checks the strict hypothesis and
 conclusion inequalities of each criterion with explicit margins, counts
 zeros of ``f/z`` and ``f'`` by the argument principle, and demonstrates
 the boundary-maximum lemma numerically.
@@ -23,6 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .series import (
+    Circle,
     Series,
     SchlichtCandidate,
     SeriesError,
@@ -49,6 +52,9 @@ _DENOM_CAP = 32
 # Newton refinement guards: the step cap and the smallest step (radians).
 _NEWTON_STEPS = 10
 _NEWTON_TINY = 1e-13
+# Grid values this many rounding units (of the largest) below the extremum
+# tie with it.
+_TIE_ULPS = 64
 
 TAIL_DISCLAIMER = (
     "tail allowance is a coefficient-growth heuristic, not a rigorous bound"
@@ -153,13 +159,13 @@ class VerificationReport:
     escalation: str | None = None
 
 
-_angle_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_angle_cache: dict[int, np.ndarray] = {}
 
 
-def _angles(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _angles(m: int) -> np.ndarray:
+    """The angles ``2 pi j / m`` of the points of ``Circle(r, m)``."""
     if m not in _angle_cache:
-        theta = 2.0 * np.pi * np.arange(m) / m
-        _angle_cache[m] = (theta, np.exp(1j * theta))
+        _angle_cache[m] = 2.0 * np.pi * np.arange(m) / m
     return _angle_cache[m]
 
 
@@ -202,12 +208,16 @@ def _refine_circle(a: Series, r: float, theta0: float, span: float,
 
 def _circle_extremum(a: Series, r: float, cfg: SamplingConfig, sign: float):
     """Grid extremum of ``|a|`` (sign=+1, max) or ``Re a`` (sign=-1, min)
-    on ``|z| = r``, ties toward the smallest angle, refined if configured.
-    Returns ``(theta, extremum, a(z))``."""
-    theta, units = _angles(cfg.angles)
-    vals = evaluate_grid(a, r * units)
-    j = int(np.argmax(sign * _objective(vals, sign)))
-    best_theta, value = float(theta[j]), vals[j]
+    on ``|z| = r``, refined if configured.  Returns ``(theta, extremum,
+    a(z))``.  Ties go to the smallest angle: the first grid point within
+    ``_TIE_ULPS`` rounding units of the extremum counts as reaching it, so
+    rounding cannot pick among equal values (``|S z^n|`` is constant on the
+    circle, for one)."""
+    vals = evaluate_grid(a, Circle(r, cfg.angles))
+    obj = sign * _objective(vals, sign)
+    tol = _TIE_ULPS * np.finfo(float).eps * float(np.max(np.abs(obj)))
+    j = int(np.argmax(obj >= np.max(obj) - tol))
+    best_theta, value = float(_angles(cfg.angles)[j]), vals[j]
     if cfg.refine:
         best_theta, value = _refine_circle(
             a, r, best_theta, 2.0 * np.pi / cfg.angles, sign, value)
@@ -259,10 +269,10 @@ def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig):
     of least modulus.  A zero-free polynomial has its least modulus on the
     boundary, so near-zeros inside show on this circle too."""
     r = cfg.radii[-1]
-    theta, units = _angles(cfg.angles)
+    theta = _angles(cfg.angles)
     out = []
     for label, s in (("f/z", unit_part(f)), ("f'", derivative(f.series))):
-        vals = evaluate_grid(s, r * units)
+        vals = evaluate_grid(s, Circle(r, cfg.angles))
         mags = np.abs(vals)
         bad = np.nonzero(mags < _DENOM_FLOOR)[0]
         if not bad.size:

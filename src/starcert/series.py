@@ -9,6 +9,8 @@ multiplying by ``z`` gains one.  Fractional powers of ``z`` never
 materialize; :func:`integrate_offset` factors the ``z^c`` part out
 symbolically, and :func:`pow_unit`, :func:`exp_unit`, :func:`log_unit`
 stay on the principal branch anchored at the unit constant term.
+:func:`evaluate_grid` samples a series on a :class:`Circle` by one FFT and
+at other points by one power table.
 
 Series values are immutable and all functions here are pure.  The one
 piece of state is a :class:`SchlichtCandidate`'s private cache of the
@@ -267,13 +269,34 @@ def integrate_offset(g: Series, c: complex) -> Series:
     return Series(h)
 
 
-def evaluate_grid(a: Series, z: np.ndarray) -> np.ndarray:
-    """Vectorized Horner evaluation at every point of ``z``."""
-    acc = np.full(z.shape, a.coeffs[-1])
-    for c in a.coeffs[-2::-1]:
-        acc *= z
-        acc += c
-    return acc
+@dataclass(frozen=True)
+class Circle:
+    """The ``m`` equally spaced points ``r e^(2 pi i j / m)``, ``j = 0..m-1``."""
+
+    r: float
+    m: int
+
+    @property
+    def size(self) -> int:
+        return self.m
+
+
+def evaluate_grid(a: Series, z: np.ndarray | Circle) -> np.ndarray:
+    """Values of ``a`` at every point of ``z``: an array of points, or a
+    :class:`Circle`.
+
+    On a circle the values are one inverse FFT of the weights ``c_k r^k``
+    folded modulo ``m``: ``e^(2 pi i j k / m)`` depends on ``k mod m`` only,
+    and a transform of length ``m`` would otherwise drop the weights past
+    ``m``.  At points they are one power table times the coefficients.
+    """
+    c = a.coeffs
+    if isinstance(z, Circle):
+        b = c * z.r ** np.arange(c.size)
+        b = np.pad(b, (0, -b.size % z.m)).reshape(-1, z.m).sum(0)
+        return np.fft.ifft(b, norm="forward")
+    z = np.asarray(z)
+    return (np.vander(z.ravel(), c.size, increasing=True) @ c).reshape(z.shape)
 
 
 def tail_estimate(a: Series, r: float) -> float:

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from starcert import cli
 from starcert.cli import (
     SpecFileError,
     function_spec_to_dict,
@@ -384,6 +386,92 @@ def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, argv, expected):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------------------- reports
+
+def _report_bodies(tmp_path, runs, tag):
+    bodies = []
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"{tag}{i}.json"
+        main(argv + ["--out", str(out)])
+        bodies.append(json.loads(out.read_text())["report"]
+                      if out.exists() else None)
+    return bodies
+
+
+def test_main_calls_share_no_parse_state(identity_spec, tmp_path, capsys):
+    check = ["check", identity_spec, "--kind", "THM_B", "--beta", "0.1",
+             "--gamma", "1", "--alpha", "0.5", *FAST]
+    runs = [check + ["--no-refine"], check + ["--bogus"], check]
+    in_one_process = _report_bodies(tmp_path, runs, "seq")
+    alone = []
+    for i, argv in enumerate(runs):
+        cli._parser.cache_clear()
+        alone += _report_bodies(tmp_path, [argv], f"alone{i}_")
+    capsys.readouterr()
+    assert in_one_process == alone
+    assert alone[0]["sampling"]["refine"] is False
+    assert alone[1] is None
+    assert alone[2]["sampling"]["refine"] is True
+    assert cli._parser() is cli._parser()
+
+
+def _asdict_jsonable(obj):
+    """Report rendering through dataclasses.asdict, the reference."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = dataclasses.asdict(obj)
+    if isinstance(obj, dict):
+        return {str(k): _asdict_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_asdict_jsonable(v) for v in obj]
+    return cli._jsonable(obj)
+
+
+def test_report_bodies_match_the_asdict_rendering(tmp_path, monkeypatch,
+                                                  capsys):
+    rendered = []
+    render = cli.render_report_body
+
+    def capture(command, sections):
+        text = render(command, sections)
+        rendered.append((command, sections, text))
+        return text
+
+    monkeypatch.setattr(cli, "render_report_body", capture)
+    identity = write_spec(tmp_path, "identity.json",
+                          {"kind": "BUILTIN", "builtin": "identity", "n": 1,
+                           "trunc": 32})
+    koebe = write_spec(tmp_path, "koebe.json",
+                       {"kind": "BUILTIN", "builtin": "koebe", "n": 1,
+                        "trunc": 128})
+    wsq = write_spec(tmp_path, "wsq.json",
+                     {"kind": "COEFFS", "n": 2, "trunc": 8,
+                      "coeffs": [[0, 0], [1, 0]]})
+    runs = [  # the README matrix rows that write a report, and EXTREMAL_A
+        ["check", identity, "--kind", "THM_B", "--beta", "0.1", "--gamma",
+         "1", "--alpha", "0.5", *FAST],
+        ["check", koebe, "--kind", "THM_A", "--beta", "0", "--gamma", "1",
+         "--alpha", "0.5", *FAST],
+        ["check", identity, "--kind", "LEMMA_A", "--beta", "2", "--gamma",
+         "1", "--rho", "1", *FAST],
+        ["extremal", "--family", "EXTREMAL_B", "--n", "1", "--alpha", "0.5",
+         "--beta", "1", "--gamma", "1", *FAST],
+        ["jack", wsq, "--radius", "0.9", *FAST],
+        ["identities", "--per-n", "5", "--pairs", "2", "--trunc", "24"],
+        ["extremal", "--family", "EXTREMAL_A", "--n", "1", "--alpha", "0.4",
+         "--beta", "0,0.2", "--gamma", "1", *FAST],
+    ]
+    _report_bodies(tmp_path, runs, "r")
+    capsys.readouterr()
+    assert [c for c, _, _ in rendered] == [
+        "check", "check", "check", "extremal", "jack", "identities",
+        "extremal"]
+    for command, sections, text in rendered:
+        body = {"tool": {"name": "starcert", "version": cli.__version__},
+                "command": command, **sections}
+        want = json.dumps(_asdict_jsonable(body), sort_keys=True, indent=2)
+        assert text == want + "\n"
 
 
 # ------------------------------------------------------------------- misc

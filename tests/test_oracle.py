@@ -201,6 +201,18 @@ def test_constant_functional_witness_is_grid_argmax():
     assert rep.conclusion_witness == (0.9, 0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_family_b_hypothesis_witness_at_smallest_angle(n):
+    # lhs_b is S z^n: every grid angle reaches the sup up to rounding, so the
+    # tie goes to theta = 0 whatever the evaluator's rounding
+    p = ExtremalParams(family=ExtremalFamily.EXTREMAL_B, n=n, alpha=0.5,
+                       beta=1.0, gamma=1.0)
+    crit = CriterionParams(kind=CriterionKind.THM_B, n=n, beta=1.0, gamma=1.0,
+                           alpha=0.5)
+    rep = check_criterion(build_extremal(p, 128), crit, CFG)
+    assert rep.hypothesis_witness == (0.995, 0.0)
+
+
 def test_identity_function_certifies_lemma_a():
     f = builtin_candidate("identity", 32)
     p = CriterionParams(kind=CriterionKind.LEMMA_A, n=1, beta=0.0, gamma=1.0,

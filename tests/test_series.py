@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starcert.series import (
+    Circle,
     NonFiniteCoefficientError,
     NonUnitDivisorError,
     ResonantExponentError,
@@ -307,6 +308,36 @@ def test_evaluate_grid_matches_polyval():
     assert got.shape == z.shape
     want = np.polyval(s.coeffs[::-1], z)
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+def _horner(coeffs, z):
+    acc = np.full(z.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc = acc * z + c
+    return acc
+
+
+@pytest.mark.parametrize("order, m", [(128, 2048), (256, 64), (300, 64)])
+def test_evaluate_circle_matches_horner(order, m):
+    # at m = 64, order + 1 > m: the weights past m fold back onto the grid
+    rng = np.random.default_rng(order)
+    s = rand_series(rng, order)
+    r = 0.99
+    got = evaluate_grid(s, Circle(r, m))
+    want = _horner(s.coeffs, r * np.exp(2j * np.pi * np.arange(m) / m))
+    weight = np.sum(np.abs(s.coeffs) * r ** np.arange(order + 1))
+    assert got.shape == (m,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * weight
+
+
+@pytest.mark.parametrize("order", [0, 10, 100])
+def test_evaluate_circle_constant_exact(order):
+    s = make_series([2.5 - 1.25j] + [0.0] * order)
+    assert np.all(evaluate_grid(s, Circle(0.9, 64)) == 2.5 - 1.25j)
+
+
+def test_circle_size_is_its_point_count():
+    assert Circle(0.5, 2048).size == 2048
 
 
 def test_evaluate_geometric_within_tail_bound():

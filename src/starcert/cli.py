@@ -134,25 +134,11 @@ def _parse_radii(text: str) -> tuple[float, ...]:
         raise UsageError(f"expected comma-separated radii, got {text!r}")
 
 
-def _complex_from_pair(value, where: str) -> complex:
+def _pair(value, where: str) -> list[float]:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) for v in value)):
         raise SpecFileError(f"{where}: complex scalars are [re, im] pairs, got {value!r}")
-    return complex(value[0], value[1])
-
-
-@dataclasses.dataclass(frozen=True)
-class FunctionSpec:
-    """Parsed function spec file."""
-
-    kind: str
-    n: int
-    trunc: int
-    coeffs: tuple[complex, ...] | None = None
-    alpha: float | None = None
-    beta: complex | None = None
-    gamma: complex | None = None
-    builtin: str | None = None
+    return [float(value[0]), float(value[1])]
 
 
 _SPEC_FIELDS = {
@@ -163,7 +149,10 @@ _SPEC_FIELDS = {
 }
 
 
-def parse_function_spec(data: dict) -> FunctionSpec:
+def parse_function_spec(data: dict) -> dict:
+    """Validate a spec file's object and return its canonical form, the one
+    reports echo: complex scalars as ``[re, im]`` float pairs and a float
+    ``extremal.alpha``.  Parsing the canonical form returns it unchanged."""
     if not isinstance(data, dict):
         raise SpecFileError("spec file must hold a JSON object")
     kind = data.get("kind")
@@ -184,6 +173,7 @@ def parse_function_spec(data: dict) -> FunctionSpec:
     if not isinstance(trunc, int) or trunc < n + 2:
         raise SpecFileError(
             f"field 'trunc': integer >= n+2 = {n + 2} required, got {trunc!r}")
+    out: dict = {"kind": kind, "n": n, "trunc": trunc}
     if kind == "COEFFS":
         raw = data["coeffs"]
         if not isinstance(raw, list):
@@ -191,15 +181,15 @@ def parse_function_spec(data: dict) -> FunctionSpec:
         if len(raw) > trunc - 1:
             raise SpecFileError(
                 f"field 'coeffs': {len(raw)} entries exceed trunc-1 = {trunc - 1}")
-        coeffs = tuple(_complex_from_pair(v, f"coeffs[{i}]")
-                       for i, v in enumerate(raw))
-        return FunctionSpec(kind=kind, n=n, trunc=trunc, coeffs=coeffs)
+        out["coeffs"] = [_pair(v, f"coeffs[{i}]") for i, v in enumerate(raw)]
+        return out
     if kind == "BUILTIN":
         name = data["builtin"]
         if name not in _BUILTINS:
             raise SpecFileError(
                 f"field 'builtin': expected one of {_BUILTINS}, got {name!r}")
-        return FunctionSpec(kind=kind, n=n, trunc=trunc, builtin=name)
+        out["builtin"] = name
+        return out
     ext = data["extremal"]
     if not isinstance(ext, dict) or set(ext) != {"alpha", "beta", "gamma"}:
         raise SpecFileError(
@@ -207,29 +197,13 @@ def parse_function_spec(data: dict) -> FunctionSpec:
     alpha = ext["alpha"]
     if not isinstance(alpha, (int, float)):
         raise SpecFileError(f"field 'extremal.alpha': number required, got {alpha!r}")
-    return FunctionSpec(
-        kind=kind, n=n, trunc=trunc, alpha=float(alpha),
-        beta=_complex_from_pair(ext["beta"], "extremal.beta"),
-        gamma=_complex_from_pair(ext["gamma"], "extremal.gamma"),
-    )
-
-
-def function_spec_to_dict(fs: FunctionSpec) -> dict:
-    out: dict = {"kind": fs.kind, "n": fs.n, "trunc": fs.trunc}
-    if fs.kind == "COEFFS":
-        out["coeffs"] = [[c.real, c.imag] for c in fs.coeffs]
-    elif fs.kind == "BUILTIN":
-        out["builtin"] = fs.builtin
-    else:
-        out["extremal"] = {
-            "alpha": fs.alpha,
-            "beta": [fs.beta.real, fs.beta.imag],
-            "gamma": [fs.gamma.real, fs.gamma.imag],
-        }
+    out["extremal"] = {"alpha": float(alpha),
+                       "beta": _pair(ext["beta"], "extremal.beta"),
+                       "gamma": _pair(ext["gamma"], "extremal.gamma")}
     return out
 
 
-def load_function_spec(path: str) -> FunctionSpec:
+def load_function_spec(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -242,24 +216,26 @@ def load_function_spec(path: str) -> FunctionSpec:
     return parse_function_spec(data)
 
 
-def candidate_from_spec(fs: FunctionSpec) -> SchlichtCandidate:
-    if fs.kind == "BUILTIN":
-        return builtin_candidate(fs.builtin, fs.trunc, fs.n)
-    if fs.kind == "COEFFS":
-        return schlicht_from_tail(fs.n, fs.coeffs, fs.trunc)
-    family = ExtremalFamily(fs.kind)
-    params = ExtremalParams(family=family, n=fs.n, alpha=fs.alpha,
-                            beta=fs.beta, gamma=fs.gamma)
-    return build_extremal(params, fs.trunc)
+def candidate_from_spec(fs: dict) -> SchlichtCandidate:
+    if fs["kind"] == "BUILTIN":
+        return builtin_candidate(fs["builtin"], fs["trunc"], fs["n"])
+    if fs["kind"] == "COEFFS":
+        return schlicht_from_tail(fs["n"], [complex(*c) for c in fs["coeffs"]],
+                                  fs["trunc"])
+    ext = fs["extremal"]
+    params = ExtremalParams(family=ExtremalFamily(fs["kind"]), n=fs["n"],
+                            alpha=ext["alpha"], beta=complex(*ext["beta"]),
+                            gamma=complex(*ext["gamma"]))
+    return build_extremal(params, fs["trunc"])
 
 
-def probe_series_from_spec(fs: FunctionSpec) -> Series:
+def probe_series_from_spec(fs: dict) -> Series:
     """Series the jack command probes: COEFFS files are taken verbatim as
     ``c_1, c_2, ...`` (c_0 = 0); other kinds contribute their w-transform."""
-    if fs.kind == "COEFFS":
-        arr = np.zeros(fs.trunc + 1, dtype=np.complex128)
-        for i, c in enumerate(fs.coeffs):
-            arr[i + 1] = c
+    if fs["kind"] == "COEFFS":
+        arr = np.zeros(fs["trunc"] + 1, dtype=np.complex128)
+        for i, c in enumerate(fs["coeffs"]):
+            arr[i + 1] = complex(*c)
         return make_series(arr)
     return w_func(candidate_from_spec(fs))
 
@@ -393,11 +369,11 @@ def cmd_check(args) -> int:
     fs = load_function_spec(args.spec)
     cfg = _sampling_config(args)
     f = candidate_from_spec(fs)
-    params = _criterion_params(args, fs.n)
+    params = _criterion_params(args, fs["n"])
     rep = check_criterion(f, params, cfg)
     _print_verification(rep)
     _write_out(args, "check", {
-        "function": function_spec_to_dict(fs),
+        "function": fs,
         "criterion_params": params,
         "sampling": cfg,
         "result": rep,
@@ -455,7 +431,7 @@ def cmd_jack(args) -> int:
     fs = load_function_spec(args.spec)
     cfg = _sampling_config(args)
     w = probe_series_from_spec(fs)
-    order = args.order if args.order is not None else fs.n
+    order = args.order if args.order is not None else fs["n"]
     res = jack_demo(w, order, args.radius, cfg)
     print(f"k_est = {_fmt_c(res.k_est)}")
     print(f"max point z0 = {_fmt_c(res.max_point)}  |w(z0)| = {res.max_modulus!r}")
@@ -463,7 +439,7 @@ def cmd_jack(args) -> int:
     print(f"real part >= order {order}: {'yes' if res.real_ok else 'NO'}")
     print(f"conforms: {'yes' if res.conforms else 'NO'}")
     _write_out(args, "jack", {
-        "function": function_spec_to_dict(fs),
+        "function": fs,
         "order": order,
         "radius": args.radius,
         "sampling": {"angles": cfg.angles, "refine": cfg.refine},

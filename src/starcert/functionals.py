@@ -9,14 +9,17 @@ for the first combination) are set exactly.
 
 The three quotients ``zf'/f``, ``1 + zf''/f'`` and ``w`` each cost an
 O(N^2) series division, and every other functional only recombines them
-with beta, gamma or alpha.  So each quotient is built at most once per
-candidate and kept in the candidate's private cache; later calls, for any
-parameters, return the same read-only series.
+with beta, gamma, alpha or a centre.  So each quotient is built at most
+once per candidate and kept in this module's cache, keyed by the candidate
+and dropped with it; later calls, for any parameters, return the same
+read-only series.  That cache is the one piece of state here: neither a
+candidate nor a cached series can change, so sharing changes no result.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,13 +53,17 @@ def unit_part(f: SchlichtCandidate) -> Series:
     return shift(f.series, -1)
 
 
+# Candidate -> {quotient builder: series}; a candidate hashes by identity.
+_quotients: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _once_per_candidate(build):
     """Run ``build(f)`` once per candidate; later calls return the series
-    the first call stored in the candidate's quotient cache."""
+    the first call stored in the quotient cache."""
 
     @functools.wraps(build)
     def cached(f: SchlichtCandidate) -> Series:
-        store = f._quotients
+        store = _quotients.setdefault(f, {})
         if build not in store:
             store[build] = build(f)
         return store[build]
@@ -85,36 +92,37 @@ def w_func(f: SchlichtCandidate) -> Series:
     return div(u, add(u, shift(derivative(u), 1))) - 1.0
 
 
+def _combination(f: SchlichtCandidate, x: complex, y: complex,
+                 c0: complex) -> Series:
+    """``x zf'/f + y (1 + zf''/f')`` with its constant term set to exactly
+    ``c0``."""
+    out = scale(starlike_quotient(f), x) + scale(convex_quotient(f), y)
+    c = out.coeffs.copy()
+    c[0] = c0
+    return Series(c)
+
+
 def lhs_a(f: SchlichtCandidate, beta: complex, gamma: complex) -> Series:
     """``(beta - gamma) zf'/f + gamma (1 + zf''/f')``; constant term is
     exactly ``beta``."""
-    out = scale(starlike_quotient(f), beta - gamma) + scale(convex_quotient(f), gamma)
-    c = out.coeffs.copy()
-    c[0] = complex(beta)
-    return Series(c)
+    return _combination(f, beta - gamma, gamma, beta)
 
 
 def lhs_b(f: SchlichtCandidate, beta: complex, gamma: complex) -> Series:
     """``beta (zf'/f - 1) + gamma zf''/f'``; constant term exactly 0."""
-    return scale(starlike_quotient(f) - 1.0, beta) + scale(
-        convex_quotient(f) - 1.0, gamma
-    )
+    return _combination(f, beta, gamma, 0.0)
 
 
 def mocanu_functional(f: SchlichtCandidate, alpha: float) -> Series:
     """The alpha-convex combination ``(1-alpha) zf'/f + alpha (1+zf''/f')``;
     constant term exactly 1.  Any real alpha is allowed."""
-    out = scale(starlike_quotient(f), 1.0 - alpha) + scale(convex_quotient(f), alpha)
-    c = out.coeffs.copy()
-    c[0] = 1.0
-    return Series(c)
+    return _combination(f, 1.0 - alpha, alpha, 1.0)
 
 
-def centered_quotient(f: SchlichtCandidate, alpha: float) -> Series:
-    """``f/(z f') - 1/(2 alpha)`` for ``0 < alpha < 1``."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    return w_func(f) + (1.0 - 1.0 / (2.0 * alpha))
+def centered_quotient(f: SchlichtCandidate, center: float) -> Series:
+    """``f/(z f') - center``, the series a conclusion disk is centred on;
+    any centre is valid."""
+    return w_func(f) + (1.0 - center)
 
 
 def identity_a_residual(f: SchlichtCandidate, beta: complex, gamma: complex) -> float:

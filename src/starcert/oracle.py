@@ -19,7 +19,7 @@ deliberately weaker than a proof over the open disk and the reports say so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -36,12 +36,12 @@ from .series import (
 from .functionals import (
     FunctionalKind,
     ParameterError,
+    centered_quotient,
     lhs_a,
     lhs_b,
     mocanu_functional,
     starlike_quotient,
     unit_part,
-    w_func,
 )
 from .criteria import CriterionKind, CriterionParams, CriterionSpec, build_spec
 
@@ -103,26 +103,18 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class SupEstimate:
-    """Sampled supremum of |series| over the largest accepted disk."""
+class Extremum:
+    """Sampled sup of ``|a|`` or min of ``Re a`` over a disk, taken at a
+    witness on its boundary circle.  ``tail`` is the allowance at the
+    witness radius (0 where none is computed) and ``skipped_radii`` are the
+    candidates above it that the tail heuristic refused."""
 
-    sup: float
+    value: float
     witness_r: float
     witness_theta: float
     witness_value: complex
-    sup_plus_tail: float
-    tail_at_witness: float
-    skipped_radii: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class MinRealEstimate:
-    """Sampled infimum of Re(series) over the largest candidate disk."""
-
-    min_re: float
-    witness_r: float
-    witness_theta: float
-    witness_value: complex
+    tail: float = 0.0
+    skipped_radii: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -157,16 +149,6 @@ class VerificationReport:
     skipped_radii: tuple[float, ...] = ()
     tail_flag: str = TAIL_DISCLAIMER
     escalation: str | None = None
-
-
-_angle_cache: dict[int, np.ndarray] = {}
-
-
-def _angles(m: int) -> np.ndarray:
-    """The angles ``2 pi j / m`` of the points of ``Circle(r, m)``."""
-    if m not in _angle_cache:
-        _angle_cache[m] = 2.0 * np.pi * np.arange(m) / m
-    return _angle_cache[m]
 
 
 def _objective(v, sign: float):
@@ -206,25 +188,25 @@ def _refine_circle(a: Series, r: float, theta0: float, span: float,
     return (theta, value) if better else (theta0, value0)
 
 
-def _circle_extremum(a: Series, r: float, cfg: SamplingConfig, sign: float):
+def _circle_extremum(a: Series, r: float, cfg: SamplingConfig,
+                     sign: float) -> Extremum:
     """Grid extremum of ``|a|`` (sign=+1, max) or ``Re a`` (sign=-1, min)
-    on ``|z| = r``, refined if configured.  Returns ``(theta, extremum,
-    a(z))``.  Ties go to the smallest angle: the first grid point within
-    ``_TIE_ULPS`` rounding units of the extremum counts as reaching it, so
-    rounding cannot pick among equal values (``|S z^n|`` is constant on the
-    circle, for one)."""
+    on ``|z| = r``, refined if configured.  Ties go to the smallest angle:
+    the first grid point within ``_TIE_ULPS`` rounding units of the
+    extremum counts as reaching it, so rounding cannot pick among equal
+    values (``|S z^n|`` is constant on the circle, for one)."""
     vals = evaluate_grid(a, Circle(r, cfg.angles))
     obj = sign * _objective(vals, sign)
     tol = _TIE_ULPS * np.finfo(float).eps * float(np.max(np.abs(obj)))
     j = int(np.argmax(obj >= np.max(obj) - tol))
-    best_theta, value = float(_angles(cfg.angles)[j]), vals[j]
+    theta, value = 2.0 * np.pi * j / cfg.angles, vals[j]
     if cfg.refine:
-        best_theta, value = _refine_circle(
-            a, r, best_theta, 2.0 * np.pi / cfg.angles, sign, value)
-    return best_theta, float(_objective(value, sign)), complex(value)
+        theta, value = _refine_circle(
+            a, r, theta, 2.0 * np.pi / cfg.angles, sign, value)
+    return Extremum(float(_objective(value, sign)), r, theta, complex(value))
 
 
-def sup_on_disk(a: Series, cfg: SamplingConfig | None = None) -> SupEstimate:
+def sup_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:
     """Sampled supremum of ``|a|`` over ``|z| <= r``, taken on ``|z| = r``
     (maximum modulus), for the largest candidate ``r`` whose tail
     allowance is finite.  The heuristic refuses ``r`` iff ``q r >= 1``, so
@@ -239,27 +221,15 @@ def sup_on_disk(a: Series, cfg: SamplingConfig | None = None) -> SupEstimate:
         raise DegenerateSeriesError(
             "every sampling radius was refused by the tail heuristic"
         )
-    r = cfg.radii[i]
-    theta, peak, value = _circle_extremum(a, r, cfg, +1.0)
-    return SupEstimate(
-        sup=peak,
-        witness_r=r,
-        witness_theta=theta,
-        witness_value=value,
-        sup_plus_tail=peak + tail,
-        tail_at_witness=tail,
-        skipped_radii=cfg.radii[i + 1:],
-    )
+    peak = _circle_extremum(a, cfg.radii[i], cfg, +1.0)
+    return replace(peak, tail=tail, skipped_radii=cfg.radii[i + 1:])
 
 
-def min_real_on_disk(a: Series, cfg: SamplingConfig | None = None) -> MinRealEstimate:
+def min_real_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:
     """Sampled infimum of ``Re(a)`` over the largest candidate disk, taken on
-    its boundary (minimum principle); the tail allowance is not folded in."""
+    its boundary (minimum principle); no tail allowance is computed."""
     cfg = cfg or SamplingConfig()
-    r = cfg.radii[-1]
-    theta, low, value = _circle_extremum(a, r, cfg, -1.0)
-    return MinRealEstimate(min_re=low, witness_r=r, witness_theta=theta,
-                           witness_value=value)
+    return _circle_extremum(a, cfg.radii[-1], cfg, -1.0)
 
 
 def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig):
@@ -269,7 +239,6 @@ def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig):
     of least modulus.  A zero-free polynomial has its least modulus on the
     boundary, so near-zeros inside show on this circle too."""
     r = cfg.radii[-1]
-    theta = _angles(cfg.angles)
     out = []
     for label, s in (("f/z", unit_part(f)), ("f'", derivative(f.series))):
         vals = evaluate_grid(s, Circle(r, cfg.angles))
@@ -281,7 +250,8 @@ def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig):
             if (np.max(np.abs(steps)) >= 0.5 * np.pi
                     or round(np.sum(steps) / (2.0 * np.pi)) != 0):
                 bad = [int(np.argmin(mags))]
-        out.extend((r, float(theta[j]), label, float(mags[j])) for j in bad)
+        out.extend((r, float(2.0 * np.pi * j / cfg.angles), label,
+                    float(mags[j])) for j in bad)
     return tuple(out[:_DENOM_CAP])
 
 
@@ -294,35 +264,28 @@ def _functional_series(f: SchlichtCandidate, spec: CriterionSpec) -> Series:
 
 @dataclass(frozen=True)
 class _Sample:
-    """One sampled inequality of a criterion; the value, tail, margin and
-    witness are None when the tail heuristic refused every radius."""
+    """One sampled inequality of a criterion: its extremum and margin, both
+    None when the check was not sampled."""
 
-    value: float | None = None            # sup |a| or min Re a
-    tail: float | None = None             # allowance at the sampled radius
+    ext: Extremum | None = None
     margin: float | None = None
-    witness: tuple[float, float] | None = None
-    witness_value: complex | None = None
-    skipped: tuple[float, ...] = ()
 
 
 def _sample(a: Series, shape: str, bound: float, cfg: SamplingConfig,
             fold_tail: bool = False) -> _Sample:
     """Sample ``sup |a| < bound`` (shape "modulus") or ``min Re a > bound``
-    (shape "positive_real") and its margin.  Only a modulus check with
-    ``fold_tail`` adds the tail allowance to its sup before comparing; the
-    positive-real path computes no allowance and reports a tail of 0."""
+    (shape "positive_real") and its margin; a modulus check the tail
+    heuristic refuses at every radius is not sampled.  Only a modulus check
+    with ``fold_tail`` adds the tail allowance to its sup before comparing."""
     if shape == "positive_real":
         low = min_real_on_disk(a, cfg)
-        return _Sample(low.min_re, 0.0, low.min_re - bound,
-                       (low.witness_r, low.witness_theta), low.witness_value)
+        return _Sample(low, low.value - bound)
     try:
         est = sup_on_disk(a, cfg)
     except DegenerateSeriesError:
-        return _Sample(skipped=cfg.radii)
-    top = est.sup_plus_tail if fold_tail else est.sup
-    return _Sample(est.sup, est.sup_plus_tail - est.sup, bound - top,
-                   (est.witness_r, est.witness_theta), est.witness_value,
-                   est.skipped_radii)
+        return _Sample()
+    top = est.value + est.tail if fold_tail else est.value
+    return _Sample(est, bound - top)
 
 
 def check_criterion(f: SchlichtCandidate, p: CriterionParams,
@@ -348,19 +311,23 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
     # the conclusion and every positive-real check compare the bare sample.
     hyp = _sample(_functional_series(f, spec), spec.hypothesis_shape,
                   spec.rhs_bound, cfg, fold_tail=True)
-    con = cross = _Sample()
+    h = hyp.ext
+    if h is None:  # refused at every radius: nothing else is sampled
+        return VerificationReport(kind=p.kind, spec=spec,
+                                  verdict=Verdict.DEGENERATE,
+                                  denominator_violations=violations,
+                                  skipped_radii=cfg.radii)
+    cross = _Sample()
     if spec.hypothesis_shape == "positive_real":
         con = hyp
-    elif hyp.margin is not None:
-        con = _sample(w_func(f) + (1.0 - spec.conclusion_center), "modulus",
+    else:
+        con = _sample(centered_quotient(f, spec.conclusion_center), "modulus",
                       spec.conclusion_radius, cfg)
         if spec.alpha is not None:
             cross = _sample(starlike_quotient(f), "positive_real", spec.alpha, cfg)
 
     escalation = None
-    if hyp.margin is None:
-        verdict = Verdict.DEGENERATE
-    elif not hyp.margin > 0:
+    if not hyp.margin > 0:
         verdict = Verdict.HYPOTHESIS_FAILED
     elif con.margin is None:
         verdict = Verdict.DEGENERATE
@@ -377,23 +344,23 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
     else:
         verdict = Verdict.CERTIFIED_SAMPLED
 
+    c, x = con.ext, cross.ext
     return VerificationReport(
         kind=p.kind,
         spec=spec,
         verdict=verdict,
-        hypothesis_sup=hyp.value,
-        hypothesis_tail=hyp.tail,
+        hypothesis_sup=h.value,
+        hypothesis_tail=h.tail,
         hypothesis_margin=hyp.margin,
-        hypothesis_witness=hyp.witness,
-        conclusion_sup=con.value,
+        hypothesis_witness=(h.witness_r, h.witness_theta),
+        conclusion_sup=None if c is None else c.value,
         conclusion_margin=con.margin,
-        conclusion_witness=con.witness,
-        cross_min_re=cross.value,
+        conclusion_witness=None if c is None else (c.witness_r, c.witness_theta),
+        cross_min_re=None if x is None else x.value,
         cross_margin=cross.margin,
-        worst_witness=(None if hyp.witness is None
-                       else (*hyp.witness, hyp.witness_value)),
+        worst_witness=(h.witness_r, h.witness_theta, h.witness_value),
         denominator_violations=violations,
-        skipped_radii=hyp.skipped,
+        skipped_radii=h.skipped_radii,
         escalation=escalation,
     )
 
@@ -418,15 +385,15 @@ def jack_demo(w: Series, m: int, r: float,
         raise ParameterError(
             f"series does not vanish to order {m} at the origin"
         )
-    peak_theta, peak, w0 = _circle_extremum(w, r, cfg, +1.0)
-    if peak < 1e-14:
+    peak = _circle_extremum(w, r, cfg, +1.0)
+    if peak.value < 1e-14:
         raise DegenerateSeriesError(
             f"|w| below 1e-14 everywhere on |z| = {r}; no maximum to probe"
         )
-    z0 = r * complex(math.cos(peak_theta), math.sin(peak_theta))
+    z0 = r * complex(math.cos(peak.witness_theta), math.sin(peak.witness_theta))
     w1 = complex(evaluate_grid(derivative(w), np.asarray([z0]))[0])
-    k = z0 * w1 / w0
+    k = z0 * w1 / peak.witness_value
     imag_ok = abs(k.imag) <= 1e-6 * (1.0 + abs(k))
     real_ok = k.real >= m * (1.0 - 1e-6)
-    return JackResult(k_est=k, max_point=z0, max_modulus=peak,
+    return JackResult(k_est=k, max_point=z0, max_modulus=peak.value,
                       imag_ok=imag_ok, real_ok=real_ok)

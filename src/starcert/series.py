@@ -12,11 +12,7 @@ stay on the principal branch anchored at the unit constant term.
 :func:`evaluate_grid` samples a series on a :class:`Circle` by one FFT and
 at other points by one power table.
 
-Series values are immutable and all functions here are pure.  The one
-piece of state is a :class:`SchlichtCandidate`'s private cache of the
-pure quotient series derived from it: each is built once and shared,
-which cannot change a result since neither the candidate nor a cached
-series can change.
+Series values are immutable and all functions here are pure.
 """
 
 from __future__ import annotations
@@ -340,18 +336,13 @@ def max_coeff_diff(a: Series, b: Series) -> float:
 class SchlichtCandidate:
     """A series certified to have the normalized class shape: ``c0 = 0``,
     ``c1 = 1`` and ``c2..cn = 0`` exactly, with enough retained orders for
-    every downstream functional.
-
-    Each candidate carries a private cache of the quotient series derived
-    from it (filled by :mod:`starcert.functionals`); it is not a field, so
-    ``repr``, ``dataclasses.asdict`` and reports never see it."""
+    every downstream functional."""
 
     n: int
     series: Series
     snap_delta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "_quotients", {})
         if self.n < 1:
             raise SeriesError(f"class index n must be >= 1, got {self.n}")
         s = self.series

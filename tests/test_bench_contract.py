@@ -3,9 +3,9 @@
 ``perfbench/`` reaches into starcert by name: its tracer wraps the layer
 functions listed in ``tracing.LAYER_FUNCTIONS``, and its workloads build
 sampling configs from ``oracle``.  A library change that deletes or renames
-one of those breaks ``perfbench/run.py --trace 1``; these tests catch that
-in the ordinary suite.  The perfbench files are loaded from their paths and
-never modified.
+one of those breaks ``perfbench/run.py --trace 1``, and so does a change to
+the records its counter hooks read; these tests catch both in the ordinary
+suite.  The perfbench files are loaded from their paths and never modified.
 """
 
 import importlib
@@ -14,6 +14,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from starcert import oracle
+from starcert.criteria import CriterionKind, CriterionParams
+from starcert.extremals import ExtremalFamily, ExtremalParams, build_extremal
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -27,8 +31,9 @@ def _load(name):
     return module
 
 
+TRACING = _load("tracing")
 MANDATORY = [(mod, fn) for mod, fn, _, _, optional
-             in _load("tracing").LAYER_FUNCTIONS if not optional]
+             in TRACING.LAYER_FUNCTIONS if not optional]
 
 
 @pytest.mark.parametrize("mod, fn", MANDATORY,
@@ -41,3 +46,23 @@ def test_workload_sampling_configs_run():
     configs = _load("workloads").sampling_configs()
     assert configs["check_default"]["angles"] > 0
     assert configs["grid72"]["radii"] > 0
+
+
+def test_tracer_hooks_read_the_oracle_records():
+    p = ExtremalParams(family=ExtremalFamily.EXTREMAL_B, n=1, alpha=0.5,
+                       beta=1.0, gamma=1.0)
+    f = build_extremal(p, 32)
+    cfg = oracle.SamplingConfig(radii=(0.5, 0.9), angles=64)
+    original = oracle.sup_on_disk
+    tracer = TRACING.Tracer()
+    with tracer.installed():
+        oracle.check_criterion(f, CriterionParams(
+            kind=CriterionKind.THM_B, n=1, beta=1.0, gamma=1.0, alpha=0.5), cfg)
+        oracle.check_criterion(f, CriterionParams(
+            kind=CriterionKind.MOCANU, n=1, alpha=0.5), cfg)
+    assert oracle.sup_on_disk is original
+    m = tracer.metrics()
+    assert m["oracle.check_criterion.calls"] == 2
+    assert m["oracle.sup_on_disk.calls"] > 0
+    assert m["oracle.min_real_on_disk.calls"] > 0
+    assert m["oracle.circles_sampled"] > 0

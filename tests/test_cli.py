@@ -1,12 +1,12 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from starcert import cli
 from starcert.cli import (
     SpecFileError,
-    function_spec_to_dict,
     load_function_spec,
     main,
     parse_function_spec,
@@ -37,12 +37,28 @@ def koebe_spec(tmp_path):
 
 # ------------------------------------------------------------------- parsing
 
-def test_spec_round_trip():
-    payload = {"kind": "COEFFS", "n": 2, "trunc": 16,
-               "coeffs": [[0.0, 0.0], [0.25, -0.5]]}
-    fs = parse_function_spec(payload)
-    assert function_spec_to_dict(fs) == payload
-    assert parse_function_spec(function_spec_to_dict(fs)) == fs
+def test_spec_round_trip(tmp_path):
+    coeffs = {"kind": "COEFFS", "n": 2, "trunc": 16, "coeffs": [[0, 0], [1, 0]]}
+    extremal = {"kind": "EXTREMAL_B", "n": 1, "trunc": 32,
+                "extremal": {"alpha": 1, "beta": [1, 0], "gamma": [2, -1]}}
+    fs = parse_function_spec(coeffs)
+    assert fs == {"kind": "COEFFS", "n": 2, "trunc": 16,
+                  "coeffs": [[0.0, 0.0], [1.0, 0.0]]}
+    assert all(type(x) is float for pair in fs["coeffs"] for x in pair)
+    fe = parse_function_spec(extremal)
+    assert fe["extremal"] == {"alpha": 1.0, "beta": [1.0, 0.0],
+                              "gamma": [2.0, -1.0]}
+    assert type(fe["extremal"]["alpha"]) is float
+    for canonical in (fs, fe):
+        assert parse_function_spec(canonical) == canonical
+    # a report echoes the canonical form of its spec file
+    path = write_spec(tmp_path, "spec.json", coeffs)
+    out = tmp_path / "report.json"
+    # z + z^3 is not starlike: f' vanishes inside the disk
+    assert main(["check", path, "--kind", "MOCANU", "--alpha", "0.5", *FAST,
+                 "--out", str(out)]) == 1
+    body = json.loads(out.read_text())["report"]
+    assert body["function"] == parse_function_spec(json.loads(Path(path).read_text()))
 
 
 def test_spec_rejects_unknown_kind():

@@ -49,21 +49,15 @@ def definitions(source: str) -> set[str]:
 
 
 def references(source: str) -> set[str]:
-    """Names a module refers to, as bare names or attributes, plus the
-    string names in a ``LAYER_FUNCTIONS`` table (the benchmark's tracer
-    looks its functions up by name)."""
-    tree = ast.parse(source)
+    """Names a module refers to, as bare names or attributes.  A string
+    naming a function (the benchmark tracer's ``LAYER_FUNCTIONS`` table) is
+    not a call, so it does not count."""
     out = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif (isinstance(node, ast.Assign)
-              and any(getattr(t, "id", None) == "LAYER_FUNCTIONS"
-                      for t in node.targets)):
-            out.update(c.value for c in ast.walk(node.value)
-                       if isinstance(c, ast.Constant) and isinstance(c.value, str))
     return out
 
 
@@ -87,8 +81,7 @@ def test_guard_flags_an_unreferenced_definition():
     assert definitions(source) == {"A", "f", "g"}
     assert definitions(source) - references(source) == {"A", "f"}
     table = 'LAYER_FUNCTIONS = (("series", "f"),)\nOTHER = ("A",)\n'
-    assert {"series", "f"} <= references(table)
-    assert "A" not in references(table)
+    assert references(table) == {"LAYER_FUNCTIONS", "OTHER"}
 
 
 def test_every_definition_has_a_caller():

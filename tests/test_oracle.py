@@ -13,11 +13,14 @@ from starcert.series import (
     make_series,
     monomial,
     schlicht_from_tail,
+    tail_estimate,
 )
 from starcert.criteria import CriterionKind, CriterionParams
 from starcert.extremals import ExtremalFamily, ExtremalParams, build_extremal
+from starcert.functionals import lhs_a
 from starcert.oracle import (
     DegenerateSeriesError,
+    Extremum,
     SamplingConfig,
     Verdict,
     check_criterion,
@@ -56,13 +59,13 @@ def test_default_radii_grid():
 def test_sup_monomial_is_top_radius_power():
     for n in (1, 2, 3):
         est = sup_on_disk(monomial(1.0, n, 16), CFG)
-        assert est.sup == pytest.approx(0.995**n, rel=1e-12)
+        assert est.value == pytest.approx(0.995**n, rel=1e-12)
         assert est.witness_r == 0.995
 
 
 def test_sup_one_plus_z():
     est = sup_on_disk(make_series([1.0, 1.0] + [0] * 6), CFG)
-    assert est.sup == pytest.approx(1.995, rel=1e-10)
+    assert est.value == pytest.approx(1.995, rel=1e-10)
     assert min(abs(est.witness_theta), abs(est.witness_theta - 2 * math.pi)) < 1e-6
 
 
@@ -71,7 +74,7 @@ def test_sup_truncated_geometric_near_closed_form():
     cfg = SamplingConfig(radii=tuple(round(0.1 + 0.1 * i, 10) for i in range(9)),
                          angles=256)
     est = sup_on_disk(s, cfg)
-    assert est.sup == pytest.approx(10.0, rel=0.01)
+    assert est.value == pytest.approx(10.0, rel=0.01)
 
 
 def value_at(s, z):
@@ -84,7 +87,7 @@ def test_sup_witness_reproduces_value():
     est = sup_on_disk(s, CFG)
     z = est.witness_r * complex(math.cos(est.witness_theta),
                                 math.sin(est.witness_theta))
-    assert abs(value_at(s, z)) == pytest.approx(est.sup, abs=1e-10)
+    assert abs(value_at(s, z)) == pytest.approx(est.value, abs=1e-10)
 
 
 def test_sup_monotone_in_angles_and_radii():
@@ -92,12 +95,12 @@ def test_sup_monotone_in_angles_and_radii():
     sups = []
     for m in (64, 256, 1024):
         cfg = SamplingConfig(radii=(0.3, 0.6, 0.9), angles=m, refine=False)
-        sups.append(sup_on_disk(s, cfg).sup)
+        sups.append(sup_on_disk(s, cfg).value)
     assert sups[0] <= sups[1] + 1e-12
     assert sups[1] <= sups[2] + 1e-12
     bigger = SamplingConfig(radii=(0.3, 0.6, 0.9, 0.95), angles=1024,
                             refine=False)
-    assert sup_on_disk(s, bigger).sup >= sups[2] - 1e-12
+    assert sup_on_disk(s, bigger).value >= sups[2] - 1e-12
 
 
 def test_sup_refinement_never_below_grid():
@@ -108,8 +111,8 @@ def test_sup_refinement_never_below_grid():
         s = Series(mags * np.exp(2j * np.pi * rng.uniform(0, 1, 10)))
         coarse = SamplingConfig(radii=(0.9,), angles=64, refine=False)
         fine = SamplingConfig(radii=(0.9,), angles=64, refine=True)
-        assert (sup_on_disk(s, fine).sup
-                >= sup_on_disk(s, coarse).sup - 1e-12)
+        assert (sup_on_disk(s, fine).value
+                >= sup_on_disk(s, coarse).value - 1e-12)
 
 
 def test_refined_witness_is_first_order_stationary():
@@ -154,15 +157,17 @@ def test_one_circle_equals_best_single_radius():
         s = Series(mags * np.exp(2j * np.pi * rng.uniform(0, 1, 12)))
         est = sup_on_disk(s, cfg)
         per_radius = [sup_on_disk(s, c) for c in singles]
-        best = max(per_radius, key=lambda e: e.sup)
-        assert (est.sup, est.witness_r, est.witness_theta) == (
-            best.sup, best.witness_r, best.witness_theta)
-        assert est.sup_plus_tail == max(e.sup_plus_tail for e in per_radius)
+        best = max(per_radius, key=lambda e: e.value)
+        assert (est.value, est.witness_r, est.witness_theta) == (
+            best.value, best.witness_r, best.witness_theta)
+        assert est.value + est.tail == max(e.value + e.tail for e in per_radius)
         low = min_real_on_disk(s, cfg)
+        assert isinstance(low, Extremum)
+        assert (low.tail, low.skipped_radii) == (0.0, ())
         best_low = min((min_real_on_disk(s, c) for c in singles),
-                       key=lambda e: e.min_re)
-        assert (low.min_re, low.witness_r, low.witness_theta) == (
-            best_low.min_re, best_low.witness_r, best_low.witness_theta)
+                       key=lambda e: e.value)
+        assert (low.value, low.witness_r, low.witness_theta) == (
+            best_low.value, best_low.witness_r, best_low.witness_theta)
 
 
 def test_min_real_halfplane_quotient():
@@ -172,7 +177,7 @@ def test_min_real_halfplane_quotient():
     from starcert.functionals import starlike_quotient
     cfg = SamplingConfig(radii=(0.3, 0.6, 0.9), angles=512)
     est = min_real_on_disk(starlike_quotient(q), cfg)
-    assert est.min_re == pytest.approx(1 / 1.9, abs=1e-4)
+    assert est.value == pytest.approx(1 / 1.9, abs=1e-4)
     assert abs(est.witness_theta - math.pi) < 0.01
 
 
@@ -240,6 +245,19 @@ def test_koebe_fails_hypothesis_thm_a():
     rep = check_criterion(f, p, CFG)
     assert rep.verdict is Verdict.HYPOTHESIS_FAILED
     assert rep.hypothesis_margin < 0
+
+
+def test_hypothesis_tail_is_the_allowance_at_the_witness_radius():
+    # the allowance here is far below one ulp of the sup: sup + tail == sup
+    f = builtin_candidate("koebe", 128)
+    beta, gamma = 0.2, 1 - 0.2j
+    p = CriterionParams(kind=CriterionKind.THM_A, n=1, beta=beta, gamma=gamma,
+                        alpha=0.7)
+    rep = check_criterion(f, p, SamplingConfig())
+    tail = tail_estimate(lhs_a(f, beta, gamma), rep.hypothesis_witness[0])
+    assert rep.hypothesis_tail == tail > 0
+    assert rep.hypothesis_margin == rep.spec.rhs_bound - (
+        rep.hypothesis_sup + rep.hypothesis_tail)
 
 
 def test_koebe_contrapositive_sample():

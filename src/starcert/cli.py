@@ -134,9 +134,14 @@ def _parse_radii(text: str) -> tuple[float, ...]:
         raise UsageError(f"expected comma-separated radii, got {text!r}")
 
 
+def _number(value, kind=(int, float)) -> bool:
+    """JSON numbers only: ``true`` and ``false`` are ints to Python."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _pair(value, where: str) -> list[float]:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) for v in value)):
+            or not all(_number(v) for v in value)):
         raise SpecFileError(f"{where}: complex scalars are [re, im] pairs, got {value!r}")
     return [float(value[0]), float(value[1])]
 
@@ -168,9 +173,9 @@ def parse_function_spec(data: dict) -> dict:
         raise SpecFileError(f"missing fields for kind {kind}: {sorted(missing)}")
     n = data["n"]
     trunc = data["trunc"]
-    if not isinstance(n, int) or n < 1:
+    if not _number(n, int) or n < 1:
         raise SpecFileError(f"field 'n': positive integer required, got {n!r}")
-    if not isinstance(trunc, int) or trunc < n + 2:
+    if not _number(trunc, int) or trunc < n + 2:
         raise SpecFileError(
             f"field 'trunc': integer >= n+2 = {n + 2} required, got {trunc!r}")
     out: dict = {"kind": kind, "n": n, "trunc": trunc}
@@ -195,7 +200,7 @@ def parse_function_spec(data: dict) -> dict:
         raise SpecFileError(
             "field 'extremal': object with exactly alpha, beta, gamma required")
     alpha = ext["alpha"]
-    if not isinstance(alpha, (int, float)):
+    if not _number(alpha):
         raise SpecFileError(f"field 'extremal.alpha': number required, got {alpha!r}")
     out["extremal"] = {"alpha": float(alpha),
                        "beta": _pair(ext["beta"], "extremal.beta"),

@@ -4,8 +4,10 @@ Both families are one construction, ``f = z (k h)^e``.  Here
 ``h_j = g_j / (c + j)`` is the shifted integral of an inner series ``g``:
 ``integral_0^z t^(c-1) g(t) dt = z^c h(z)``.  The outer exponent is
 ``e = 1/c``, so the fractional power of ``z`` cancels exactly and the
-construction never leaves single-valued series arithmetic.  Only ``g``,
-``c``, the scale ``k`` and ``e`` depend on the family:
+construction never leaves single-valued series arithmetic.  ``g`` is a
+series in ``z^n`` written from its closed form, a binomial or exponential
+series, and the outer power is ``exp(e log(k h))``.  Only ``g``, ``c``, the
+scale ``k`` and ``e`` depend on the family:
 
 * family A:  g = (1 + (conj(beta)/S) z^n)^((S^2 - |beta|^2)/(n conj(beta) gamma)),
   c = k = beta/gamma, e = gamma/beta;
@@ -34,7 +36,6 @@ from .series import (
     SeriesError,
     as_schlicht,
     div,
-    exp_unit,
     integrate_offset,
     monomial,
     pow_unit,
@@ -118,18 +119,24 @@ def build_extremal(p: ExtremalParams, trunc_order: int = DEFAULT_TRUNC_ORDER
     """The family's candidate ``z (k h)^e`` at the given truncation order."""
     work = trunc_order - 1
     beta, gamma, n, s = p.beta, p.gamma, p.n, p.S
+    j = np.arange(1, work // n + 1)
     if p.family is ExtremalFamily.EXTREMAL_A:
-        exponent = (s * s - abs(beta) ** 2) / (n * np.conj(beta) * gamma)
-        g = pow_unit(monomial(np.conj(beta) / s, n, work) + 1.0,
-                     complex(exponent))
+        # binomial series: g_(nj) = binom(power, j) x^j
+        x = np.conj(beta) / s
+        power = (s * s - abs(beta) ** 2) / (n * np.conj(beta) * gamma)
+        terms = (power - j + 1) * x / j
         c = k = beta / gamma
         e = gamma / beta
     else:
-        g = exp_unit(monomial(s / (n * gamma), n, work))
+        # exponential series: g_(nj) = x^j / j!
+        terms = s / (n * gamma) / j
         # k is not folded into c: it keeps the coefficients bit-stable
         c, k = beta / gamma + 1.0, (beta + gamma) / gamma
         e = gamma / (beta + gamma)
-    fz = pow_unit(scale(integrate_offset(g, c), k), e)
+    g = np.zeros(work + 1, dtype=np.complex128)
+    g[0] = 1.0
+    g[n::n] = np.cumprod(terms)
+    fz = pow_unit(scale(integrate_offset(Series(g), c), k), e)
     return as_schlicht(n, shift(fz, 1))
 
 

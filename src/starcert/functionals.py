@@ -7,9 +7,10 @@ unit denominators; in particular ``zf'/f = (u + z u')/u`` for ``u = f/z``.
 Constant terms that are forced analytically (1 for the quotients, beta
 for the first combination) are set exactly.
 
-The three quotients ``zf'/f``, ``1 + zf''/f'`` and ``w`` each cost an
-O(N^2) series division, and every other functional only recombines them
-with beta, gamma, alpha or a centre.  So each quotient is built at most
+The three quotients ``zf'/f``, ``1 + zf''/f'`` and ``w`` each cost a
+series division (a Newton reciprocal and a product), and every other
+functional only recombines them with beta, gamma, alpha or a centre.
+So each quotient is built at most
 once per candidate and kept in this module's cache, keyed by the candidate
 and dropped with it; later calls, for any parameters, return the same
 read-only series.  That cache is the one piece of state here: neither a

@@ -5,7 +5,8 @@ part over a disk sit on the boundary circle; one circle per functional is
 sampled (one FFT, see :func:`~starcert.series.evaluate_grid`), the grid
 extremum is taken at the smallest of the angles that tie for it up to
 rounding, and its angle is refined by Newton steps on the circle's
-trigonometric sum.  Checks the strict hypothesis and
+trigonometric sum; a refined point replaces the grid point only when it
+gains more than that rounding tolerance.  Checks the strict hypothesis and
 conclusion inequalities of each criterion with explicit margins, counts
 zeros of ``f/z`` and ``f'`` by the argument principle, and demonstrates
 the boundary-maximum lemma numerically.
@@ -156,12 +157,14 @@ def _objective(v, sign: float):
 
 
 def _refine_circle(a: Series, r: float, theta0: float, span: float,
-                   sign: float, value0: complex):
+                   sign: float, value0: complex, tol: float):
     """Newton steps on the angle from the grid point ``(theta0, value0)``
     toward the max of ``|a|`` (sign=+1) or min of ``Re a`` (sign=-1) on
     ``|z| = r``, ``a`` being the trigonometric sum of ``c_k r^k``.  Stops on
     wrong-sign curvature, a step out of ``theta0 +- span``, a tiny step or the
-    cap.  Returns refined ``(theta, a(z))`` if better, else the grid point."""
+    cap.  Returns refined ``(theta, a(z))`` if its objective beats the grid
+    value by more than ``tol``, else the grid point: a gain at rounding
+    level is a tie, and a tie stays at the grid angle."""
     # One or three evaluate_grid points per step would cost more than this.
     k = np.arange(a.coeffs.size)
     b = a.coeffs * r ** k
@@ -184,7 +187,7 @@ def _refine_circle(a: Series, r: float, theta0: float, span: float,
             break
     z = r * complex(math.cos(theta), math.sin(theta))
     value = evaluate_grid(a, np.asarray([z]))[0]
-    better = sign * (_objective(value, sign) - _objective(value0, sign)) > 0
+    better = sign * (_objective(value, sign) - _objective(value0, sign)) > tol
     return (theta, value) if better else (theta0, value0)
 
 
@@ -202,7 +205,7 @@ def _circle_extremum(a: Series, r: float, cfg: SamplingConfig,
     theta, value = 2.0 * np.pi * j / cfg.angles, vals[j]
     if cfg.refine:
         theta, value = _refine_circle(
-            a, r, theta, 2.0 * np.pi / cfg.angles, sign, value)
+            a, r, theta, 2.0 * np.pi / cfg.angles, sign, value, tol)
     return Extremum(float(_objective(value, sign)), r, theta, complex(value))
 
 

@@ -9,6 +9,9 @@ multiplying by ``z`` gains one.  Fractional powers of ``z`` never
 materialize; :func:`integrate_offset` factors the ``z^c`` part out
 symbolically, and :func:`pow_unit`, :func:`exp_unit`, :func:`log_unit`
 stay on the principal branch anchored at the unit constant term.
+:func:`div` and :func:`log_unit` multiply by a reciprocal built by Newton
+iteration, O(log N) convolutions; :func:`exp_unit` keeps its O(N^2)
+recurrence, which holds the relative accuracy of small coefficients.
 :func:`evaluate_grid` samples a series on a :class:`Circle` by one FFT and
 at other points by one power table.
 
@@ -167,8 +170,26 @@ def shift(a: Series, k: int) -> Series:
     return Series(a.coeffs[k:])
 
 
+def _reciprocal(b: np.ndarray) -> np.ndarray:
+    """``1/b`` to the length of ``b`` (``b[0] != 0``) by Newton iteration.
+
+    Each step doubles the known length ``k``: ``b x = 1 + z^k r`` modulo
+    ``z^(2k)``, so ``x (2 - b x) = x - z^k x r`` extends ``x`` by ``-x r``
+    and leaves its first ``k`` coefficients as they were.  Two convolutions
+    per step, ``log2`` of the length steps (Kung 1974).
+    """
+    x = np.array([1.0 / b[0]], dtype=np.complex128)
+    while x.size < b.size:
+        k = x.size
+        k2 = min(2 * k, b.size)
+        r = np.convolve(b[:k2], x)[k:k2]
+        x = np.concatenate([x, -np.convolve(x[: k2 - k], r)[: k2 - k]])
+    return x
+
+
 def div(a: Series, b: Series) -> Series:
-    """Series quotient ``q`` with ``mul(q, b) == a`` to truncation.
+    """Series quotient ``q`` with ``mul(q, b) == a`` to truncation: ``a``
+    times the Newton reciprocal of ``b``.
 
     Requires a unit divisor: ``|b0|`` must clear ``UNIT_TOL`` relative to
     the largest retained coefficient of ``b``.
@@ -180,12 +201,7 @@ def div(a: Series, b: Series) -> Series:
         raise NonUnitDivisorError(
             f"non-unit divisor: |b0| = {abs(b0):.3e} below tolerance"
         )
-    q = np.zeros(m + 1, dtype=np.complex128)
-    ac = a.coeffs
-    q[0] = ac[0] / b0
-    for k in range(1, m + 1):
-        q[k] = (ac[k] - np.dot(bc[1 : k + 1], q[k - 1 :: -1])) / b0
-    return Series(q)
+    return Series(np.convolve(a.coeffs[: m + 1], _reciprocal(bc))[: m + 1])
 
 
 def derivative(a: Series) -> Series:
@@ -219,19 +235,19 @@ def exp_unit(a: Series) -> Series:
 
 def log_unit(a: Series) -> Series:
     """Logarithm of a series with unit constant term (principal branch,
-    zero constant term in the result)."""
+    zero constant term in the result): the integral of ``a'`` times the
+    Newton reciprocal of ``a``."""
     scale_ref = max(1.0, float(np.max(np.abs(a.coeffs))))
     if abs(a.coeffs[0] - 1.0) > UNIT_TOL * scale_ref:
         raise SeriesError(
             f"log_unit requires constant term 1, got {a.coeffs[0]}"
         )
     n = a.trunc_order
-    ac = a.coeffs
+    k = np.arange(1, n + 1)
     lg = np.zeros(n + 1, dtype=np.complex128)
-    jl = np.zeros(n + 1, dtype=np.complex128)  # j * l_j, built alongside
-    for k in range(1, n + 1):
-        lg[k] = ac[k] - np.dot(jl[1:k], ac[k - 1 : 0 : -1]) / k
-        jl[k] = k * lg[k]
+    if n:  # log a is the integral of a'/a
+        da = a.coeffs[1:] * k
+        lg[1:] = np.convolve(da, _reciprocal(a.coeffs[:n]))[:n] / k
     return Series(lg)
 
 

@@ -358,6 +358,19 @@ ERROR_SPECS = {
     "half_z.json": {"kind": "COEFFS", "n": 1, "trunc": 8, "coeffs": [[0.5, 0]]},
     "identity.json": {"kind": "BUILTIN", "builtin": "identity", "n": 1,
                       "trunc": 32},
+    # JSON booleans are not numbers, though Python reads true as the int 1
+    "bool_n.json": {"kind": "BUILTIN", "builtin": "identity", "n": True,
+                    "trunc": 32},
+    "bool_trunc.json": {"kind": "BUILTIN", "builtin": "identity", "n": 1,
+                        "trunc": True},
+    "bool_coeff.json": {"kind": "COEFFS", "n": 1, "trunc": 8,
+                        "coeffs": [[True, False]]},
+    "bool_alpha.json": {"kind": "EXTREMAL_B", "n": 1, "trunc": 64,
+                        "extremal": {"alpha": True, "beta": [1, 0],
+                                     "gamma": [1, 0]}},
+    "bool_beta.json": {"kind": "EXTREMAL_B", "n": 1, "trunc": 64,
+                       "extremal": {"alpha": 0.5, "beta": [False, 1],
+                                    "gamma": [1, 0]}},
 }
 THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
 
@@ -393,6 +406,13 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
                  3, id="extremal-emit-coeffs"),
     pytest.param(["identities", "--per-n", "3", "--tol", "1e-3"], 3,
                  id="identities-tol"),
+    pytest.param(["check", "bool_n.json", *THM_B], 3, id="spec-bool-n"),
+    pytest.param(["check", "bool_trunc.json", *THM_B], 3,
+                 id="spec-bool-trunc"),
+    pytest.param(["jack", "bool_coeff.json"], 3, id="spec-bool-coeff"),
+    pytest.param(["check", "bool_alpha.json", *THM_B], 3,
+                 id="spec-bool-alpha"),
+    pytest.param(["check", "bool_beta.json", *THM_B], 3, id="spec-bool-beta"),
 ])
 def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, argv, expected):
     for name, payload in ERROR_SPECS.items():

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from starcert.series import SeriesError, builtin_candidate
+from starcert.series import (
+    SeriesError,
+    builtin_candidate,
+    exp_unit,
+    integrate_offset,
+    monomial,
+    pow_unit,
+    scale,
+    shift,
+)
 from starcert.extremals import (
     DegenerateExtremalError,
     ExtremalFamily,
@@ -128,6 +137,34 @@ def test_resonant_exponent_rejected():
     # inner exponent, and the resonant slot is then exactly empty)
     with pytest.raises(SeriesError):
         build_extremal(params_a(n=2, alpha=0.4, beta=-4.0, gamma=1.0), 64)
+
+
+def series_built_extremal(p, trunc_order):
+    """``build_extremal`` with the inner series ``g`` taken through
+    ``exp_unit``/``pow_unit`` instead of its closed form."""
+    work = trunc_order - 1
+    beta, gamma, n, s = p.beta, p.gamma, p.n, p.S
+    if p.family is ExtremalFamily.EXTREMAL_A:
+        exponent = (s * s - abs(beta) ** 2) / (n * np.conj(beta) * gamma)
+        g = pow_unit(monomial(np.conj(beta) / s, n, work) + 1.0, exponent)
+        c = k = beta / gamma
+        e = gamma / beta
+    else:
+        g = exp_unit(monomial(s / (n * gamma), n, work))
+        c, k = beta / gamma + 1.0, (beta + gamma) / gamma
+        e = gamma / (beta + gamma)
+    fz = pow_unit(scale(integrate_offset(g, c), k), e)
+    return shift(fz, 1).coeffs
+
+
+@pytest.mark.parametrize("family", list(ExtremalFamily))
+def test_closed_form_inner_series_matches_series_construction(family):
+    for p in documented_grid(family):
+        got = build_extremal(p, 128).series.coeffs
+        want = series_built_extremal(p, 128)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), p
+        # the sparsity pattern is exact on both sides
+        assert np.array_equal(got == 0, want == 0), p
 
 
 # ------------------------------------------------------------------ identity B

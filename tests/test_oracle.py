@@ -16,7 +16,12 @@ from starcert.series import (
     tail_estimate,
 )
 from starcert.criteria import CriterionKind, CriterionParams
-from starcert.extremals import ExtremalFamily, ExtremalParams, build_extremal
+from starcert.extremals import (
+    ExtremalFamily,
+    ExtremalParams,
+    build_extremal,
+    documented_grid,
+)
 from starcert.functionals import lhs_a
 from starcert.oracle import (
     DegenerateSeriesError,
@@ -216,6 +221,21 @@ def test_family_b_hypothesis_witness_at_smallest_angle(n):
                            alpha=0.5)
     rep = check_criterion(build_extremal(p, 128), crit, CFG)
     assert rep.hypothesis_witness == (0.995, 0.0)
+
+
+@pytest.mark.parametrize("cfg", [
+    SamplingConfig(),
+    SamplingConfig(radii=tuple(round(0.10 + 0.02 * i, 10) for i in range(45))
+                   + (0.99,), angles=512),
+], ids=["default", "acceptance"])
+def test_grid_family_b_hypothesis_witness_not_moved_by_refinement(cfg):
+    # |S z^n| is constant on the circle, so a refined angle can gain at most
+    # rounding over the grid's theta = 0 and must not replace it
+    for p in documented_grid(ExtremalFamily.EXTREMAL_B):
+        crit = CriterionParams(kind=CriterionKind.THM_B, n=p.n, beta=p.beta,
+                               gamma=p.gamma, alpha=p.alpha)
+        rep = check_criterion(build_extremal(p, 128), crit, cfg)
+        assert rep.hypothesis_witness == (cfg.radii[-1], 0.0), p
 
 
 def test_identity_function_certifies_lemma_a():

@@ -146,6 +146,75 @@ def test_div_then_mul_reconstructs(order, seed):
     assert max_coeff_diff(mul(div(a, b), b), a) < 1e-12
 
 
+# O(N^2) recurrences that div and log_unit replace, kept as references for
+# the Newton reciprocal.
+def ref_div(a, b):
+    a, b = a.coeffs, b.coeffs
+    q = np.zeros(min(a.size, b.size), dtype=complex)
+    q[0] = a[0] / b[0]
+    for k in range(1, q.size):
+        q[k] = (a[k] - np.dot(b[1 : k + 1], q[k - 1 :: -1])) / b[0]
+    return q
+
+
+def ref_log(a):
+    a = a.coeffs
+    lg = np.zeros(a.size, dtype=complex)
+    for k in range(1, a.size):
+        lg[k] = a[k] - np.dot(np.arange(1, k) * lg[1:k], a[k - 1 : 0 : -1]) / k
+    return lg
+
+
+def rel_diff(got, want):
+    return float(np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
+
+
+KERNEL_ORDERS = (0, 1, 2, 7, 48, 128, 256)
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+def test_div_matches_recurrence(order):
+    rng = np.random.default_rng(order)
+    for _ in range(5):
+        a = rand_series(rng, order)
+        b = rand_series(rng, order, amp=0.5, decay=0.55,
+                        unit=rng.uniform(0.5, 2) * np.exp(2j * rng.uniform(0, 3)))
+        assert rel_diff(div(a, b).coeffs, ref_div(a, b)) < 1e-13
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+def test_log_unit_matches_recurrence(order):
+    rng = np.random.default_rng(100 + order)
+    for _ in range(5):
+        a = rand_series(rng, order, amp=0.5, decay=0.55, unit=1.0)
+        got = log_unit(a).coeffs
+        assert got[0] == 0
+        assert rel_diff(got, ref_log(a)) < 1e-13
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+def test_div_truncated_koebe_exact(order):
+    # small integers, so neither path rounds: 1/(1-z)^2 is u = f/z of the
+    # Koebe function, and zf'/f = (u + z u')/u is (1+z)/(1-z)
+    k = np.arange(order + 1)
+    u = make_series(k + 1.0)
+    den = make_series(np.r_[1.0, -2.0, 1.0, np.zeros(order)][: order + 1])
+    ones = make_series(k == 0)
+    assert np.array_equal(div(ones, den).coeffs, u.coeffs)
+    starlike = div(make_series((k + 1.0) ** 2), u).coeffs
+    assert np.array_equal(starlike, np.where(k == 0, 1.0, 2.0))
+    assert np.array_equal(starlike, ref_div(make_series((k + 1.0) ** 2), u))
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+def test_kernels_refuse_non_unit_constant(order):
+    rng = np.random.default_rng(order)
+    with pytest.raises(NonUnitDivisorError):
+        div(rand_series(rng, order), rand_series(rng, order, unit=0.0))
+    with pytest.raises(SeriesError):
+        log_unit(rand_series(rng, order, unit=1.5))
+
+
 # ---------------------------------------------------------------- derivative
 
 def test_derivative_polynomial():

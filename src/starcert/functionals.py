@@ -13,8 +13,12 @@ functional only recombines them with beta, gamma, alpha or a centre.
 So each quotient is built at most
 once per candidate and kept in this module's cache, keyed by the candidate
 and dropped with it; later calls, for any parameters, return the same
-read-only series.  That cache is the one piece of state here: neither a
-candidate nor a cached series can change, so sharing changes no result.
+read-only series.  The cache also holds the parts of the two rewrite
+identities that no (beta, gamma) pair changes (``1 + w``, ``w``, ``z w'``
+and ``z w' + w``, read-only series too), so each identity residual costs
+one combination, one product and one right-hand side.  That cache is the
+one piece of state here: neither a candidate nor a cached series can
+change, so sharing changes no result.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .series import (
     div,
     max_coeff_diff,
     mul,
-    scale,
     shift,
 )
 
@@ -54,16 +57,16 @@ def unit_part(f: SchlichtCandidate) -> Series:
     return shift(f.series, -1)
 
 
-# Candidate -> {quotient builder: series}; a candidate hashes by identity.
+# Candidate -> {builder: what it built}; a candidate hashes by identity.
 _quotients: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _once_per_candidate(build):
-    """Run ``build(f)`` once per candidate; later calls return the series
+    """Run ``build(f)`` once per candidate; later calls return the value
     the first call stored in the quotient cache."""
 
     @functools.wraps(build)
-    def cached(f: SchlichtCandidate) -> Series:
+    def cached(f: SchlichtCandidate):
         store = _quotients.setdefault(f, {})
         if build not in store:
             store[build] = build(f)
@@ -97,8 +100,8 @@ def _combination(f: SchlichtCandidate, x: complex, y: complex,
                  c0: complex) -> Series:
     """``x zf'/f + y (1 + zf''/f')`` with its constant term set to exactly
     ``c0``."""
-    out = scale(starlike_quotient(f), x) + scale(convex_quotient(f), y)
-    c = out.coeffs.copy()
+    c = (starlike_quotient(f).coeffs * complex(x)
+         + convex_quotient(f).coeffs * complex(y))
     c[0] = c0
     return Series(c)
 
@@ -126,21 +129,39 @@ def centered_quotient(f: SchlichtCandidate, center: float) -> Series:
     return w_func(f) + (1.0 - center)
 
 
+@dataclass(frozen=True)
+class _IdentityParts:
+    """The series of both rewrite identities that no (beta, gamma) pair
+    changes: ``1 + w``, ``w``, ``z w'`` and ``z w' + w``."""
+
+    one_plus_w: Series
+    w: Series
+    zwp: Series
+    zwp_plus_w: Series
+
+
+@_once_per_candidate
+def _identity_parts(f: SchlichtCandidate) -> _IdentityParts:
+    w = w_func(f)
+    zwp = shift(derivative(w), 1)
+    return _IdentityParts(w + 1.0, w, zwp, add(zwp, w))
+
+
 def identity_a_residual(f: SchlichtCandidate, beta: complex, gamma: complex) -> float:
     """Max coefficient residual of ``lhs_a * (1 + w) - (beta - gamma z w')``."""
-    w = w_func(f)
-    left = mul(lhs_a(f, beta, gamma), w + 1.0)
-    right = scale(shift(derivative(w), 1), -gamma) + beta
-    return max_coeff_diff(left, right)
+    p = _identity_parts(f)
+    left = mul(lhs_a(f, beta, gamma), p.one_plus_w)
+    right = p.zwp.coeffs * complex(-gamma)
+    right[0] += complex(beta)
+    return max_coeff_diff(left, Series(right))
 
 
 def identity_b_residual(f: SchlichtCandidate, beta: complex, gamma: complex) -> float:
     """Max coefficient residual of ``lhs_b * (1 + w) + (beta w + gamma (z w' + w))``."""
-    w = w_func(f)
-    left = mul(lhs_b(f, beta, gamma), w + 1.0)
-    zwp = shift(derivative(w), 1)
-    right = scale(w, beta) + scale(add(zwp, w), gamma)
-    return max_coeff_diff(left, scale(right, -1.0))
+    p = _identity_parts(f)
+    left = mul(lhs_b(f, beta, gamma), p.one_plus_w)
+    right = -(p.w.coeffs * complex(beta) + p.zwp_plus_w.coeffs * complex(gamma))
+    return max_coeff_diff(left, Series(right))
 
 
 # Scale and geometric decay of random_candidate's tail coefficients.
@@ -183,8 +204,12 @@ def identity_sweep(ns=(1, 2, 3), per_n: int = 100, pairs: int = 5,
 
     Draws ``per_n`` random candidates for each class index and ``pairs``
     random (beta, gamma) pairs, returning the largest residual seen for
-    each identity.
+    each identity.  A sweep that would check nothing is refused.
     """
+    if per_n < 1 or pairs < 1:
+        raise ParameterError(
+            f"identity sweep needs per_n >= 1 and pairs >= 1, got "
+            f"per_n={per_n}, pairs={pairs}")
     rng = np.random.default_rng(seed)
     bg = [
         (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),

@@ -297,16 +297,19 @@ def evaluate_grid(a: Series, z: np.ndarray | Circle) -> np.ndarray:
     """Values of ``a`` at every point of ``z``: an array of points, or a
     :class:`Circle`.
 
-    On a circle the values are one inverse FFT of the weights ``c_k r^k``
-    folded modulo ``m``: ``e^(2 pi i j k / m)`` depends on ``k mod m`` only,
-    and a transform of length ``m`` would otherwise drop the weights past
-    ``m``.  At points they are one power table times the coefficients.
+    On a circle the values are one inverse FFT of length ``m`` of the
+    weights ``c_k r^k``, zero-filled to ``m`` when there are fewer.  When
+    there are more, they are first folded modulo ``m``: ``e^(2 pi i j k / m)``
+    depends on ``k mod m`` only, and the transform would otherwise drop the
+    weights past ``m``.  At points they are one power table times the
+    coefficients.
     """
     c = a.coeffs
     if isinstance(z, Circle):
         b = c * z.r ** np.arange(c.size)
-        b = np.pad(b, (0, -b.size % z.m)).reshape(-1, z.m).sum(0)
-        return np.fft.ifft(b, norm="forward")
+        if b.size > z.m:
+            b = np.pad(b, (0, -b.size % z.m)).reshape(-1, z.m).sum(0)
+        return np.fft.ifft(b, n=z.m, norm="forward")
     z = np.asarray(z)
     return (np.vander(z.ravel(), c.size, increasing=True) @ c).reshape(z.shape)
 

@@ -413,6 +413,12 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
     pytest.param(["check", "bool_alpha.json", *THM_B], 3,
                  id="spec-bool-alpha"),
     pytest.param(["check", "bool_beta.json", *THM_B], 3, id="spec-bool-beta"),
+    pytest.param(["identities", "--pairs", "0"], 3, id="identities-no-pairs"),
+    pytest.param(["identities", "--per-n", "0"], 3, id="identities-no-functions"),
+    pytest.param(["identities", "--per-n", "-3"], 3,
+                 id="identities-negative-per-n"),
+    pytest.param(["identities", "--pairs", "-1"], 3,
+                 id="identities-negative-pairs"),
 ])
 def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, argv, expected):
     for name, payload in ERROR_SPECS.items():

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from starcert.series import (
     Series,
@@ -13,6 +14,7 @@ from starcert.series import (
     shift,
 )
 from starcert.functionals import (
+    ParameterError,
     centered_quotient,
     convex_quotient,
     identity_a_residual,
@@ -239,3 +241,68 @@ def test_identity_sweep_summary():
     assert res.functions == 15
     assert res.max_residual_a < 1e-10
     assert res.max_residual_b < 1e-10
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"per_n": 0}, {"per_n": -3}, {"pairs": 0}, {"pairs": -1},
+])
+def test_identity_sweep_refuses_to_check_nothing(kwargs):
+    with pytest.raises(ParameterError):
+        identity_sweep(trunc_order=24, **kwargs)
+
+
+# ------------------------------------------- Series-operation references
+# The functionals build their sums as single arrays; these are the same
+# formulas written as Series operations.  The arithmetic on each
+# coefficient is the same, so the results must be equal, not close.
+
+def _combination_reference(f, x, y, c0):
+    out = scale(starlike_quotient(f), x) + scale(convex_quotient(f), y)
+    c = out.coeffs.copy()
+    c[0] = c0
+    return Series(c)
+
+
+def _residual_a_reference(f, beta, gamma):
+    w = w_func(f)
+    left = mul(_combination_reference(f, beta - gamma, gamma, beta), w + 1.0)
+    right = scale(shift(derivative(w), 1), -gamma) + beta
+    return max_coeff_diff(left, right)
+
+
+def _residual_b_reference(f, beta, gamma):
+    w = w_func(f)
+    left = mul(_combination_reference(f, beta, gamma, 0.0), w + 1.0)
+    right = scale(w, beta) + scale(add(shift(derivative(w), 1), w), gamma)
+    return max_coeff_diff(left, scale(right, -1.0))
+
+
+def _reference_candidates():
+    rng = np.random.default_rng(RNG_SEED + 9)
+    for order in (8, 24, 48, 128):
+        for n in (1, 2, 3):
+            yield random_candidate(n, order, rng)
+        for name in ("koebe", "halfplane", "identity"):
+            yield builtin_candidate(name, order)
+
+
+def test_functionals_equal_series_operation_reference():
+    rng = np.random.default_rng(RNG_SEED + 10)
+    for f in _reference_candidates():
+        pairs = [(complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2)))
+                 for _ in range(3)] + [(0.0, 1.0), (1.0 + 0j, 1.0 + 0j)]
+        for beta, gamma in pairs:
+            assert np.array_equal(
+                lhs_a(f, beta, gamma).coeffs,
+                _combination_reference(f, beta - gamma, gamma, beta).coeffs)
+            assert np.array_equal(
+                lhs_b(f, beta, gamma).coeffs,
+                _combination_reference(f, beta, gamma, 0.0).coeffs)
+            assert (identity_a_residual(f, beta, gamma)
+                    == _residual_a_reference(f, beta, gamma))
+            assert (identity_b_residual(f, beta, gamma)
+                    == _residual_b_reference(f, beta, gamma))
+        for alpha in (0.0, 0.3, 1.0, -0.5, 2.5):
+            assert np.array_equal(
+                mocanu_functional(f, alpha).coeffs,
+                _combination_reference(f, 1.0 - alpha, alpha, 1.0).coeffs)

@@ -5,6 +5,7 @@ The uncached reference is built here, on a fresh ``SchlichtCandidate`` with
 the same series for every call, so no call can see another's quotients.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -152,6 +153,44 @@ def test_identity_sweep_divides_three_times_per_candidate(div_calls, pairs):
     res = identity_sweep(ns=(1, 2), per_n=2, pairs=pairs, trunc_order=24)
     assert res.functions == 4
     assert len(div_calls) == 3 * res.functions
+
+
+@pytest.fixture
+def part_calls(monkeypatch):
+    """Calls functionals makes to ``w_func``, ``derivative`` and ``mul``."""
+    counts = collections.Counter()
+    for name in ("w_func", "derivative", "mul"):
+        original = getattr(functionals, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(functionals, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("pairs", [1, 3, 5])
+def test_identity_sweep_builds_pair_parts_once_per_candidate(part_calls, pairs):
+    res = identity_sweep(ns=(1, 2), per_n=2, pairs=pairs, trunc_order=24)
+    assert res.functions == 4
+    # w is looked up once per candidate, by the identity parts, not per residual
+    assert part_calls["w_func"] == res.functions
+    # zf'/f one, 1 + zf''/f' two, w one, and z w' of the identity parts
+    assert part_calls["derivative"] == 5 * res.functions
+    # one product per residual
+    assert part_calls["mul"] == 2 * pairs * res.functions
+
+
+def test_identity_parts_are_shared_and_read_only():
+    f = sample_candidates()[1]
+    parts = functionals._identity_parts(f)
+    identity_a_residual(f, 0.3, 1.0 - 0.5j)
+    identity_b_residual(f, -0.2j, 0.7)
+    assert functionals._identity_parts(f) is parts
+    assert parts.w is w_func(f)
+    for s in (parts.one_plus_w, parts.w, parts.zwp, parts.zwp_plus_w):
+        assert not s.coeffs.flags.writeable
 
 
 @pytest.mark.parametrize("kind, expected", [

@@ -405,6 +405,25 @@ def test_evaluate_circle_constant_exact(order):
     assert np.all(evaluate_grid(s, Circle(0.9, 64)) == 2.5 - 1.25j)
 
 
+def _folded_circle_reference(s, circle):
+    """Weights padded to a multiple of ``m``, folded, then one FFT."""
+    b = s.coeffs * circle.r ** np.arange(s.coeffs.size)
+    b = np.pad(b, (0, -b.size % circle.m)).reshape(-1, circle.m).sum(0)
+    return np.fft.ifft(b, norm="forward")
+
+
+@pytest.mark.parametrize("order, m", [
+    (31, 64), (128, 512), (256, 2048),      # order + 1 < m: zero-filled
+    (63, 64), (0, 1),                       # order + 1 == m
+    (64, 64), (300, 256), (128, 100),       # order + 1 > m: folded
+])
+def test_evaluate_circle_equals_folded_reference(order, m):
+    s = rand_series(np.random.default_rng(order + m), order)
+    circle = Circle(0.95, m)
+    assert np.array_equal(evaluate_grid(s, circle),
+                          _folded_circle_reference(s, circle))
+
+
 def test_circle_size_is_its_point_count():
     assert Circle(0.5, 2048).size == 2048
 

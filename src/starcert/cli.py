@@ -402,29 +402,22 @@ def cmd_extremal(args) -> int:
         c = f.series.coeffs[i]
         print(f"a_{i} = {_fmt_c(complex(c))}")
 
-    selfcheck: dict = {}
     if params.family is ExtremalFamily.EXTREMAL_B:
         resid = verify_identity_b(f, params)
         print(f"identity residual |lhs_b - S z^n|: {resid!r}")
-        selfcheck["identity_residual"] = resid
-        crit_kind = CriterionKind.THM_B
     else:
-        probe = probe_identity_a(f, params)
-        print(f"closed-form match: {probe.matched} "
-              f"(beta-form residual {probe.residual_beta_form!r}, "
-              f"gamma-form residual {probe.residual_gamma_form!r})")
-        selfcheck["probe"] = probe
-        crit_kind = CriterionKind.THM_A
+        resid = probe_identity_a(f, params)
+        print(f"identity residual |lhs_a - (S z^n + beta)/(1 + (conj(beta)/S) z^n)|: "
+              f"{resid!r}")
 
-    crit = CriterionParams(kind=crit_kind, n=params.n, beta=params.beta,
-                           gamma=params.gamma, alpha=params.alpha)
+    crit = params.criterion
     rep = check_criterion(f, crit, cfg)
     _print_verification(rep)
     _write_out(args, "extremal", {
         "extremal_params": params,
         "trunc": args.trunc,
         "coefficients": [complex(c) for c in f.series.coeffs[: k + 1]],
-        "selfcheck": selfcheck,
+        "selfcheck": {"identity_residual": resid},
         "criterion_params": crit,
         "sampling": cfg,
         "result": rep,

@@ -14,12 +14,16 @@ scale ``k`` and ``e`` depend on the family:
 * family B:  g = exp((S/(n gamma)) z^n),
   c = beta/gamma + 1, k = (beta + gamma)/gamma, e = gamma/(beta + gamma).
 
-Family B satisfies the exact coefficient identity
-``beta (zf'/f - 1) + gamma zf''/f' = S z^n``, checked by
-:func:`verify_identity_b`.  Family A's test functional admits a Moebius
-closed form in ``z^n``; :func:`probe_identity_a` compares the computed
-series against the two natural variants (built from beta and from gamma)
-and reports which one holds.
+Each family's hypothesis functional equals a closed form in ``z^n``, and
+each self-check is the largest coefficient residual against it:
+
+* family A:  ``lhs_a(f) = (S z^n + beta) / (1 + (conj(beta)/S) z^n)``,
+  checked by :func:`probe_identity_a`;
+* family B:  ``lhs_b(f) = S z^n``, checked by :func:`verify_identity_b`.
+
+Family A's functional is ``beta`` at the origin, so its hypothesis
+``|lhs_a| < S`` needs ``|beta| < S``; :class:`ExtremalParams` refuses the
+rest as inadmissible.
 """
 
 from __future__ import annotations
@@ -35,18 +39,15 @@ from .series import (
     Series,
     SeriesError,
     as_schlicht,
-    div,
     integrate_offset,
     monomial,
     pow_unit,
+    require_trunc_order,
     scale,
     shift,
 )
 from .functionals import lhs_a, lhs_b
 from .criteria import CriterionKind, CriterionParams, build_spec
-
-# Coefficient residual below which lhs_a matches a closed form.
-_MATCH_TOL = 1e-9
 
 
 class ExtremalFamily(Enum):
@@ -93,9 +94,7 @@ class ExtremalParams:
         if not 0.0 < self.alpha < 1.0:
             raise SeriesError(f"alpha must lie in (0, 1), got {self.alpha}")
         family_a = self.family is ExtremalFamily.EXTREMAL_A
-        spec = build_spec(CriterionParams(
-            kind=CriterionKind.THM_A if family_a else CriterionKind.THM_B,
-            n=self.n, beta=self.beta, gamma=self.gamma, alpha=self.alpha))
+        spec = build_spec(self.criterion)
         s = spec.rhs_bound
         scale_ref = max(abs(self.beta), abs(self.gamma))
         if family_a:
@@ -111,12 +110,24 @@ class ExtremalParams:
         if not spec.admissible:
             raise InadmissibleExtremalError(constraint,
                                             spec.admissibility_margin)
+        if family_a and abs(self.beta) >= s:
+            # lhs_a(0) = beta, so the hypothesis already fails at the origin
+            raise InadmissibleExtremalError("|beta| < S", s - abs(self.beta))
         object.__setattr__(self, "S", float(s))
+
+    @property
+    def criterion(self) -> CriterionParams:
+        """The theorem the family's extremal is built for: THM_A or THM_B."""
+        kind = (CriterionKind.THM_A if self.family is ExtremalFamily.EXTREMAL_A
+                else CriterionKind.THM_B)
+        return CriterionParams(kind=kind, n=self.n, beta=self.beta,
+                               gamma=self.gamma, alpha=self.alpha)
 
 
 def build_extremal(p: ExtremalParams, trunc_order: int = DEFAULT_TRUNC_ORDER
                    ) -> SchlichtCandidate:
     """The family's candidate ``z (k h)^e`` at the given truncation order."""
+    require_trunc_order(trunc_order, p.n)
     work = trunc_order - 1
     beta, gamma, n, s = p.beta, p.gamma, p.n, p.S
     j = np.arange(1, work // n + 1)
@@ -140,68 +151,41 @@ def build_extremal(p: ExtremalParams, trunc_order: int = DEFAULT_TRUNC_ORDER
     return as_schlicht(n, shift(fz, 1))
 
 
+def _residual(left: Series, target: np.ndarray) -> float:
+    """Max coefficient residual of ``left - target``, skipping the top two
+    retained orders (truncation casualties)."""
+    resid = np.abs(left.coeffs - target)
+    return float(resid[: max(1, resid.size - 2)].max())
+
+
 def verify_identity_b(f: SchlichtCandidate, p: ExtremalParams) -> float:
-    """Max coefficient residual of ``lhs_b(f) - S z^n``, skipping the top
-    two retained orders (truncation casualties)."""
+    """Coefficient residual of ``lhs_b(f) - S z^n``."""
     left = lhs_b(f, p.beta, p.gamma)
-    target = monomial(p.S, p.n, left.trunc_order)
-    resid = np.abs(left.coeffs - target.coeffs)
-    keep = max(1, resid.size - 2)
-    return float(resid[:keep].max())
+    return _residual(left, monomial(p.S, p.n, left.trunc_order).coeffs)
 
 
-@dataclass(frozen=True)
-class ProbeIdentityA:
-    """Outcome of comparing family A's functional to both closed forms."""
-
-    residual_beta_form: float
-    residual_gamma_form: float
-    matches_beta_form: bool
-    matches_gamma_form: bool
-    matched: str                    # "beta_form" | "gamma_form" | "both" | "neither"
-
-
-def _moebius_form(x: complex, s: float, n: int, order: int) -> Series:
-    num = monomial(s, n, order) + complex(x)
-    den = monomial(np.conj(x) / s, n, order) + 1.0
-    return div(num, den)
-
-
-def probe_identity_a(f: SchlichtCandidate,
-                     p: ExtremalParams) -> ProbeIdentityA:
-    """Compare ``lhs_a(f)`` against the beta- and gamma-built Moebius
-    forms; ``check_criterion`` samples its sup as the THM_A hypothesis."""
+def probe_identity_a(f: SchlichtCandidate, p: ExtremalParams) -> float:
+    """Coefficient residual of
+    ``lhs_a(f) - (S z^n + beta) / (1 + (conj(beta)/S) z^n)``, the target
+    written from its expansion
+    ``beta + (S - |beta|^2/S) sum_(j>=1) (-conj(beta)/S)^(j-1) z^(nj)``."""
     left = lhs_a(f, p.beta, p.gamma)
-    order = left.trunc_order
-    keep = max(1, order - 1)
-
-    def resid(x: complex) -> float:
-        diff = np.abs(left.coeffs - _moebius_form(x, p.S, p.n, order).coeffs)
-        return float(diff[:keep].max())
-
-    r_beta = resid(p.beta)
-    r_gamma = resid(p.gamma)
-    m_beta = r_beta < _MATCH_TOL
-    m_gamma = r_gamma < _MATCH_TOL
-    matched = {(True, True): "both", (True, False): "beta_form",
-               (False, True): "gamma_form", (False, False): "neither"}[
-        (m_beta, m_gamma)]
-    return ProbeIdentityA(
-        residual_beta_form=r_beta,
-        residual_gamma_form=r_gamma,
-        matches_beta_form=m_beta,
-        matches_gamma_form=m_gamma,
-        matched=matched,
-    )
+    beta, n, s = p.beta, p.n, p.S
+    target = np.zeros(left.trunc_order + 1, dtype=np.complex128)
+    target[0] = beta
+    ratio = -np.conj(beta) / s
+    target[n::n] = ((s - abs(beta) ** 2 / s)
+                    * ratio ** np.arange(left.trunc_order // n))
+    return _residual(left, target)
 
 
 # Documented parameter grid for the built-in sweeps.  Pairs are chosen to
 # keep every admissibility margin at or above 0.1 for all n in {1,2,3} and
 # alpha in {0.3, 0.5, 0.7}.  The family-A pairs additionally keep |beta|
-# well below S (the bound |lhs_a(0)| = |beta| < S makes that necessary)
-# and keep beta/gamma on the positive real axis: for misaligned ratios the
-# family-A conclusion overshoots its disk even though the sup bound holds,
-# so only aligned pairs certify end to end.
+# well below S (ExtremalParams refuses |beta| >= S) and keep beta/gamma on
+# the positive real axis: for misaligned ratios the family-A conclusion
+# overshoots its disk even though the sup bound holds, so only aligned
+# pairs certify end to end.
 GRID_NS = (1, 2, 3)
 GRID_ALPHAS = (0.3, 0.5, 0.7)
 GRID_PAIRS_A = (

@@ -204,12 +204,19 @@ def identity_sweep(ns=(1, 2, 3), per_n: int = 100, pairs: int = 5,
 
     Draws ``per_n`` random candidates for each class index and ``pairs``
     random (beta, gamma) pairs, returning the largest residual seen for
-    each identity.  A sweep that would check nothing is refused.
+    each identity.  A sweep that would check nothing, or whose candidates
+    or random draws cannot be built, is refused.
     """
     if per_n < 1 or pairs < 1:
         raise ParameterError(
             f"identity sweep needs per_n >= 1 and pairs >= 1, got "
             f"per_n={per_n}, pairs={pairs}")
+    if trunc_order < max(ns) + 2:
+        raise ParameterError(
+            f"identity sweep needs trunc_order >= max(ns) + 2 = "
+            f"{max(ns) + 2}, got {trunc_order}")
+    if seed < 0:
+        raise ParameterError(f"identity sweep needs seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     bg = [
         (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),

@@ -197,9 +197,11 @@ def div(a: Series, b: Series) -> Series:
     m = min(a.trunc_order, b.trunc_order)
     bc = b.coeffs[: m + 1]
     b0 = bc[0]
-    if abs(b0) < UNIT_TOL * max(1.0, float(np.max(np.abs(bc)))):
+    scale_ref = max(1.0, float(np.max(np.abs(bc))))
+    if abs(b0) < UNIT_TOL * scale_ref:
         raise NonUnitDivisorError(
-            f"non-unit divisor: |b0| = {abs(b0):.3e} below tolerance"
+            f"non-unit divisor: |b0| = {abs(b0):.3e} is below "
+            f"{UNIT_TOL:g} × max(1, max|b_k|) = {scale_ref:.1e}"
         )
     return Series(np.convolve(a.coeffs[: m + 1], _reciprocal(bc))[: m + 1])
 
@@ -351,6 +353,15 @@ def max_coeff_diff(a: Series, b: Series) -> float:
     return float(np.max(np.abs(a.coeffs[: m + 1] - b.coeffs[: m + 1])))
 
 
+def require_trunc_order(trunc_order: int, n: int) -> None:
+    """Refuse a truncation order too small for a class-``n`` candidate."""
+    if trunc_order < n + 2:
+        raise SeriesError(
+            f"truncation order {trunc_order} too small for n={n}; "
+            f"need at least {n + 2}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class SchlichtCandidate:
     """A series certified to have the normalized class shape: ``c0 = 0``,
@@ -365,11 +376,7 @@ class SchlichtCandidate:
         if self.n < 1:
             raise SeriesError(f"class index n must be >= 1, got {self.n}")
         s = self.series
-        if s.trunc_order < self.n + 2:
-            raise SeriesError(
-                f"truncation order {s.trunc_order} too small for n={self.n}; "
-                f"need at least {self.n + 2}"
-            )
+        require_trunc_order(s.trunc_order, self.n)
         c = s.coeffs
         if c[0] != 0 or c[1] != 1:
             raise SeriesError(

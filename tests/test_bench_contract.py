@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from starcert import oracle
+from starcert import cli, oracle
 from starcert.criteria import CriterionKind, CriterionParams
 from starcert.extremals import ExtremalFamily, ExtremalParams, build_extremal
 
@@ -66,3 +66,16 @@ def test_tracer_hooks_read_the_oracle_records():
     assert m["oracle.sup_on_disk.calls"] > 0
     assert m["oracle.min_real_on_disk.calls"] > 0
     assert m["oracle.circles_sampled"] > 0
+
+
+@pytest.mark.parametrize("family", list(ExtremalFamily))
+def test_extremal_selfcheck_is_one_traced_call(family, capsys):
+    tracer = TRACING.Tracer()
+    with tracer.installed():
+        code = cli.main(["extremal", "--family", family.value, "--n", "1",
+                         "--alpha", "0.4", "--beta", "0,0.2", "--gamma", "1",
+                         "--trunc", "32", "--radii", "0.5,0.9",
+                         "--angles", "64"])
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.metrics()["extremals.selfcheck.calls"] == 1

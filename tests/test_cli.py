@@ -249,12 +249,20 @@ def test_extremal_b_reference_run(tmp_path, capsys):
     assert "verdict: CERTIFIED_SAMPLED" in out
 
 
-def test_extremal_a_probe_run(capsys):
+def test_extremal_a_probe_run(tmp_path, capsys):
+    report = tmp_path / "ext.json"
     code = main(["extremal", "--family", "EXTREMAL_A", "--n", "1",
-                 "--alpha", "0.4", "--beta", "0,0.2", "--gamma", "1", *FAST])
+                 "--alpha", "0.4", "--beta", "0,0.2", "--gamma", "1", *FAST,
+                 "--out", str(report)])
     out = capsys.readouterr().out
     assert code == 0
-    assert "closed-form match: beta_form" in out
+    label = ("identity residual |lhs_a - (S z^n + beta)/"
+             "(1 + (conj(beta)/S) z^n)|: ")
+    line, = (ln for ln in out.splitlines() if ln.startswith(label))
+    resid = float(line[len(label):])
+    assert resid < 1e-9
+    selfcheck = json.loads(report.read_text())["report"]["selfcheck"]
+    assert selfcheck == {"identity_residual": resid}
 
 
 def test_extremal_negative_complex_flag(capsys):
@@ -280,6 +288,25 @@ def test_extremal_beta_plus_gamma_zero_exit_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "beta+gamma=0" in err
+
+
+@pytest.mark.parametrize("runner", ["extremal", "check"])
+def test_extremal_a_beta_beyond_s_exit_2(tmp_path, capsys, runner):
+    # admissible ratio, but |beta| = 1 exceeds S = |1 - i|/2
+    if runner == "extremal":
+        argv = ["extremal", "--family", "EXTREMAL_A", "--n", "1", "--alpha",
+                "0.4", "--beta", "0,1", "--gamma", "1"]
+    else:
+        spec = write_spec(tmp_path, "a.json", {
+            "kind": "EXTREMAL_A", "n": 1, "trunc": 64,
+            "extremal": {"alpha": 0.4, "beta": [0, 1], "gamma": [1, 0]}})
+        argv = ["check", spec, "--kind", "THM_A", "--beta", "0,1", "--gamma",
+                "1", "--alpha", "0.4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("rejected: inadmissible extremal parameters: "
+                            "|beta| < S (margin -0.292893)\n")
 
 
 def test_extremal_inadmissible_exit_2_names_margin(capsys):
@@ -384,6 +411,12 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
     pytest.param(["extremal", "--family", "EXTREMAL_B", "--n", "1", "--alpha",
                   "1.5", "--beta", "1", "--gamma", "1"], 2,
                  id="extremal-alpha-out-of-range"),
+    pytest.param(["extremal", "--family", "EXTREMAL_B", "--n", "1", "--alpha",
+                  "0.5", "--beta", "1", "--gamma", "1", "--trunc", "0"], 2,
+                 id="extremal-trunc-0"),
+    pytest.param(["extremal", "--family", "EXTREMAL_B", "--n", "1", "--alpha",
+                  "0.5", "--beta", "1", "--gamma", "1", "--trunc", "1"], 2,
+                 id="extremal-trunc-1"),
     pytest.param(["jack", "zero.json"], 2, id="jack-zero-series"),
     pytest.param(["jack", "half_z.json", "--radius", "1.5"], 3,
                  id="jack-radius"),
@@ -419,6 +452,13 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
                  id="identities-negative-per-n"),
     pytest.param(["identities", "--pairs", "-1"], 3,
                  id="identities-negative-pairs"),
+    pytest.param(["identities", "--trunc", "0"], 3, id="identities-trunc-0"),
+    pytest.param(["identities", "--trunc", "-2"], 3,
+                 id="identities-negative-trunc"),
+    pytest.param(["identities", "--seed", "-1"], 3,
+                 id="identities-negative-seed"),
+    pytest.param(["identities", "--trunc", "4"], 3,
+                 id="identities-trunc-below-n-plus-2"),
 ])
 def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, argv, expected):
     for name, payload in ERROR_SPECS.items():
@@ -428,6 +468,17 @@ def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, argv, expected):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
+
+
+def test_non_unit_divisor_names_the_relative_floor(tmp_path, capsys):
+    # b0 = 1 is refused because the floor scales with a_8 = 1e13
+    spec = write_spec(tmp_path, "big.json", {
+        "kind": "COEFFS", "n": 1, "trunc": 8,
+        "coeffs": [[0, 0]] * 6 + [[1e13, 0]]})
+    assert main(["check", spec, *THM_B]) == 2
+    assert capsys.readouterr().err == (
+        "rejected: non-unit divisor: |b0| = 1.000e+00 is below "
+        "1e-12 × max(1, max|b_k|) = 1.0e+13\n")
 
 
 # ------------------------------------------------------------------- reports

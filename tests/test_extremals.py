@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from starcert.series import (
+    ResonantExponentError,
     SeriesError,
     builtin_candidate,
     exp_unit,
@@ -94,11 +95,21 @@ def test_inadmissible_raises_with_margin():
 
 # ---------------------------------------------------------------- construction
 
-def test_spec_example_construction_succeeds():
-    # admissible but |beta| > S: construction is fine, certification is not
-    p = params_a(n=1, alpha=0.4, beta=1j, gamma=1.0)
-    f = build_extremal(p, 64)
-    assert f.series.coeffs[0] == 0 and f.series.coeffs[1] == 1
+def test_spec_example_beta_beyond_s_refused():
+    # admissible, but lhs_a(0) = beta already breaks |lhs_a| < S
+    with pytest.raises(InadmissibleExtremalError) as exc:
+        params_a(n=1, alpha=0.4, beta=1j, gamma=1.0)
+    assert exc.value.constraint == "|beta| < S"
+    assert exc.value.margin == pytest.approx(0.5 * abs(1 - 1j) - 1.0,
+                                             rel=1e-15)
+
+
+def test_beta_equal_to_s_refused():
+    # n = 3, alpha = 0.4 gives S = |3 - beta| / 2 = 1 = |beta|
+    with pytest.raises(InadmissibleExtremalError) as exc:
+        params_a(n=3, alpha=0.4, beta=1.0, gamma=1.0)
+    assert exc.value.constraint == "|beta| < S"
+    assert exc.value.margin == 0.0
 
 
 def test_extremal_b_reference_coefficients():
@@ -132,11 +143,20 @@ def test_sparsity_pattern_matches_structure():
 
 
 def test_resonant_exponent_rejected():
-    # beta/gamma = -4 puts c + k at zero for the k=4 structure power
-    # (beta/gamma = -n is not usable here: it forces S = |beta|, a zero
-    # inner exponent, and the resonant slot is then exactly empty)
-    with pytest.raises(SeriesError):
-        build_extremal(params_a(n=2, alpha=0.4, beta=-4.0, gamma=1.0), 64)
+    # beta/gamma = -(2 - 1e-10) puts c + k within 1e-10 of zero at k = 2,
+    # while |beta| stays just below S = |2 + beta/2| = 2 - 5e-11
+    p = params_a(n=2, alpha=0.4, beta=-(2 - 1e-10), gamma=1.0)
+    with pytest.raises(ResonantExponentError) as exc:
+        build_extremal(p, 64)
+    assert exc.value.k == 2
+    assert abs(exc.value.offset + 2) == pytest.approx(1e-10, rel=1e-5)
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 2])
+def test_truncation_too_small_refused_before_construction(trunc):
+    with pytest.raises(SeriesError, match=f"truncation order {trunc} too "
+                                          "small for n=1; need at least 3"):
+        build_extremal(params_b(), trunc)
 
 
 def series_built_extremal(p, trunc_order):
@@ -188,15 +208,12 @@ def test_identity_b_residual_for_identity_function_is_s():
     assert verify_identity_b(f, p) == pytest.approx(p.S, rel=1e-15)
 
 
-# ------------------------------------------------------------------ probe A
+# ------------------------------------------------------------------ identity A
 
 def test_probe_matches_beta_form_only():
     p = params_a()
     f = build_extremal(p, 128)
-    probe = probe_identity_a(f, p)
-    assert probe.matched == "beta_form"
-    assert probe.residual_beta_form < 1e-9
-    assert probe.residual_gamma_form > 1e-9
+    assert probe_identity_a(f, p) < 1e-9
     rep = thm_a_report(f, p)
     assert rep.hypothesis_margin > 0
     assert rep.spec.rhs_bound == p.S
@@ -207,11 +224,28 @@ def test_probe_identity_function_no_match_below_bound():
     # f = z with |beta| < S: trivially below the bound, no closed-form match
     p = params_a(n=1, alpha=0.4, beta=0.2j, gamma=1.0)
     f = builtin_candidate("identity", 64)
-    probe = probe_identity_a(f, p)
-    assert probe.matched == "neither"
+    assert probe_identity_a(f, p) > 1e-9
     rep = thm_a_report(f, p)
     assert rep.hypothesis_sup == pytest.approx(abs(p.beta), abs=1e-12)
     assert rep.hypothesis_margin > 0
+
+
+def test_identity_a_residual_small_on_random_admitted_sample():
+    # the documented grid is criterion 09's
+    rng = np.random.default_rng(20240813)
+    admitted = 0
+    for _ in range(200):
+        try:
+            p = params_a(
+                n=int(rng.integers(1, 4)), alpha=rng.uniform(0.05, 0.95),
+                beta=complex(*rng.uniform(-1, 1, 2)),
+                gamma=complex(*rng.uniform(-2, 2, 2)))
+        except (InadmissibleExtremalError, DegenerateExtremalError):
+            continue
+        admitted += 1
+        assert abs(p.beta) < p.S
+        assert probe_identity_a(build_extremal(p, 64), p) < 1e-9, p
+    assert admitted > 100
 
 
 # ------------------------------------------------------------------ grid

@@ -20,6 +20,7 @@ All admissibility inequalities are strict; a zero margin is inadmissible.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,6 +51,10 @@ class CriterionParams:
     def __post_init__(self):
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "gamma", complex(self.gamma))
+        for name in ("beta", "gamma", "alpha", "rho"):
+            value = getattr(self, name)
+            if value is not None and not cmath.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.n < 1:
             raise ParameterError(f"class index n must be >= 1, got {self.n}")
         if self.gamma == 0:

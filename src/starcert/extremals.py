@@ -87,12 +87,6 @@ class ExtremalParams:
     def __post_init__(self):
         object.__setattr__(self, "beta", complex(self.beta))
         object.__setattr__(self, "gamma", complex(self.gamma))
-        if self.n < 1:
-            raise SeriesError(f"class index n must be >= 1, got {self.n}")
-        if self.gamma == 0:
-            raise SeriesError("gamma must be nonzero")
-        if not 0.0 < self.alpha < 1.0:
-            raise SeriesError(f"alpha must lie in (0, 1), got {self.alpha}")
         family_a = self.family is ExtremalFamily.EXTREMAL_A
         spec = build_spec(self.criterion)
         s = spec.rhs_bound

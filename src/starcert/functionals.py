@@ -3,7 +3,7 @@
 Every function here maps a normalized candidate ``f`` (class shape
 ``z + a_{n+1} z^{n+1} + ...``) to a truncated series.  The common factor
 ``z`` is cancelled before any division, so all quotients are series with
-unit denominators; in particular ``zf'/f = (u + z u')/u`` for ``u = f/z``.
+unit denominators: ``zf'/f = f'/u`` and ``w = u/f' - 1`` for ``u = f/z``.
 Constant terms that are forced analytically (1 for the quotients, beta
 for the first combination) are set exactly.
 
@@ -53,8 +53,9 @@ class ParameterError(ValueError):
 
 
 def unit_part(f: SchlichtCandidate) -> Series:
-    """``u = f/z``, a series with constant term exactly 1."""
-    return shift(f.series, -1)
+    """``u = f/z``: the candidate's ``c0`` is exactly 0, so dropping it
+    divides by ``z``, and the constant term is its ``c1``, exactly 1."""
+    return Series(f.series.coeffs[1:])
 
 
 # Candidate -> {builder: what it built}; a candidate hashes by identity.
@@ -78,8 +79,7 @@ def _once_per_candidate(build):
 @_once_per_candidate
 def starlike_quotient(f: SchlichtCandidate) -> Series:
     """``z f'(z) / f(z)``; constant term exactly 1."""
-    u = unit_part(f)
-    return div(add(u, shift(derivative(u), 1)), u)
+    return div(derivative(f.series), unit_part(f))
 
 
 @_once_per_candidate
@@ -92,8 +92,7 @@ def convex_quotient(f: SchlichtCandidate) -> Series:
 @_once_per_candidate
 def w_func(f: SchlichtCandidate) -> Series:
     """``w = f/(z f') - 1``; vanishes to order >= n for class index n."""
-    u = unit_part(f)
-    return div(u, add(u, shift(derivative(u), 1))) - 1.0
+    return div(unit_part(f), derivative(f.series)) - 1.0
 
 
 def _combination(f: SchlichtCandidate, x: complex, y: complex,
@@ -173,7 +172,7 @@ def random_candidate(n: int, trunc_order: int,
                      rng: np.random.Generator) -> SchlichtCandidate:
     """Random class member with geometrically decaying tail coefficients.
 
-    The decay keeps f', f/z, f/z + (f/z)' z and the capped w/z^n zero-free
+    The decay keeps f', f/z and the capped w/z^n zero-free
     on the closed disk, so every quotient the identity sweeps take has a
     convergent series there and residuals stay at rounding level instead
     of being amplified through a pole.

@@ -156,22 +156,29 @@ def _objective(v, sign: float):
     return np.abs(v) if sign > 0 else v.real
 
 
+def _angle_sums(a: Series, r: float):
+    """``p(theta) = a(r e^(i theta))``, the trigonometric sum of ``c_k r^k``,
+    with its first two derivatives in ``theta`` (``p' = i z a'(z)``), as a
+    function of the angle returning all three."""
+    k = np.arange(a.coeffs.size)
+    b = a.coeffs * r ** k
+    sums = np.stack([b, 1j * k * b, -(k * k) * b])
+    return lambda theta: sums @ np.exp(1j * k * theta)
+
+
 def _refine_circle(a: Series, r: float, theta0: float, span: float,
                    sign: float, value0: complex, tol: float):
     """Newton steps on the angle from the grid point ``(theta0, value0)``
     toward the max of ``|a|`` (sign=+1) or min of ``Re a`` (sign=-1) on
-    ``|z| = r``, ``a`` being the trigonometric sum of ``c_k r^k``.  Stops on
+    ``|z| = r``, on the trigonometric sums of :func:`_angle_sums`.  Stops on
     wrong-sign curvature, a step out of ``theta0 +- span``, a tiny step or the
     cap.  Returns refined ``(theta, a(z))`` if its objective beats the grid
     value by more than ``tol``, else the grid point: a gain at rounding
     level is a tie, and a tie stays at the grid angle."""
-    # One or three evaluate_grid points per step would cost more than this.
-    k = np.arange(a.coeffs.size)
-    b = a.coeffs * r ** k
-    sums = np.stack([b, 1j * k * b, -(k * k) * b])  # p, p', p'' in theta
+    at = _angle_sums(a, r)
     theta = theta0
     for _ in range(_NEWTON_STEPS):
-        p, p1, p2 = sums @ np.exp(1j * k * theta)
+        p, p1, p2 = at(theta)
         if sign > 0:  # half the derivatives of |p|^2
             d1 = (p.conjugate() * p1).real
             d2 = abs(p1) ** 2 + (p.conjugate() * p2).real
@@ -185,8 +192,7 @@ def _refine_circle(a: Series, r: float, theta0: float, span: float,
         theta -= step
         if abs(step) < _NEWTON_TINY:
             break
-    z = r * complex(math.cos(theta), math.sin(theta))
-    value = evaluate_grid(a, np.asarray([z]))[0]
+    value = at(theta)[0]
     better = sign * (_objective(value, sign) - _objective(value0, sign)) > tol
     return (theta, value) if better else (theta0, value0)
 
@@ -394,8 +400,9 @@ def jack_demo(w: Series, m: int, r: float,
             f"|w| below 1e-14 everywhere on |z| = {r}; no maximum to probe"
         )
     z0 = r * complex(math.cos(peak.witness_theta), math.sin(peak.witness_theta))
-    w1 = complex(evaluate_grid(derivative(w), np.asarray([z0]))[0])
-    k = z0 * w1 / peak.witness_value
+    # z0 w'(z0) = -i p'(theta) = sum k c_k r^k e^(i k theta)
+    k = complex(-1j * _angle_sums(w, r)(peak.witness_theta)[1]
+                / peak.witness_value)
     imag_ok = abs(k.imag) <= 1e-6 * (1.0 + abs(k))
     real_ok = k.real >= m * (1.0 - 1e-6)
     return JackResult(k_est=k, max_point=z0, max_modulus=peak.value,

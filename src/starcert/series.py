@@ -12,8 +12,8 @@ stay on the principal branch anchored at the unit constant term.
 :func:`div` and :func:`log_unit` multiply by a reciprocal built by Newton
 iteration, O(log N) convolutions; :func:`exp_unit` keeps its O(N^2)
 recurrence, which holds the relative accuracy of small coefficients.
-:func:`evaluate_grid` samples a series on a :class:`Circle` by one FFT and
-at other points by one power table.
+:func:`evaluate_grid` samples a series on a :class:`Circle` by one FFT, the
+one way a series is read off a circle.
 
 Series values are immutable and all functions here are pure.
 """
@@ -150,24 +150,12 @@ def mul(a: Series, b: Series) -> Series:
 
 
 def shift(a: Series, k: int) -> Series:
-    """Multiply by ``z^k``.  Negative ``k`` divides, requiring the dropped
-    leading coefficients to vanish."""
-    if k == 0:
-        return a
-    if k > 0:
-        arr = np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs])
-        return Series(arr)
-    k = -k
-    if k > a.trunc_order:
-        raise SeriesError(f"cannot divide by z^{k}: order {a.trunc_order} too small")
-    scale_ref = max(1.0, float(np.max(np.abs(a.coeffs))))
-    head = np.abs(a.coeffs[:k])
-    if head.size and head.max() > UNIT_TOL * scale_ref:
-        raise SeriesError(
-            f"cannot divide by z^{k}: leading coefficient "
-            f"{a.coeffs[int(np.argmax(head))]} is not zero"
-        )
-    return Series(a.coeffs[k:])
+    """Multiply by ``z^k`` for ``k >= 0``.  Dividing by a power of ``z``
+    is the caller's slice: a candidate's ``f/z`` drops its exact zero
+    ``c0``."""
+    if k < 0:
+        raise SeriesError(f"shift needs k >= 0, got {k}")
+    return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
 
 
 def _reciprocal(b: np.ndarray) -> np.ndarray:
@@ -295,25 +283,19 @@ class Circle:
         return self.m
 
 
-def evaluate_grid(a: Series, z: np.ndarray | Circle) -> np.ndarray:
-    """Values of ``a`` at every point of ``z``: an array of points, or a
-    :class:`Circle`.
+def evaluate_grid(a: Series, z: Circle) -> np.ndarray:
+    """Values of ``a`` at the points of the circle ``z``.
 
-    On a circle the values are one inverse FFT of length ``m`` of the
-    weights ``c_k r^k``, zero-filled to ``m`` when there are fewer.  When
-    there are more, they are first folded modulo ``m``: ``e^(2 pi i j k / m)``
-    depends on ``k mod m`` only, and the transform would otherwise drop the
-    weights past ``m``.  At points they are one power table times the
-    coefficients.
+    They are one inverse FFT of length ``m`` of the weights ``c_k r^k``,
+    zero-filled to ``m`` when there are fewer.  When there are more, they
+    are first folded modulo ``m``: ``e^(2 pi i j k / m)`` depends on
+    ``k mod m`` only, and the transform would otherwise drop the weights
+    past ``m``.
     """
-    c = a.coeffs
-    if isinstance(z, Circle):
-        b = c * z.r ** np.arange(c.size)
-        if b.size > z.m:
-            b = np.pad(b, (0, -b.size % z.m)).reshape(-1, z.m).sum(0)
-        return np.fft.ifft(b, n=z.m, norm="forward")
-    z = np.asarray(z)
-    return (np.vander(z.ravel(), c.size, increasing=True) @ c).reshape(z.shape)
+    b = a.coeffs * z.r ** np.arange(a.coeffs.size)
+    if b.size > z.m:
+        b = np.pad(b, (0, -b.size % z.m)).reshape(-1, z.m).sum(0)
+    return np.fft.ifft(b, n=z.m, norm="forward")
 
 
 def tail_estimate(a: Series, r: float) -> float:

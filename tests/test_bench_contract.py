@@ -68,6 +68,22 @@ def test_tracer_hooks_read_the_oracle_records():
     assert m["oracle.circles_sampled"] > 0
 
 
+def test_every_traced_evaluation_is_a_whole_circle():
+    # points == calls x angles holds only when no call reads single points
+    p = ExtremalParams(family=ExtremalFamily.EXTREMAL_B, n=1, alpha=0.5,
+                       beta=1.0, gamma=1.0)
+    f = build_extremal(p, 32)
+    cfg = oracle.SamplingConfig(radii=(0.5, 0.9), angles=64)
+    tracer = TRACING.Tracer()
+    with tracer.installed():
+        oracle.check_criterion(f, CriterionParams(
+            kind=CriterionKind.THM_B, n=1, beta=1.0, gamma=1.0, alpha=0.5), cfg)
+    m = tracer.metrics()
+    assert m["series.evaluate_grid.calls"] > 0
+    assert (m["series.evaluate_grid.points"]
+            == m["series.evaluate_grid.calls"] * cfg.angles)
+
+
 @pytest.mark.parametrize("family", list(ExtremalFamily))
 def test_extremal_selfcheck_is_one_traced_call(family, capsys):
     tracer = TRACING.Tracer()

@@ -139,6 +139,20 @@ def test_check_refused_conclusion_exit_1(tmp_path, capsys):
     assert "skipped radii (tail heuristic refused): [0.5, 0.8, 0.9]" in out
 
 
+def test_check_escalation_exit_1(tmp_path, capsys):
+    # the certified-hypothesis, failed-conclusion case of
+    # test_oracle::test_certified_hypothesis_with_failed_conclusion_escalates
+    spec = write_spec(tmp_path, "cor_a.json", {
+        "kind": "EXTREMAL_A", "n": 1, "trunc": 128,
+        "extremal": {"alpha": 0.7, "beta": [1, 0], "gamma": [-2, 0]}})
+    code = main(["check", spec, "--kind", "COR_A", "--gamma", "2", "--alpha",
+                 "0.7", "--radii", "0.5,0.9", "--angles", "256"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "verdict: CONCLUSION_FAILED" in out
+    assert any(line.startswith("ESCALATION: ") for line in out.splitlines())
+
+
 def test_check_inadmissible_exit_2(identity_spec):
     code = main(["check", identity_spec, "--kind", "LEMMA_A",
                  "--beta", "2", "--gamma", "1", "--rho", "1", *FAST])
@@ -408,9 +422,15 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
     pytest.param(["extremal", "--family", "EXTREMAL_A", "--n", "1", "--alpha",
                   "0.4", "--beta", "2", "--gamma", "1"], 2,
                  id="extremal-inadmissible"),
+    # ExtremalParams' scalar errors come from its CriterionParams, as check's do
     pytest.param(["extremal", "--family", "EXTREMAL_B", "--n", "1", "--alpha",
-                  "1.5", "--beta", "1", "--gamma", "1"], 2,
+                  "1.5", "--beta", "1", "--gamma", "1"], 3,
                  id="extremal-alpha-out-of-range"),
+    pytest.param(["extremal", "--family", "EXTREMAL_B", "--n", "0", "--alpha",
+                  "0.5", "--beta", "1", "--gamma", "1"], 3, id="extremal-n-0"),
+    pytest.param(["extremal", "--family", "EXTREMAL_B", "--n", "1", "--alpha",
+                  "0.5", "--beta", "1", "--gamma", "0"], 3,
+                 id="extremal-gamma-0"),
     pytest.param(["extremal", "--family", "EXTREMAL_B", "--n", "1", "--alpha",
                   "0.5", "--beta", "1", "--gamma", "1", "--trunc", "0"], 2,
                  id="extremal-trunc-0"),
@@ -459,6 +479,15 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
                  id="identities-negative-seed"),
     pytest.param(["identities", "--trunc", "4"], 3,
                  id="identities-trunc-below-n-plus-2"),
+    # non-finite criterion scalars are parameter errors
+    pytest.param(["check", "identity.json", "--kind", "LEMMA_B", "--beta", "1",
+                  "--gamma", "1", "--rho", "inf"], 3, id="check-rho-inf"),
+    pytest.param(["check", "identity.json", "--kind", "MOCANU", "--alpha",
+                  "nan"], 3, id="check-mocanu-alpha-nan"),
+    pytest.param(["check", "identity.json", "--kind", "LEMMA_A", "--beta",
+                  "nan", "--gamma", "1", "--rho", "1"], 3, id="check-beta-nan"),
+    pytest.param(["check", "identity.json", "--kind", "THM_B", "--beta", "1",
+                  "--gamma", "inf", "--alpha", "0.5"], 3, id="check-gamma-inf"),
 ])
 def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, argv, expected):
     for name, payload in ERROR_SPECS.items():

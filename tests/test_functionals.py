@@ -187,7 +187,7 @@ def test_lhs_b_displayed_quotient_form():
         f = random_candidate(n, N, rng)
         beta, gamma = 0.3 - 0.2j, 0.8 + 0.5j
         w = w_func(f)
-        cap = shift(w, -n)
+        cap = Series(w.coeffs[n:])
         ratio = div(add(scale(cap, n), shift(derivative(cap), 1)), cap)
         quotient = mul(scale(w, -1), (scale(ratio, gamma) + (beta + gamma)))
         # divide by (1+w) via multiplying lhs_b by it instead

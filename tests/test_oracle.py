@@ -9,7 +9,6 @@ from starcert.series import (
     SchlichtCandidate,
     builtin_candidate,
     derivative,
-    evaluate_grid,
     make_series,
     monomial,
     schlicht_from_tail,
@@ -83,7 +82,7 @@ def test_sup_truncated_geometric_near_closed_form():
 
 
 def value_at(s, z):
-    return complex(evaluate_grid(s, np.asarray([z]))[0])
+    return complex(np.polyval(s.coeffs[::-1], z))
 
 
 def test_sup_witness_reproduces_value():
@@ -339,6 +338,23 @@ def test_refused_conclusion_keeps_sampled_hypothesis():
     assert rep.conclusion_sup is None and rep.conclusion_margin is None
 
 
+def test_certified_hypothesis_with_failed_conclusion_escalates():
+    """COR_A at n = 1, gamma = 2, alpha = 0.7 on the family-A extremal at
+    (beta, gamma) = (1, -2): the sampled hypothesis holds, the conclusion
+    fails, and the run is escalated.  Here the paper's COR_A bound exceeds
+    the one Jack's lemma supports; checking against the latter (ROADMAP
+    item 1) will turn this case into HYPOTHESIS_FAILED."""
+    p = ExtremalParams(family=ExtremalFamily.EXTREMAL_A, n=1, alpha=0.7,
+                       beta=1.0, gamma=-2.0)
+    crit = CriterionParams(kind=CriterionKind.COR_A, n=1, gamma=2.0, alpha=0.7)
+    cfg = SamplingConfig(radii=(0.5, 0.9), angles=256)
+    rep = check_criterion(build_extremal(p), crit, cfg)
+    assert rep.verdict is Verdict.CONCLUSION_FAILED
+    assert rep.hypothesis_margin == pytest.approx(0.0177, abs=1e-4)
+    assert rep.conclusion_margin == pytest.approx(-0.0227, abs=1e-4)
+    assert "suspected implementation or truncation error" in rep.escalation
+
+
 def test_cor_a_is_thm_a_at_corollary_parameters():
     for name in ("identity", "halfplane", "koebe"):
         f = builtin_candidate(name, 32 if name == "identity" else 128)
@@ -446,6 +462,20 @@ def test_jack_degenerate_zero_series():
 def test_jack_rejects_wrong_vanishing_order():
     with pytest.raises(ValueError):
         jack_demo(make_series([0, 1.0, 0.5, 0]), 2, 0.9, CFG)
+
+
+def test_jack_k_matches_pointwise_derivative():
+    # k read off the circle's trigonometric sums equals z0 w'(z0) / w(z0)
+    # with w' evaluated at the witness as a polynomial
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        arr = np.zeros(16, dtype=np.complex128)
+        arr[1:] = 0.7 ** np.arange(15) * np.exp(2j * np.pi * rng.uniform(0, 1, 15))
+        w = Series(arr)
+        res = jack_demo(w, 1, 0.9, CFG)
+        z0 = res.max_point
+        want = z0 * value_at(derivative(w), z0) / value_at(w, z0)
+        assert abs(res.k_est - want) <= 1e-12 * abs(want)
 
 
 def test_jack_randomized_conformance():

@@ -138,14 +138,19 @@ def test_check_reports_match_uncached_reference():
 
 @pytest.fixture
 def div_calls(monkeypatch):
+    """Calls to ``series.div`` through every starcert module's binding."""
     calls = []
-    original = functionals.div
+    original = series.div
 
     def counting(a, b):
         calls.append(1)
         return original(a, b)
 
-    monkeypatch.setattr(functionals, "div", counting)
+    for name, module in list(sys.modules.items()):
+        if name == "starcert" or name.startswith("starcert."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
     return calls
 
 
@@ -215,29 +220,11 @@ def test_extremal_b_run_divides_three_times(div_calls, capsys):
     assert len(div_calls) == 3
 
 
-@pytest.fixture
-def every_div_calls(monkeypatch):
-    """Calls to ``series.div`` through every starcert module's binding."""
-    calls = []
-    original = series.div
-
-    def counting(a, b):
-        calls.append(1)
-        return original(a, b)
-
-    for name, module in list(sys.modules.items()):
-        if name == "starcert" or name.startswith("starcert."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    return calls
-
-
-def test_extremal_a_run_divides_three_times(every_div_calls, capsys):
+def test_extremal_a_run_divides_three_times(div_calls, capsys):
     # the self-check writes its closed form without a division
     code = main(["extremal", "--family", "EXTREMAL_A", "--n", "1", "--alpha",
                  "0.4", "--beta", "0,0.2", "--gamma", "1", "--trunc", "48",
                  "--radii", "0.5,0.9", "--angles", "256"])
     capsys.readouterr()
     assert code == 0
-    assert len(every_div_calls) == 3
+    assert len(div_calls) == 3

@@ -361,24 +361,6 @@ def test_integrate_offset_requires_nonzero_constant():
 
 # ---------------------------------------------------------------- evaluate / tail
 
-def test_evaluate_constant_term():
-    assert evaluate_grid(make_series([1, 1, 1]), np.asarray([0j]))[0] == 1.0
-
-
-def test_evaluate_identity_at_i():
-    assert evaluate_grid(make_series([0, 1]), np.asarray([1j]))[0] == 1j
-
-
-def test_evaluate_grid_matches_polyval():
-    rng = np.random.default_rng(11)
-    s = rand_series(rng, 20)
-    z = 0.95 * np.exp(2j * np.pi * rng.uniform(0, 1, 50)).reshape(5, 10)
-    got = evaluate_grid(s, z)
-    assert got.shape == z.shape
-    want = np.polyval(s.coeffs[::-1], z)
-    assert np.max(np.abs(got - want)) < 1e-13
-
-
 def _horner(coeffs, z):
     acc = np.full(z.shape, coeffs[-1])
     for c in coeffs[-2::-1]:
@@ -424,13 +406,18 @@ def test_evaluate_circle_equals_folded_reference(order, m):
                           _folded_circle_reference(s, circle))
 
 
+def test_shift_refuses_negative_power():
+    with pytest.raises(SeriesError, match="k >= 0"):
+        shift(make_series([0.0, 1.0]), -1)
+
+
 def test_circle_size_is_its_point_count():
     assert Circle(0.5, 2048).size == 2048
 
 
 def test_evaluate_geometric_within_tail_bound():
     s = make_series([1.0] * 33, 32)
-    val = evaluate_grid(s, np.asarray([0.5 + 0j]))[0]
+    val = np.polyval(s.coeffs[::-1], 0.5)
     assert abs(val - 2.0) <= tail_estimate(s, 0.5) + 1e-15
 
 

@@ -14,8 +14,9 @@ Exit codes, decided only by :func:`main`: 0 = certified / assertions pass,
 (stderr ``rejected: <message>``), 3 = usage error (stderr ``usage error:``,
 ``spec file error:`` or ``parameter error: <message>``).
 
-Function spec files are JSON with complex scalars as two-element
-``[re, im]`` arrays::
+Function spec files are UTF-8 JSON with complex scalars as two-element
+``[re, im]`` arrays of finite numbers (``NaN``, ``Infinity`` and literals
+beyond the float range, which Python's ``json`` reads, are refused)::
 
     {"kind": "BUILTIN", "builtin": "koebe", "n": 1, "trunc": 128}
     {"kind": "COEFFS", "n": 2, "trunc": 64, "coeffs": [[0,0], [0.1,0.2]]}
@@ -27,7 +28,10 @@ For ``check``/``extremal`` the ``coeffs`` list gives ``a_2, a_3, ...``
 itself: entries are ``c_1, c_2, ...`` with ``c_0 = 0`` implied.
 
 Reports are written as JSON with a ``timestamp`` header and a ``report``
-body; the body is deterministic for identical inputs and tool version.
+body; the body is deterministic for identical inputs and tool version.  It
+is rendered in one walk over the report objects, and its text equals
+``json.dumps(sort_keys=True, indent=2)`` of their plain form (see
+:func:`_render`).
 """
 
 from __future__ import annotations
@@ -36,11 +40,11 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import re
 import sys
 from datetime import datetime, timezone
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -135,15 +139,25 @@ def _parse_radii(text: str) -> tuple[float, ...]:
 
 
 def _number(value, kind=(int, float)) -> bool:
-    """JSON numbers only: ``true`` and ``false`` are ints to Python."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """Finite JSON numbers only: ``true`` and ``false`` are ints to Python,
+    and it reads ``NaN``, ``Infinity`` and overflowing literals such as
+    ``1e400`` as floats; an integer beyond the float range is refused too."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _pair(value, where: str) -> list[float]:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(_number(v) for v in value)):
-        raise SpecFileError(f"{where}: complex scalars are [re, im] pairs, got {value!r}")
-    return [float(value[0]), float(value[1])]
+def _pair(value) -> list[float] | None:
+    """``value`` as ``[re, im]`` floats, or None unless it is a pair of
+    finite numbers."""
+    if (isinstance(value, (list, tuple)) and len(value) == 2
+            and _number(value[0]) and _number(value[1])):
+        return [float(value[0]), float(value[1])]
+    return None
+
+
+def _pair_error(where: str, value) -> SpecFileError:
+    return SpecFileError(f"{where}: complex scalars are [re, im] pairs of "
+                         f"finite numbers, got {value!r}")
 
 
 _SPEC_FIELDS = {
@@ -186,7 +200,13 @@ def parse_function_spec(data: dict) -> dict:
         if len(raw) > trunc - 1:
             raise SpecFileError(
                 f"field 'coeffs': {len(raw)} entries exceed trunc-1 = {trunc - 1}")
-        out["coeffs"] = [_pair(v, f"coeffs[{i}]") for i, v in enumerate(raw)]
+        coeffs = []
+        for i, v in enumerate(raw):
+            pair = _pair(v)
+            if pair is None:
+                raise _pair_error(f"coeffs[{i}]", v)
+            coeffs.append(pair)
+        out["coeffs"] = coeffs
         return out
     if kind == "BUILTIN":
         name = data["builtin"]
@@ -201,23 +221,29 @@ def parse_function_spec(data: dict) -> dict:
             "field 'extremal': object with exactly alpha, beta, gamma required")
     alpha = ext["alpha"]
     if not _number(alpha):
-        raise SpecFileError(f"field 'extremal.alpha': number required, got {alpha!r}")
-    out["extremal"] = {"alpha": float(alpha),
-                       "beta": _pair(ext["beta"], "extremal.beta"),
-                       "gamma": _pair(ext["gamma"], "extremal.gamma")}
+        raise SpecFileError(
+            f"field 'extremal.alpha': finite number required, got {alpha!r}")
+    out["extremal"] = {"alpha": float(alpha)}
+    for name in ("beta", "gamma"):
+        pair = _pair(ext[name])
+        if pair is None:
+            raise _pair_error(f"extremal.{name}", ext[name])
+        out["extremal"][name] = pair
     return out
 
 
 def load_function_spec(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise SpecFileError(f"cannot read spec file {path}: {e}")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise SpecFileError(
             f"malformed JSON in {path} at line {e.lineno}, column {e.colno}: {e.msg}")
+    except ValueError as e:  # an integer literal of more digits than int() takes
+        raise SpecFileError(f"malformed JSON in {path}: {e}")
     return parse_function_spec(data)
 
 
@@ -245,36 +271,78 @@ def probe_series_from_spec(fs: dict) -> Series:
     return w_func(candidate_from_spec(fs))
 
 
-def _jsonable(obj):
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, Enum):
-        return obj.value
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(obj.item())
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+_NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
+# json's spelling of the parts of a complex, which stay numbers
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_FLOATS = {float}
+
+
+def _float_items(values, pad: str, spell: dict) -> str:
+    """JSON list of floats at indent ``pad``: ``float.__repr__`` for each,
+    non-finite ones spelled by ``spell``.  A finite repr has no 'n'."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    text = sep.join(map(float.__repr__, values))
+    if "n" in text:
+        text = sep.join(spell.get(s, s) for s in map(float.__repr__, values))
+    return "[\n" + inner + text + "\n" + pad + "]"
+
+
+def _render(obj, pad: str) -> str:
+    """JSON text of ``obj`` nested at indent ``pad``, as
+    ``json.dumps(sort_keys=True, indent=2)`` writes the plain form of it:
+    an Enum is its value, a numpy scalar the Python scalar, a complex
+    ``[re, im]``, a dataclass the dict of its fields, a dict has ``str``
+    keys and a tuple is a list; non-finite floats are the strings "nan",
+    "inf" and "-inf".  Other objects raise ``TypeError``, as in ``json``.
+    The common types are tested first; a str, int or float Enum member
+    writes as its value either way."""
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == _FLOATS:
+            return _float_items(obj, pad, _NONFINITE)
+        inner = pad + "  "
+        return ("[\n" + inner + (",\n" + inner).join(
+            [_render(v, inner) for v in obj]) + "\n" + pad + "]")
+    if isinstance(obj, float):
+        s = float.__repr__(obj)
+        return _NONFINITE.get(s, s)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        inner = pad + "  "
+        return ("{\n" + inner + (",\n" + inner).join(
+            [encode_basestring_ascii(k) + ": " + _render(v, inner)
+             for k, v in items]) + "\n" + pad + "}")
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, Enum):
+        return _render(obj.value, pad)
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, np.floating):
+        return _render(float(obj), pad)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _float_items((float(obj.real), float(obj.imag)), pad,
+                            _JSON_NONFINITE)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_report_body(command: str, sections: dict) -> str:
     body = {"tool": {"name": "starcert", "version": __version__},
             "command": command}
     body.update(sections)
-    return json.dumps(_jsonable(body), sort_keys=True, indent=2) + "\n"
+    return _render(body, "") + "\n"
 
 
 def write_report(path: str, body_text: str) -> None:

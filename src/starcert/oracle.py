@@ -218,20 +218,34 @@ def _circle_extremum(a: Series, r: float, cfg: SamplingConfig,
 def sup_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:
     """Sampled supremum of ``|a|`` over ``|z| <= r``, taken on ``|z| = r``
     (maximum modulus), for the largest candidate ``r`` whose tail
-    allowance is finite.  The heuristic refuses ``r`` iff ``q r >= 1``, so
-    the refused radii, reported as skipped, are the top of the ladder.
+    allowance is finite.  The heuristic refuses ``r`` iff ``q r >= 1``,
+    where ``q >= 0`` and the early returns depend on ``a`` alone, and every
+    float step of the allowance is monotone in ``r``; so the refused radii,
+    reported as skipped, are the top of the ascending ladder.  The top
+    radius is tried first, and only if it is refused is the rest of the
+    ladder bisected for the last accepted one: at most
+    ``1 + ceil(log2(len(radii)))`` tail estimates, and the radius a
+    downward scan would stop at.
     """
     cfg = cfg or SamplingConfig()
-    for i in reversed(range(len(cfg.radii))):
-        tail = tail_estimate(a, cfg.radii[i])
-        if not math.isinf(tail):
-            break
-    else:
+    radii = cfg.radii
+    lo, hi = -1, len(radii) - 1  # radii[lo] accepted (-1: none yet)
+    tail = tail_estimate(a, radii[hi])
+    if not math.isinf(tail):
+        lo = hi
+    while hi - lo > 1:  # radii[hi] refused
+        mid = (lo + hi) // 2
+        t = tail_estimate(a, radii[mid])
+        if math.isinf(t):
+            hi = mid
+        else:
+            lo, tail = mid, t
+    if lo < 0:
         raise DegenerateSeriesError(
             "every sampling radius was refused by the tail heuristic"
         )
-    peak = _circle_extremum(a, cfg.radii[i], cfg, +1.0)
-    return replace(peak, tail=tail, skipped_radii=cfg.radii[i + 1:])
+    peak = _circle_extremum(a, radii[lo], cfg, +1.0)
+    return replace(peak, tail=tail, skipped_radii=radii[lo + 1:])
 
 
 def min_real_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:

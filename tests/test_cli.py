@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import math
+import re
+from enum import Enum
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from starcert import cli
+from starcert import cli, oracle
 from starcert.cli import (
     SpecFileError,
     load_function_spec,
@@ -84,6 +88,33 @@ def test_spec_rejects_bad_complex_pair():
     with pytest.raises(SpecFileError, match="re, im"):
         parse_function_spec({"kind": "COEFFS", "n": 1, "trunc": 8,
                              "coeffs": [[1, 2, 3]]})
+
+
+@pytest.mark.parametrize("field, spec", [
+    ("coeffs[1]", {"kind": "COEFFS", "n": 1, "trunc": 8,
+                   "coeffs": [[0, 0], [float("nan"), 0]]}),
+    ("coeffs[0]", {"kind": "COEFFS", "n": 1, "trunc": 8,
+                   "coeffs": [[0, -float("inf")]]}),
+    ("coeffs[0]", {"kind": "COEFFS", "n": 1, "trunc": 8,
+                   "coeffs": [[10 ** 400, 0]]}),
+    ("extremal.alpha", {"kind": "EXTREMAL_B", "n": 1, "trunc": 64,
+                        "extremal": {"alpha": float("inf"), "beta": [1, 0],
+                                     "gamma": [1, 0]}}),
+    ("extremal.gamma", {"kind": "EXTREMAL_B", "n": 1, "trunc": 64,
+                        "extremal": {"alpha": 0.5, "beta": [1, 0],
+                                     "gamma": [1, float("nan")]}}),
+])
+def test_spec_refuses_non_finite_numbers(field, spec):
+    with pytest.raises(SpecFileError, match=re.escape(field)):
+        parse_function_spec(spec)
+
+
+def test_spec_file_not_utf8_cannot_be_read(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"kind": "BUILTIN", "builtin": "identit\u00e9", '
+                     '"n": 1, "trunc": 32}'.encode("latin-1"))
+    with pytest.raises(SpecFileError, match="cannot read spec file"):
+        load_function_spec(str(path))
 
 
 def test_malformed_json_names_position(tmp_path):
@@ -412,6 +443,21 @@ ERROR_SPECS = {
     "bool_beta.json": {"kind": "EXTREMAL_B", "n": 1, "trunc": 64,
                        "extremal": {"alpha": 0.5, "beta": [False, 1],
                                     "gamma": [1, 0]}},
+    # Python's json reads NaN, Infinity and 1e400 as floats; JSON has none
+    "nan_coeff.json": {"kind": "COEFFS", "n": 1, "trunc": 8,
+                       "coeffs": [[0.1, 0], [float("nan"), 0]]},
+    "inf_alpha.json": {"kind": "EXTREMAL_B", "n": 1, "trunc": 64,
+                       "extremal": {"alpha": float("inf"), "beta": [1, 0],
+                                    "gamma": [1, 0]}},
+    "overflow_beta.json": (b'{"kind": "EXTREMAL_A", "n": 1, "trunc": 64, '
+                           b'"extremal": {"alpha": 0.4, "beta": [1e400, 0], '
+                           b'"gamma": [1, 0]}}'),
+    "long_int_coeff.json": (b'{"kind": "COEFFS", "n": 1, "trunc": 8, '
+                            b'"coeffs": [[1' + b"0" * 400 + b', 0]]}'),
+    "huge_int_coeff.json": (b'{"kind": "COEFFS", "n": 1, "trunc": 8, '
+                            b'"coeffs": [[1' + b"0" * 5000 + b', 0]]}'),
+    "latin1.json": ('{"kind": "BUILTIN", "builtin": "identity", "n": 1, '
+                    '"trunc": 32, "note": "\u00e9"}').encode("latin-1"),
 }
 THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
 
@@ -488,10 +534,24 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
                   "nan", "--gamma", "1", "--rho", "1"], 3, id="check-beta-nan"),
     pytest.param(["check", "identity.json", "--kind", "THM_B", "--beta", "1",
                   "--gamma", "inf", "--alpha", "0.5"], 3, id="check-gamma-inf"),
+    # spec files hold UTF-8 JSON, whose numbers are finite
+    pytest.param(["check", "nan_coeff.json", *THM_B], 3, id="spec-nan-coeff"),
+    pytest.param(["jack", "nan_coeff.json"], 3, id="jack-spec-nan-coeff"),
+    pytest.param(["check", "inf_alpha.json", *THM_B], 3, id="spec-inf-alpha"),
+    pytest.param(["check", "overflow_beta.json", *THM_B], 3,
+                 id="spec-overflow-beta"),
+    pytest.param(["check", "long_int_coeff.json", *THM_B], 3,
+                 id="spec-long-int-coeff"),
+    pytest.param(["check", "huge_int_coeff.json", *THM_B], 3,
+                 id="spec-huge-int-coeff"),
+    pytest.param(["check", "latin1.json", *THM_B], 3, id="spec-not-utf8"),
 ])
 def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, argv, expected):
     for name, payload in ERROR_SPECS.items():
-        write_spec(tmp_path, name, payload)
+        if isinstance(payload, bytes):
+            (tmp_path / name).write_bytes(payload)
+        else:
+            write_spec(tmp_path, name, payload)
     argv = [str(tmp_path / a) if a in ERROR_SPECS else a for a in argv]
     assert main(argv) == expected
     err = capsys.readouterr().err
@@ -540,14 +600,59 @@ def test_main_calls_share_no_parse_state(identity_spec, tmp_path, capsys):
 
 
 def _asdict_jsonable(obj):
-    """Report rendering through dataclasses.asdict, the reference."""
+    """The plain form of a report body, the reference ``json.dumps``
+    renders: dataclasses through dataclasses.asdict, complex as [re, im],
+    an Enum as its value, numpy scalars as Python scalars and non-finite
+    floats as "nan", "inf" and "-inf"."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
         return {str(k): _asdict_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_asdict_jsonable(v) for v in obj]
-    return cli._jsonable(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [float(obj.real), float(obj.imag)]
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, (np.floating, np.integer)):
+        return _asdict_jsonable(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
+    return obj
+
+
+@dataclasses.dataclass
+class _Inner:
+    value: complex
+    verdict: object
+
+
+@dataclasses.dataclass
+class _Outer:
+    inner: _Inner
+    radii: tuple
+    label: str = "outer"
+
+
+_EDGE_SECTIONS = {
+    "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+               1e308, 0.1],
+    "scalars": {"nan": float("nan"), "inf": float("inf"),
+                "-inf": -float("inf"), "neg_zero": -0.0, "tiny": 5e-324,
+                "huge": 1e308, "none": None, "yes": True, "no": False},
+    "text": "Möbius z ↦ z/(1−z)², \"quoted\"\n\ttab",
+    "empty_list": [],
+    "empty_dict": {},
+    "tuple": (1, 2.5, "x", (0.25, -0.5)),
+    "numpy": [np.float64(1 / 3), np.float32(0.1), np.int64(-7),
+              np.complex128(1 - 2j), np.float64("nan")],
+    "complex": [1 + 2j, complex(-0.0, 1e-300), complex(float("nan"), 1.0)],
+    "enum": oracle.Verdict.DEGENERATE,
+    "nested": _Outer(_Inner(0.5j, oracle.Verdict.CERTIFIED_SAMPLED),
+                     (0.1, 0.995)),
+    "mixed": [1.5, 2, True, 0.25, -3],
+    7: "int key",
+}
 
 
 def test_report_bodies_match_the_asdict_rendering(tmp_path, monkeypatch,
@@ -589,6 +694,9 @@ def test_report_bodies_match_the_asdict_rendering(tmp_path, monkeypatch,
     assert [c for c, _, _ in rendered] == [
         "check", "check", "check", "extremal", "jack", "identities",
         "extremal"]
+    # edge values; the mixed list must not take the all-float join
+    rendered.append(("edge", _EDGE_SECTIONS,
+                     render("edge", _EDGE_SECTIONS)))
     for command, sections, text in rendered:
         body = {"tool": {"name": "starcert", "version": cli.__version__},
                 "command": command, **sections}

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from starcert import oracle, series
 from starcert.series import (
     Series,
     SchlichtCandidate,
@@ -336,6 +338,92 @@ def test_refused_conclusion_keeps_sampled_hypothesis():
     assert rep.hypothesis_margin == pytest.approx(-4.56, abs=0.01)
     assert rep.skipped_radii == (0.5, 0.8, 0.9)
     assert rep.conclusion_sup is None and rep.conclusion_margin is None
+
+
+# the Koebe THM_A cases (beta, gamma, alpha) of the benchmark's
+# check_default workload
+KOEBE_THM_A = (
+    (0j, 1 + 0j, 0.5),
+    (0.3 + 0.1j, 1 + 0j, 0.5),
+    (-0.5 + 0j, 1 + 0.5j, 0.3),
+    (0.2 + 0j, 1 - 0.2j, 0.7),
+    (0.5j, 1 + 0j, 0.3),
+    (-1 + 0j, 1 + 0j, 0.7),
+)
+
+
+def _linear_sup_on_disk(a, cfg=None):
+    """sup_on_disk by a downward scan of the whole ladder, the reference."""
+    cfg = cfg or SamplingConfig()
+    for i in reversed(range(len(cfg.radii))):
+        tail = tail_estimate(a, cfg.radii[i])
+        if not math.isinf(tail):
+            break
+    else:
+        raise DegenerateSeriesError(
+            "every sampling radius was refused by the tail heuristic")
+    peak = oracle._circle_extremum(a, cfg.radii[i], cfg, +1.0)
+    return dataclasses.replace(peak, tail=tail, skipped_radii=cfg.radii[i + 1:])
+
+
+@pytest.fixture
+def tail_calls(monkeypatch):
+    """Calls to ``series.tail_estimate`` through every starcert binding."""
+    calls = []
+    original = series.tail_estimate
+
+    def counting(a, r):
+        calls.append(r)
+        return original(a, r)
+
+    for name, module in list(sys.modules.items()):
+        if name == "starcert" or name.startswith("starcert."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_bisected_ladder_matches_a_linear_scan(monkeypatch, tail_calls):
+    f = builtin_candidate("koebe", 128)
+    per_check = []
+    bisected = oracle.sup_on_disk
+
+    def counting(a, cfg=None):
+        before = len(tail_calls)
+        est = bisected(a, cfg)
+        per_check.append(len(tail_calls) - before)
+        return est
+
+    for beta, gamma, alpha in KOEBE_THM_A:
+        p = CriterionParams(kind=CriterionKind.THM_A, n=1, alpha=alpha,
+                            beta=beta, gamma=gamma)
+        monkeypatch.setattr(oracle, "sup_on_disk", counting)
+        got = check_criterion(f, p, SamplingConfig())
+        monkeypatch.setattr(oracle, "sup_on_disk", _linear_sup_on_disk)
+        assert check_criterion(f, p, SamplingConfig()) == got
+    # four hypotheses refuse the top radius (a downward scan took 31 to 85
+    # tail estimates); bisecting 91 radii takes at most 1 + 7
+    assert sum(n > 1 for n in per_check) == 4
+    assert max(per_check) <= 9
+
+
+def test_bisected_ladder_matches_a_linear_scan_on_random_ladders():
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        q = rng.uniform(0.9, 1.6)
+        s = Series(q ** np.arange(24) * rng.uniform(0.5, 1.0, 24))
+        radii = np.sort(rng.choice(np.arange(0.05, 0.99, 0.01),
+                                   size=int(rng.integers(1, 14)),
+                                   replace=False))
+        cfg = SamplingConfig(radii=tuple(radii), angles=64)
+        try:
+            want = _linear_sup_on_disk(s, cfg)
+        except DegenerateSeriesError:
+            with pytest.raises(DegenerateSeriesError):
+                sup_on_disk(s, cfg)
+            continue
+        assert sup_on_disk(s, cfg) == want
 
 
 def test_certified_hypothesis_with_failed_conclusion_escalates():

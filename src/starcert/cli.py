@@ -272,19 +272,17 @@ def probe_series_from_spec(fs: dict) -> Series:
 
 
 _NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
-# json's spelling of the parts of a complex, which stay numbers
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _FLOATS = {float}
 
 
-def _float_items(values, pad: str, spell: dict) -> str:
+def _float_items(values, pad: str) -> str:
     """JSON list of floats at indent ``pad``: ``float.__repr__`` for each,
-    non-finite ones spelled by ``spell``.  A finite repr has no 'n'."""
+    non-finite ones spelled as strings.  A finite repr has no 'n'."""
     inner = pad + "  "
     sep = ",\n" + inner
     text = sep.join(map(float.__repr__, values))
     if "n" in text:
-        text = sep.join(spell.get(s, s) for s in map(float.__repr__, values))
+        text = sep.join(_NONFINITE.get(s, s) for s in map(float.__repr__, values))
     return "[\n" + inner + text + "\n" + pad + "]"
 
 
@@ -293,15 +291,15 @@ def _render(obj, pad: str) -> str:
     ``json.dumps(sort_keys=True, indent=2)`` writes the plain form of it:
     an Enum is its value, a numpy scalar the Python scalar, a complex
     ``[re, im]``, a dataclass the dict of its fields, a dict has ``str``
-    keys and a tuple is a list; non-finite floats are the strings "nan",
-    "inf" and "-inf".  Other objects raise ``TypeError``, as in ``json``.
-    The common types are tested first; a str, int or float Enum member
-    writes as its value either way."""
+    keys and a tuple is a list; non-finite floats, complex parts included,
+    are the strings "nan", "inf" and "-inf".  Other objects raise
+    ``TypeError``, as in ``json``.  The common types are tested first; a
+    str, int or float Enum member writes as its value either way."""
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if set(map(type, obj)) == _FLOATS:
-            return _float_items(obj, pad, _NONFINITE)
+            return _float_items(obj, pad)
         inner = pad + "  "
         return ("[\n" + inner + (",\n" + inner).join(
             [_render(v, inner) for v in obj]) + "\n" + pad + "]")
@@ -333,8 +331,7 @@ def _render(obj, pad: str) -> str:
     if isinstance(obj, np.floating):
         return _render(float(obj), pad)
     if isinstance(obj, (complex, np.complexfloating)):
-        return _float_items((float(obj.real), float(obj.imag)), pad,
-                            _JSON_NONFINITE)
+        return _float_items((float(obj.real), float(obj.imag)), pad)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

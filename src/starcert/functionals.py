@@ -7,18 +7,21 @@ unit denominators: ``zf'/f = f'/u`` and ``w = u/f' - 1`` for ``u = f/z``.
 Constant terms that are forced analytically (1 for the quotients, beta
 for the first combination) are set exactly.
 
-The three quotients ``zf'/f``, ``1 + zf''/f'`` and ``w`` each cost a
-series division (a Newton reciprocal and a product), and every other
-functional only recombines them with beta, gamma, alpha or a centre.
-So each quotient is built at most
-once per candidate and kept in this module's cache, keyed by the candidate
-and dropped with it; later calls, for any parameters, return the same
-read-only series.  The cache also holds the parts of the two rewrite
-identities that no (beta, gamma) pair changes (``1 + w``, ``w``, ``z w'``
-and ``z w' + w``, read-only series too), so each identity residual costs
-one combination, one product and one right-hand side.  That cache is the
-one piece of state here: neither a candidate nor a cached series can
-change, so sharing changes no result.
+The three quotients ``zf'/f``, ``1 + zf''/f'`` and ``w`` are products
+with a Newton reciprocal, and the last two share the one of ``f'``; every
+other functional only recombines them with beta, gamma, alpha or a
+centre.  So each reciprocal and each quotient is built at most once per
+candidate and kept in this module's cache, keyed by the candidate and
+dropped with it; later calls, for any parameters, return the same
+read-only series.
+
+Both rewrite identities are linear in (beta, gamma).  With ``P = zf'/f``
+and ``Q = 1 + zf''/f'``, their residuals are ``(beta - gamma) R1 +
+gamma R2`` (A) and ``beta R1 + gamma R2`` (B), where ``R1 = P(1 + w) - 1``
+and ``R2 = Q(1 + w) - 1 + z w'`` vanish in exact arithmetic.  The cache
+holds ``R1`` and ``R2`` too, so a (beta, gamma) pair costs no product.
+That cache is the one piece of state here: neither a candidate nor a
+cached series can change, so sharing changes no result.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .series import (
     add,
     derivative,
     div,
-    max_coeff_diff,
     mul,
+    reciprocal,
     shift,
 )
 
@@ -83,16 +86,22 @@ def starlike_quotient(f: SchlichtCandidate) -> Series:
 
 
 @_once_per_candidate
+def _fprime_reciprocal(f: SchlichtCandidate) -> Series:
+    """``1/f'``, the denominator of ``1 + zf''/f'`` and of ``w``."""
+    return reciprocal(derivative(f.series))
+
+
+@_once_per_candidate
 def convex_quotient(f: SchlichtCandidate) -> Series:
     """``1 + z f''(z) / f'(z)``; constant term exactly 1."""
-    fp = derivative(f.series)
-    return div(shift(derivative(fp), 1), fp) + 1.0
+    zfpp = shift(derivative(derivative(f.series)), 1)
+    return mul(zfpp, _fprime_reciprocal(f)) + 1.0
 
 
 @_once_per_candidate
 def w_func(f: SchlichtCandidate) -> Series:
     """``w = f/(z f') - 1``; vanishes to order >= n for class index n."""
-    return div(unit_part(f), derivative(f.series)) - 1.0
+    return mul(unit_part(f), _fprime_reciprocal(f)) - 1.0
 
 
 def _combination(f: SchlichtCandidate, x: complex, y: complex,
@@ -128,39 +137,33 @@ def centered_quotient(f: SchlichtCandidate, center: float) -> Series:
     return w_func(f) + (1.0 - center)
 
 
-@dataclass(frozen=True)
-class _IdentityParts:
-    """The series of both rewrite identities that no (beta, gamma) pair
-    changes: ``1 + w``, ``w``, ``z w'`` and ``z w' + w``."""
-
-    one_plus_w: Series
-    w: Series
-    zwp: Series
-    zwp_plus_w: Series
-
-
 @_once_per_candidate
-def _identity_parts(f: SchlichtCandidate) -> _IdentityParts:
+def _identity_parts(f: SchlichtCandidate) -> tuple[Series, Series]:
+    """``R1 = P(1 + w) - 1`` and ``R2 = Q(1 + w) - 1 + z w'``, the two
+    series every identity residual combines."""
     w = w_func(f)
-    zwp = shift(derivative(w), 1)
-    return _IdentityParts(w + 1.0, w, zwp, add(zwp, w))
+    one_plus_w = w + 1.0
+    r1 = mul(starlike_quotient(f), one_plus_w) - 1.0
+    r2 = add(mul(convex_quotient(f), one_plus_w) - 1.0, shift(derivative(w), 1))
+    return r1, r2
+
+
+def _residual(f: SchlichtCandidate, x: complex, y: complex) -> float:
+    """Largest coefficient modulus of ``x R1 + y R2``."""
+    r1, r2 = _identity_parts(f)
+    return float(np.max(np.abs(r1.coeffs * complex(x) + r2.coeffs * complex(y))))
 
 
 def identity_a_residual(f: SchlichtCandidate, beta: complex, gamma: complex) -> float:
-    """Max coefficient residual of ``lhs_a * (1 + w) - (beta - gamma z w')``."""
-    p = _identity_parts(f)
-    left = mul(lhs_a(f, beta, gamma), p.one_plus_w)
-    right = p.zwp.coeffs * complex(-gamma)
-    right[0] += complex(beta)
-    return max_coeff_diff(left, Series(right))
+    """Max coefficient residual of ``lhs_a * (1 + w) - (beta - gamma z w')``,
+    which is ``(beta - gamma) R1 + gamma R2``."""
+    return _residual(f, beta - gamma, gamma)
 
 
 def identity_b_residual(f: SchlichtCandidate, beta: complex, gamma: complex) -> float:
-    """Max coefficient residual of ``lhs_b * (1 + w) + (beta w + gamma (z w' + w))``."""
-    p = _identity_parts(f)
-    left = mul(lhs_b(f, beta, gamma), p.one_plus_w)
-    right = -(p.w.coeffs * complex(beta) + p.zwp_plus_w.coeffs * complex(gamma))
-    return max_coeff_diff(left, Series(right))
+    """Max coefficient residual of ``lhs_b * (1 + w) + (beta w + gamma (z w' + w))``,
+    which is ``beta R1 + gamma R2``."""
+    return _residual(f, beta, gamma)
 
 
 # Scale and geometric decay of random_candidate's tail coefficients.

@@ -20,7 +20,7 @@ deliberately weaker than a proof over the open disk and the reports say so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -66,8 +66,8 @@ class DegenerateSeriesError(SeriesError):
     """Series carries no usable signal for the requested check."""
 
 
-def _default_radii() -> tuple[float, ...]:
-    return tuple(round(0.10 + 0.01 * i, 10) for i in range(90)) + (0.995,)
+# 0.10..0.99 step 0.01, then 0.995
+_DEFAULT_RADII = tuple(round(0.10 + 0.01 * i, 10) for i in range(90)) + (0.995,)
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class SamplingConfig:
     allowance at the sampled radius stays below the bound.
     """
 
-    radii: tuple[float, ...] = field(default_factory=_default_radii)
+    radii: tuple[float, ...] = _DEFAULT_RADII
     angles: int = 2048
     refine: bool = True
 
@@ -395,7 +395,9 @@ def jack_demo(w: Series, m: int, r: float,
 
     For a series vanishing to order ``m`` at the origin, ``k`` should be a
     real number >= m; the result records whether both assertions hold
-    within tolerance (1e-6, relative for the real part).
+    within tolerance (1e-6, relative for the real part).  A circle on which
+    ``sum (1 + k^2) |c_k| r^k``, a bound on every sum the probe takes,
+    overflows is refused before it is sampled.
     """
     cfg = cfg or SamplingConfig()
     if m < 1:
@@ -407,6 +409,14 @@ def jack_demo(w: Series, m: int, r: float,
     if scale_ref > 0 and np.any(mags[:m] > 1e-12 * scale_ref):
         raise ParameterError(
             f"series does not vanish to order {m} at the origin"
+        )
+    k = np.arange(mags.size)
+    with np.errstate(over="ignore"):  # an overflow is the refusal below
+        bound = float(np.sum((1.0 + k * k) * mags * r ** k))
+    if not math.isfinite(bound):
+        raise DegenerateSeriesError(
+            f"sum of (1 + k^2) |c_k| r^k overflows on |z| = {r}; the circle "
+            "cannot be evaluated"
         )
     peak = _circle_extremum(w, r, cfg, +1.0)
     if peak.value < 1e-14:

@@ -9,9 +9,13 @@ multiplying by ``z`` gains one.  Fractional powers of ``z`` never
 materialize; :func:`integrate_offset` factors the ``z^c`` part out
 symbolically, and :func:`pow_unit`, :func:`exp_unit`, :func:`log_unit`
 stay on the principal branch anchored at the unit constant term.
-:func:`div` and :func:`log_unit` multiply by a reciprocal built by Newton
-iteration, O(log N) convolutions; :func:`exp_unit` keeps its O(N^2)
-recurrence, which holds the relative accuracy of small coefficients.
+:func:`reciprocal` builds ``1/b`` by Newton iteration in O(log N)
+convolutions and is the one place a divisor is checked for a unit
+constant term.  :func:`div` is a product with it, so a caller dividing
+by one series several times builds its reciprocal once; :func:`log_unit`
+runs the same iteration on its unit-constant argument.  :func:`exp_unit`
+keeps its O(N^2) recurrence, which holds the relative accuracy of small
+coefficients.
 :func:`evaluate_grid` samples a series on a :class:`Circle` by one FFT, the
 one way a series is read off a circle.
 
@@ -175,15 +179,13 @@ def _reciprocal(b: np.ndarray) -> np.ndarray:
     return x
 
 
-def div(a: Series, b: Series) -> Series:
-    """Series quotient ``q`` with ``mul(q, b) == a`` to truncation: ``a``
-    times the Newton reciprocal of ``b``.
+def reciprocal(b: Series) -> Series:
+    """``1/b`` to the order of ``b``, by Newton iteration.
 
     Requires a unit divisor: ``|b0|`` must clear ``UNIT_TOL`` relative to
     the largest retained coefficient of ``b``.
     """
-    m = min(a.trunc_order, b.trunc_order)
-    bc = b.coeffs[: m + 1]
+    bc = b.coeffs
     b0 = bc[0]
     scale_ref = max(1.0, float(np.max(np.abs(bc))))
     if abs(b0) < UNIT_TOL * scale_ref:
@@ -191,7 +193,14 @@ def div(a: Series, b: Series) -> Series:
             f"non-unit divisor: |b0| = {abs(b0):.3e} is below "
             f"{UNIT_TOL:g} × max(1, max|b_k|) = {scale_ref:.1e}"
         )
-    return Series(np.convolve(a.coeffs[: m + 1], _reciprocal(bc))[: m + 1])
+    return Series(_reciprocal(bc))
+
+
+def div(a: Series, b: Series) -> Series:
+    """Series quotient ``q`` with ``mul(q, b) == a`` to truncation: ``a``
+    times the :func:`reciprocal` of ``b`` cut to the common order."""
+    m = min(a.trunc_order, b.trunc_order)
+    return mul(a, reciprocal(Series(b.coeffs[: m + 1])))
 
 
 def derivative(a: Series) -> Series:
@@ -327,12 +336,6 @@ def tail_estimate(a: Series, r: float) -> float:
     if q * r >= 1.0:
         return math.inf
     return float(mags[n] * q * r ** (n + 1) / (1.0 - q * r))
-
-
-def max_coeff_diff(a: Series, b: Series) -> float:
-    """Largest coefficient deviation over the common retained orders."""
-    m = min(a.trunc_order, b.trunc_order)
-    return float(np.max(np.abs(a.coeffs[: m + 1] - b.coeffs[: m + 1])))
 
 
 def require_trunc_order(trunc_order: int, n: int) -> None:

@@ -16,7 +16,6 @@ from starcert.series import (
     Series,
     builtin_candidate,
     div,
-    max_coeff_diff,
     monomial,
     mul,
     pow_unit,
@@ -42,6 +41,12 @@ from starcert.oracle import (
     jack_demo,
 )
 from starcert import cli
+
+def max_coeff_diff(a: Series, b: Series) -> float:
+    """Largest coefficient deviation over the common retained orders."""
+    m = min(a.trunc_order, b.trunc_order)
+    return float(np.max(np.abs(a.coeffs[: m + 1] - b.coeffs[: m + 1])))
+
 
 ACC_CFG = SamplingConfig(
     radii=tuple(round(0.10 + 0.02 * i, 10) for i in range(45)) + (0.99,),

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 from enum import Enum
 from pathlib import Path
 
@@ -456,6 +457,9 @@ ERROR_SPECS = {
                             b'"coeffs": [[1' + b"0" * 400 + b', 0]]}'),
     "huge_int_coeff.json": (b'{"kind": "COEFFS", "n": 1, "trunc": 8, '
                             b'"coeffs": [[1' + b"0" * 5000 + b', 0]]}'),
+    # finite coefficients whose circle values overflow
+    "ovf.json": {"kind": "COEFFS", "n": 1, "trunc": 8,
+                 "coeffs": [[1e308, 0]] * 4},
     "latin1.json": ('{"kind": "BUILTIN", "builtin": "identity", "n": 1, '
                     '"trunc": 32, "note": "\u00e9"}').encode("latin-1"),
 }
@@ -545,8 +549,12 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
     pytest.param(["check", "huge_int_coeff.json", *THM_B], 3,
                  id="spec-huge-int-coeff"),
     pytest.param(["check", "latin1.json", *THM_B], 3, id="spec-not-utf8"),
+    pytest.param(["jack", "ovf.json", "--radius", "0.9", "--out", "r.json"], 2,
+                 id="jack-circle-overflows"),
 ])
-def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, argv, expected):
+def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, monkeypatch,
+                                             argv, expected):
+    monkeypatch.chdir(tmp_path)  # a relative --out lands in tmp_path
     for name, payload in ERROR_SPECS.items():
         if isinstance(payload, bytes):
             (tmp_path / name).write_bytes(payload)
@@ -557,6 +565,17 @@ def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, argv, expected):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
+
+
+def test_jack_refuses_an_overflowing_circle_without_warning(tmp_path, capsys):
+    spec = write_spec(tmp_path, "ovf.json", ERROR_SPECS["ovf.json"])
+    out = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["jack", spec, "--radius", "0.9", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("rejected: ")
+    assert not out.exists()
 
 
 def test_non_unit_divisor_names_the_relative_floor(tmp_path, capsys):
@@ -603,7 +622,7 @@ def _asdict_jsonable(obj):
     """The plain form of a report body, the reference ``json.dumps``
     renders: dataclasses through dataclasses.asdict, complex as [re, im],
     an Enum as its value, numpy scalars as Python scalars and non-finite
-    floats as "nan", "inf" and "-inf"."""
+    floats, complex parts included, as "nan", "inf" and "-inf"."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = dataclasses.asdict(obj)
     if isinstance(obj, dict):
@@ -611,7 +630,8 @@ def _asdict_jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_asdict_jsonable(v) for v in obj]
     if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
+        return [_asdict_jsonable(float(obj.real)),
+                _asdict_jsonable(float(obj.imag))]
     if isinstance(obj, Enum):
         return obj.value
     if isinstance(obj, (np.floating, np.integer)):

@@ -8,7 +8,6 @@ from starcert.series import (
     builtin_candidate,
     derivative,
     div,
-    max_coeff_diff,
     mul,
     scale,
     shift,
@@ -28,6 +27,12 @@ from starcert.functionals import (
     unit_part,
     w_func,
 )
+
+def max_coeff_diff(a: Series, b: Series) -> float:
+    """Largest coefficient deviation over the common retained orders."""
+    m = min(a.trunc_order, b.trunc_order)
+    return float(np.max(np.abs(a.coeffs[: m + 1] - b.coeffs[: m + 1])))
+
 
 N = 48
 RNG_SEED = 424242
@@ -263,14 +268,37 @@ def _combination_reference(f, x, y, c0):
     return Series(c)
 
 
+def _identity_parts_reference(f):
+    """``R1 = P(1 + w) - 1`` and ``R2 = Q(1 + w) - 1 + z w'``."""
+    w = w_func(f)
+    r1 = mul(starlike_quotient(f), w + 1.0) - 1.0
+    r2 = add(mul(convex_quotient(f), w + 1.0) - 1.0, shift(derivative(w), 1))
+    return r1, r2
+
+
+def _pair_free_reference(f, x, y):
+    r1, r2 = _identity_parts_reference(f)
+    return float(np.max(np.abs(add(scale(r1, x), scale(r2, y)).coeffs)))
+
+
 def _residual_a_reference(f, beta, gamma):
+    return _pair_free_reference(f, beta - gamma, gamma)
+
+
+def _residual_b_reference(f, beta, gamma):
+    return _pair_free_reference(f, beta, gamma)
+
+
+# The identities as written, one product per (beta, gamma) pair.
+
+def _product_residual_a(f, beta, gamma):
     w = w_func(f)
     left = mul(_combination_reference(f, beta - gamma, gamma, beta), w + 1.0)
     right = scale(shift(derivative(w), 1), -gamma) + beta
     return max_coeff_diff(left, right)
 
 
-def _residual_b_reference(f, beta, gamma):
+def _product_residual_b(f, beta, gamma):
     w = w_func(f)
     left = mul(_combination_reference(f, beta, gamma, 0.0), w + 1.0)
     right = scale(w, beta) + scale(add(shift(derivative(w), 1), w), gamma)
@@ -306,3 +334,32 @@ def test_functionals_equal_series_operation_reference():
             assert np.array_equal(
                 mocanu_functional(f, alpha).coeffs,
                 _combination_reference(f, 1.0 - alpha, alpha, 1.0).coeffs)
+
+
+def test_pair_free_residuals_agree_with_the_product_form():
+    # both forms are rounding-level; they differ by at most the rounding
+    # of the products, eps (|beta| + |gamma|) (|P|_1 + |Q|_1) |1 + w|_1
+    rng = np.random.default_rng(RNG_SEED + 11)
+    eps = np.finfo(float).eps
+    for f in _reference_candidates():
+        norm = ((np.abs(starlike_quotient(f).coeffs).sum()
+                 + np.abs(convex_quotient(f).coeffs).sum())
+                * np.abs((w_func(f) + 1.0).coeffs).sum())
+        pairs = [(complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2)))
+                 for _ in range(3)] + [(0.0, 1.0), (1.0 + 0j, 1.0 + 0j)]
+        for beta, gamma in pairs:
+            bound = eps * (abs(beta) + abs(gamma)) * norm
+            assert (abs(identity_a_residual(f, beta, gamma)
+                        - _product_residual_a(f, beta, gamma)) <= bound)
+            assert (abs(identity_b_residual(f, beta, gamma)
+                        - _product_residual_b(f, beta, gamma)) <= bound)
+
+
+def test_shared_reciprocal_quotients_equal_division():
+    for f in _reference_candidates():
+        fp = derivative(f.series)
+        assert np.array_equal(
+            convex_quotient(f).coeffs,
+            (div(shift(derivative(fp), 1), fp) + 1.0).coeffs)
+        assert np.array_equal(w_func(f).coeffs,
+                              (div(unit_part(f), fp) - 1.0).coeffs)

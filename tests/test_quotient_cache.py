@@ -1,5 +1,6 @@
 """The per-candidate quotient cache: each of ``zf'/f``, ``1 + zf''/f'`` and
-``w`` is built once per candidate, and sharing it changes no result.
+``w``, and the reciprocal of ``f'`` the last two share, is built once per
+candidate, and sharing it changes no result.
 
 The uncached reference is built here, on a fresh ``SchlichtCandidate`` with
 the same series for every call, so no call can see another's quotients.
@@ -137,14 +138,15 @@ def test_check_reports_match_uncached_reference():
 # ------------------------------------------------------------ operation counts
 
 @pytest.fixture
-def div_calls(monkeypatch):
-    """Calls to ``series.div`` through every starcert module's binding."""
+def reciprocal_calls(monkeypatch):
+    """Calls to ``series.reciprocal`` through every starcert module's
+    binding; ``series.div`` makes one."""
     calls = []
-    original = series.div
+    original = series.reciprocal
 
-    def counting(a, b):
+    def counting(b):
         calls.append(1)
-        return original(a, b)
+        return original(b)
 
     for name, module in list(sys.modules.items()):
         if name == "starcert" or name.startswith("starcert."):
@@ -155,10 +157,12 @@ def div_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("pairs", [1, 3, 5])
-def test_identity_sweep_divides_three_times_per_candidate(div_calls, pairs):
+def test_identity_sweep_builds_two_reciprocals_per_candidate(reciprocal_calls,
+                                                             pairs):
     res = identity_sweep(ns=(1, 2), per_n=2, pairs=pairs, trunc_order=24)
     assert res.functions == 4
-    assert len(div_calls) == 3 * res.functions
+    # 1/(f/z) for zf'/f, and 1/f' shared by 1 + zf''/f' and w
+    assert len(reciprocal_calls) == 2 * res.functions
 
 
 @pytest.fixture
@@ -182,10 +186,11 @@ def test_identity_sweep_builds_pair_parts_once_per_candidate(part_calls, pairs):
     assert res.functions == 4
     # w is looked up once per candidate, by the identity parts, not per residual
     assert part_calls["w_func"] == res.functions
-    # zf'/f one, 1 + zf''/f' two, w one, and z w' of the identity parts
+    # zf'/f one, f' for its reciprocal, f'' two, and z w' of the identity parts
     assert part_calls["derivative"] == 5 * res.functions
-    # one product per residual
-    assert part_calls["mul"] == 2 * pairs * res.functions
+    # 1 + zf''/f' and w are one product each with 1/f'; the identity parts
+    # R1 and R2 are two more, and no (beta, gamma) pair adds one
+    assert part_calls["mul"] == (2 + 2) * res.functions
 
 
 def test_identity_parts_are_shared_and_read_only():
@@ -194,37 +199,38 @@ def test_identity_parts_are_shared_and_read_only():
     identity_a_residual(f, 0.3, 1.0 - 0.5j)
     identity_b_residual(f, -0.2j, 0.7)
     assert functionals._identity_parts(f) is parts
-    assert parts.w is w_func(f)
-    for s in (parts.one_plus_w, parts.w, parts.zwp, parts.zwp_plus_w):
+    r1, r2 = parts
+    for s in (r1, r2):
         assert not s.coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            s.coeffs[0] = 1.0
+    # P(1 + w) - 1 and Q(1 + w) - 1 + z w' have exact zero constant terms
+    assert r1.coeffs[0] == 0 and r2.coeffs[0] == 0
 
 
-@pytest.mark.parametrize("kind, expected", [
-    (CriterionKind.THM_A, 3),
-    (CriterionKind.THM_B, 3),
-    (CriterionKind.MOCANU, 2),
-])
-def test_check_criterion_division_count(div_calls, kind, expected):
+@pytest.mark.parametrize("kind", [
+    CriterionKind.THM_A, CriterionKind.THM_B, CriterionKind.MOCANU])
+def test_check_criterion_builds_two_reciprocals(reciprocal_calls, kind):
     f = builtin_candidate("halfplane", 48)
     kwargs = {} if kind is CriterionKind.MOCANU else {"beta": 0.2, "gamma": 1.0}
     check_criterion(f, CriterionParams(kind=kind, n=1, alpha=0.5, **kwargs), CFG)
-    assert len(div_calls) == expected
+    assert len(reciprocal_calls) == 2
 
 
-def test_extremal_b_run_divides_three_times(div_calls, capsys):
+def test_extremal_b_run_builds_two_reciprocals(reciprocal_calls, capsys):
     code = main(["extremal", "--family", "EXTREMAL_B", "--n", "1", "--alpha",
                  "0.5", "--beta", "1", "--gamma", "1", "--trunc", "48",
                  "--radii", "0.5,0.9", "--angles", "256"])
     capsys.readouterr()
     assert code == 0
-    assert len(div_calls) == 3
+    assert len(reciprocal_calls) == 2
 
 
-def test_extremal_a_run_divides_three_times(div_calls, capsys):
+def test_extremal_a_run_builds_two_reciprocals(reciprocal_calls, capsys):
     # the self-check writes its closed form without a division
     code = main(["extremal", "--family", "EXTREMAL_A", "--n", "1", "--alpha",
                  "0.4", "--beta", "0,0.2", "--gamma", "1", "--trunc", "48",
                  "--radii", "0.5,0.9", "--angles", "256"])
     capsys.readouterr()
     assert code == 0
-    assert len(div_calls) == 3
+    assert len(reciprocal_calls) == 2

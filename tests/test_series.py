@@ -22,7 +22,6 @@ from starcert.series import (
     integrate_offset,
     log_unit,
     make_series,
-    max_coeff_diff,
     monomial,
     mul,
     pow_unit,
@@ -31,6 +30,12 @@ from starcert.series import (
     tail_estimate,
     zero_series,
 )
+
+
+def max_coeff_diff(a: Series, b: Series) -> float:
+    """Largest coefficient deviation over the common retained orders."""
+    m = min(a.trunc_order, b.trunc_order)
+    return float(np.max(np.abs(a.coeffs[: m + 1] - b.coeffs[: m + 1])))
 
 
 def rand_series(rng, order, amp=1.0, decay=1.0, unit=None):

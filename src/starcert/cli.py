@@ -351,7 +351,11 @@ def write_report(path: str, body_text: str) -> None:
 
 def _write_out(args, command: str, sections: dict) -> None:
     if args.out:
-        write_report(args.out, render_report_body(command, sections))
+        try:
+            write_report(args.out, render_report_body(command, sections))
+        except OSError as e:
+            raise UsageError(
+                f"cannot write report to {args.out}: {e.strerror or e}") from e
         print(f"report written to {args.out}")
 
 

@@ -13,13 +13,17 @@ other functional only recombines them with beta, gamma, alpha or a
 centre.  So each reciprocal and each quotient is built at most once per
 candidate and kept in this module's cache, keyed by the candidate and
 dropped with it; later calls, for any parameters, return the same
-read-only series.
+read-only series.  The builders compose ``f/z``, ``f'``, ``zf''`` and
+their products on coefficient arrays with the series kernels, and box
+only the values they cache as :class:`Series`, which checks them finite.
 
 Both rewrite identities are linear in (beta, gamma).  With ``P = zf'/f``
 and ``Q = 1 + zf''/f'``, their residuals are ``(beta - gamma) R1 +
 gamma R2`` (A) and ``beta R1 + gamma R2`` (B), where ``R1 = P(1 + w) - 1``
 and ``R2 = Q(1 + w) - 1 + z w'`` vanish in exact arithmetic.  The cache
-holds ``R1`` and ``R2`` too, so a (beta, gamma) pair costs no product.
+holds ``R1`` and ``R2`` too, so a (beta, gamma) pair costs no product,
+and arrays of beta and gamma take every pair in one elementwise
+expression, each entry with the bits of its scalar call.
 That cache is the one piece of state here: neither a candidate nor a
 cached series can change, so sharing changes no result.
 """
@@ -36,12 +40,9 @@ import numpy as np
 from .series import (
     Series,
     SchlichtCandidate,
-    add,
-    derivative,
-    div,
-    mul,
+    _derivative,
+    _mul,
     reciprocal,
-    shift,
 )
 
 
@@ -82,26 +83,37 @@ def _once_per_candidate(build):
 @_once_per_candidate
 def starlike_quotient(f: SchlichtCandidate) -> Series:
     """``z f'(z) / f(z)``; constant term exactly 1."""
-    return div(derivative(f.series), unit_part(f))
+    fprime = _derivative(f.series.coeffs)
+    return Series(_mul(fprime, reciprocal(unit_part(f)).coeffs))
 
 
 @_once_per_candidate
 def _fprime_reciprocal(f: SchlichtCandidate) -> Series:
     """``1/f'``, the denominator of ``1 + zf''/f'`` and of ``w``."""
-    return reciprocal(derivative(f.series))
+    return reciprocal(Series(_derivative(f.series.coeffs)))
+
+
+def _z_derivative(c: np.ndarray) -> np.ndarray:
+    """``z g'`` from the coefficients of ``g``, one order longer than ``g'``."""
+    return np.concatenate(([0j], _derivative(c)))
 
 
 @_once_per_candidate
 def convex_quotient(f: SchlichtCandidate) -> Series:
     """``1 + z f''(z) / f'(z)``; constant term exactly 1."""
-    zfpp = shift(derivative(derivative(f.series)), 1)
-    return mul(zfpp, _fprime_reciprocal(f)) + 1.0
+    # 1/f' first: it refuses an f' too large for z f'' to be finite
+    inv = _fprime_reciprocal(f).coeffs
+    q = _mul(_z_derivative(_derivative(f.series.coeffs)), inv)
+    q[0] += 1.0
+    return Series(q)
 
 
 @_once_per_candidate
 def w_func(f: SchlichtCandidate) -> Series:
     """``w = f/(z f') - 1``; vanishes to order >= n for class index n."""
-    return mul(unit_part(f), _fprime_reciprocal(f)) - 1.0
+    w = _mul(f.series.coeffs[1:], _fprime_reciprocal(f).coeffs)
+    w[0] += -1.0  # not -= 1.0, which keeps a -0.0 imaginary part
+    return Series(w)
 
 
 def _combination(f: SchlichtCandidate, x: complex, y: complex,
@@ -141,28 +153,38 @@ def centered_quotient(f: SchlichtCandidate, center: float) -> Series:
 def _identity_parts(f: SchlichtCandidate) -> tuple[Series, Series]:
     """``R1 = P(1 + w) - 1`` and ``R2 = Q(1 + w) - 1 + z w'``, the two
     series every identity residual combines."""
-    w = w_func(f)
-    one_plus_w = w + 1.0
-    r1 = mul(starlike_quotient(f), one_plus_w) - 1.0
-    r2 = add(mul(convex_quotient(f), one_plus_w) - 1.0, shift(derivative(w), 1))
-    return r1, r2
+    w = w_func(f).coeffs
+    one_plus_w = w.copy()
+    one_plus_w[0] += 1.0
+    r1 = _mul(starlike_quotient(f).coeffs, one_plus_w)
+    r1[0] += -1.0
+    r2 = _mul(convex_quotient(f).coeffs, one_plus_w)
+    r2[0] += -1.0
+    r2 += _z_derivative(w)
+    return Series(r1), Series(r2)
 
 
-def _residual(f: SchlichtCandidate, x: complex, y: complex) -> float:
-    """Largest coefficient modulus of ``x R1 + y R2``."""
+def _residual(f: SchlichtCandidate, x, y):
+    """Largest coefficient modulus of ``x R1 + y R2``: a float for scalar
+    ``x, y``, else one per entry of the arrays."""
     r1, r2 = _identity_parts(f)
-    return float(np.max(np.abs(r1.coeffs * complex(x) + r2.coeffs * complex(y))))
+    x = np.asarray(x, dtype=np.complex128)[..., None]
+    y = np.asarray(y, dtype=np.complex128)[..., None]
+    worst = np.max(np.abs(r1.coeffs * x + r2.coeffs * y), axis=-1)
+    return worst if worst.ndim else float(worst)
 
 
-def identity_a_residual(f: SchlichtCandidate, beta: complex, gamma: complex) -> float:
+def identity_a_residual(f: SchlichtCandidate, beta, gamma):
     """Max coefficient residual of ``lhs_a * (1 + w) - (beta - gamma z w')``,
-    which is ``(beta - gamma) R1 + gamma R2``."""
-    return _residual(f, beta - gamma, gamma)
+    which is ``(beta - gamma) R1 + gamma R2``; one per entry when ``beta``
+    and ``gamma`` are arrays of one length."""
+    return _residual(f, np.subtract(beta, gamma), gamma)
 
 
-def identity_b_residual(f: SchlichtCandidate, beta: complex, gamma: complex) -> float:
+def identity_b_residual(f: SchlichtCandidate, beta, gamma):
     """Max coefficient residual of ``lhs_b * (1 + w) + (beta w + gamma (z w' + w))``,
-    which is ``beta R1 + gamma R2``."""
+    which is ``beta R1 + gamma R2``; one per entry when ``beta`` and
+    ``gamma`` are arrays of one length."""
     return _residual(f, beta, gamma)
 
 
@@ -220,11 +242,11 @@ def identity_sweep(ns=(1, 2, 3), per_n: int = 100, pairs: int = 5,
     if seed < 0:
         raise ParameterError(f"identity sweep needs seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    bg = [
+    beta, gamma = np.array([
         (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
          complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
         for _ in range(pairs)
-    ]
+    ]).T
     worst_a = 0.0
     worst_b = 0.0
     total = 0
@@ -232,9 +254,8 @@ def identity_sweep(ns=(1, 2, 3), per_n: int = 100, pairs: int = 5,
         for _ in range(per_n):
             f = random_candidate(n, trunc_order, rng)
             total += 1
-            for beta, gamma in bg:
-                worst_a = max(worst_a, identity_a_residual(f, beta, gamma))
-                worst_b = max(worst_b, identity_b_residual(f, beta, gamma))
+            worst_a = max(worst_a, float(identity_a_residual(f, beta, gamma).max()))
+            worst_b = max(worst_b, float(identity_b_residual(f, beta, gamma).max()))
     return IdentitySweepResult(
         max_residual_a=worst_a,
         max_residual_b=worst_b,

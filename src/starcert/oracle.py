@@ -180,6 +180,10 @@ def _refine_circle(a: Series, r: float, theta0: float, span: float,
     for _ in range(_NEWTON_STEPS):
         p, p1, p2 = at(theta)
         if sign > 0:  # half the derivatives of |p|^2
+            # scaled by one power of two, so the squares cannot overflow
+            # and the step d1/d2 keeps its bits
+            s = math.ldexp(1.0, -math.frexp(max(abs(p), abs(p1), abs(p2)))[1])
+            p, p1, p2 = p * s, p1 * s, p2 * s
             d1 = (p.conjugate() * p1).real
             d2 = abs(p1) ** 2 + (p.conjugate() * p2).real
         else:

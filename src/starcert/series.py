@@ -9,13 +9,17 @@ multiplying by ``z`` gains one.  Fractional powers of ``z`` never
 materialize; :func:`integrate_offset` factors the ``z^c`` part out
 symbolically, and :func:`pow_unit`, :func:`exp_unit`, :func:`log_unit`
 stay on the principal branch anchored at the unit constant term.
-:func:`reciprocal` builds ``1/b`` by Newton iteration in O(log N)
-convolutions and is the one place a divisor is checked for a unit
-constant term.  :func:`div` is a product with it, so a caller dividing
-by one series several times builds its reciprocal once; :func:`log_unit`
-runs the same iteration on its unit-constant argument.  :func:`exp_unit`
-keeps its O(N^2) recurrence, which holds the relative accuracy of small
-coefficients.
+The truncated product and the term-wise derivative are each one array
+kernel, ``_mul`` and ``_derivative``; :func:`mul` and :func:`derivative`
+box their results as a :class:`Series`, and a caller that composes
+several steps (``functionals``) runs the kernels on coefficient arrays
+and boxes only what it keeps.  :func:`reciprocal` builds ``1/b`` by
+Newton iteration in O(log N) convolutions and is the one place a divisor
+is checked for a unit constant term.  :func:`div` is a product with it,
+so a caller dividing by one series several times builds its reciprocal
+once; :func:`log_unit` runs the same iteration on its unit-constant
+argument.  :func:`exp_unit` keeps its O(N^2) recurrence, which holds the
+relative accuracy of small coefficients.
 :func:`evaluate_grid` samples a series on a :class:`Circle` by one FFT, the
 one way a series is read off a circle.
 
@@ -146,11 +150,15 @@ def scale(a: Series, s) -> Series:
     return Series(a.coeffs * complex(s))
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy product of two coefficient arrays, truncated at the shorter."""
+    m = min(a.size, b.size)
+    return np.convolve(a[:m], b[:m])[:m]
+
+
 def mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated at the smaller input order."""
-    m = min(a.trunc_order, b.trunc_order)
-    prod = np.convolve(a.coeffs[: m + 1], b.coeffs[: m + 1])[: m + 1]
-    return Series(prod)
+    return Series(_mul(a.coeffs, b.coeffs))
 
 
 def shift(a: Series, k: int) -> Series:
@@ -203,12 +211,17 @@ def div(a: Series, b: Series) -> Series:
     return mul(a, reciprocal(Series(b.coeffs[: m + 1])))
 
 
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Term-wise derivative of the coefficients ``c0..cN``: ``k c_k`` for
+    ``k = 1..N``."""
+    return c[1:] * np.arange(1, c.size)
+
+
 def derivative(a: Series) -> Series:
     """Term-wise derivative; truncation order drops by one."""
     if a.trunc_order == 0:
         return zero_series(0)
-    k = np.arange(1, a.trunc_order + 1)
-    return Series(a.coeffs[1:] * k)
+    return Series(_derivative(a.coeffs))
 
 
 def exp_unit(a: Series) -> Series:
@@ -242,11 +255,10 @@ def log_unit(a: Series) -> Series:
             f"log_unit requires constant term 1, got {a.coeffs[0]}"
         )
     n = a.trunc_order
-    k = np.arange(1, n + 1)
     lg = np.zeros(n + 1, dtype=np.complex128)
     if n:  # log a is the integral of a'/a
-        da = a.coeffs[1:] * k
-        lg[1:] = np.convolve(da, _reciprocal(a.coeffs[:n]))[:n] / k
+        lg[1:] = (_mul(_derivative(a.coeffs), _reciprocal(a.coeffs[:n]))
+                  / np.arange(1, n + 1))
     return Series(lg)
 
 

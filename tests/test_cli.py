@@ -551,6 +551,11 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
     pytest.param(["check", "latin1.json", *THM_B], 3, id="spec-not-utf8"),
     pytest.param(["jack", "ovf.json", "--radius", "0.9", "--out", "r.json"], 2,
                  id="jack-circle-overflows"),
+    # an unwritable --out is a usage error, after the command's stdout lines
+    pytest.param(["check", "identity.json", *THM_B, "--out", "missing/r.json"],
+                 3, id="check-out-in-missing-dir"),
+    pytest.param(["identities", "--per-n", "1", "--pairs", "1", "--trunc", "8",
+                  "--out", "."], 3, id="identities-out-is-a-dir"),
 ])
 def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, monkeypatch,
                                              argv, expected):
@@ -576,6 +581,28 @@ def test_jack_refuses_an_overflowing_circle_without_warning(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("rejected: ")
     assert not out.exists()
+
+
+def test_unwritable_out_names_the_path_after_the_verdict(tmp_path, capsys):
+    spec = write_spec(tmp_path, "identity.json", ERROR_SPECS["identity.json"])
+    out = tmp_path / "missing" / "r.json"
+    assert main(["check", spec, *THM_B, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "verdict: CERTIFIED_SAMPLED"
+    assert captured.err == (f"usage error: cannot write report to {out}: "
+                            "No such file or directory\n")
+
+
+def test_jack_refines_a_large_circle_without_warning(tmp_path, capsys):
+    # |p|^2 of circle values near 1e200 overflows unless the Newton step
+    # is taken on values scaled by a power of two
+    spec = write_spec(tmp_path, "big.json", {
+        "kind": "COEFFS", "n": 1, "trunc": 8, "coeffs": [[1e200, 0]] * 4})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["jack", spec, "--radius", "0.9"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_non_unit_divisor_names_the_relative_floor(tmp_path, capsys):

@@ -32,10 +32,18 @@ from starcert.functionals import (
     mocanu_functional,
     random_candidate,
     starlike_quotient,
+    unit_part,
     w_func,
 )
 from starcert.oracle import SamplingConfig, check_criterion
-from starcert.series import SchlichtCandidate, builtin_candidate
+from starcert.series import (
+    SchlichtCandidate,
+    builtin_candidate,
+    derivative,
+    div,
+    mul,
+    shift,
+)
 
 CFG = SamplingConfig(radii=(0.5, 0.9, 0.99), angles=256)
 QUOTIENTS = (starlike_quotient, convex_quotient, w_func)
@@ -166,31 +174,106 @@ def test_identity_sweep_builds_two_reciprocals_per_candidate(reciprocal_calls,
 
 
 @pytest.fixture
-def part_calls(monkeypatch):
-    """Calls functionals makes to ``w_func``, ``derivative`` and ``mul``."""
+def sweep_work(monkeypatch):
+    """Identity-part builds, and calls functionals makes to ``w_func``, the
+    product and derivative kernels and the two residuals; and every
+    ``Series`` constructed."""
     counts = collections.Counter()
-    for name in ("w_func", "derivative", "mul"):
-        original = getattr(functionals, name)
 
-        def counting(*args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(*args)
+    def counting(name, original):
+        def count(*args):
+            counts[name] += 1
+            return original(*args)
+        return count
 
-        monkeypatch.setattr(functionals, name, counting)
+    for name in ("w_func", "_mul", "_derivative", "identity_a_residual",
+                 "identity_b_residual"):
+        monkeypatch.setattr(functionals, name,
+                            counting(name, getattr(functionals, name)))
+    monkeypatch.setattr(functionals, "_identity_parts",
+                        functionals._once_per_candidate(counting(
+                            "parts", functionals._identity_parts.__wrapped__)))
+    monkeypatch.setattr(series.Series, "__post_init__",
+                        counting("Series", series.Series.__post_init__))
     return counts
 
 
 @pytest.mark.parametrize("pairs", [1, 3, 5])
-def test_identity_sweep_builds_pair_parts_once_per_candidate(part_calls, pairs):
+def test_identity_sweep_builds_pair_parts_once_per_candidate(sweep_work, pairs):
     res = identity_sweep(ns=(1, 2), per_n=2, pairs=pairs, trunc_order=24)
     assert res.functions == 4
-    # w is looked up once per candidate, by the identity parts, not per residual
-    assert part_calls["w_func"] == res.functions
-    # zf'/f one, f' for its reciprocal, f'' two, and z w' of the identity parts
-    assert part_calls["derivative"] == 5 * res.functions
-    # 1 + zf''/f' and w are one product each with 1/f'; the identity parts
-    # R1 and R2 are two more, and no (beta, gamma) pair adds one
-    assert part_calls["mul"] == (2 + 2) * res.functions
+    # R1 and R2 are built once per candidate, and w looked up once, by them
+    assert sweep_work["parts"] == res.functions
+    assert sweep_work["w_func"] == res.functions
+    # one call per identity takes every (beta, gamma) pair at once
+    assert sweep_work["identity_a_residual"] == res.functions
+    assert sweep_work["identity_b_residual"] == res.functions
+    # zf'/f, 1 + zf''/f' and w are one product each with a reciprocal, R1
+    # and R2 two more; f' for zf'/f, for 1/f' and for zf'', then zf'' and
+    # z w' are the derivatives; no pair adds either
+    assert sweep_work["_mul"] == 5 * res.functions
+    assert sweep_work["_derivative"] == 5 * res.functions
+    # the candidate, f/z and f' with their reciprocals, and the five
+    # cached series zf'/f, 1 + zf''/f', w, R1, R2
+    assert sweep_work["Series"] <= 10 * res.functions
+
+
+def _series_reference(f: SchlichtCandidate):
+    """``zf'/f``, ``1 + zf''/f'``, ``w``, ``R1`` and ``R2`` written as the
+    public Series operations, on a candidate with an empty cache."""
+    f = fresh(f)
+    fp = derivative(f.series)
+    p = div(fp, unit_part(f))
+    q = div(shift(derivative(fp), 1), fp) + 1.0
+    w = div(unit_part(f), fp) - 1.0
+    r1 = mul(p, w + 1.0) - 1.0
+    r2 = mul(q, w + 1.0) - 1.0 + shift(derivative(w), 1)
+    return p, q, w, r1, r2
+
+
+def reference_candidates():
+    rng = np.random.default_rng(18)
+    out = sample_candidates()
+    out += [random_candidate(n, trunc, rng)
+            for trunc in (8, 13, 32, 64, 100, 128) for n in (1, 2, 3)]
+    for family in ExtremalFamily:
+        out += [build_extremal(p, trunc)
+                for p, trunc in zip(documented_grid(family)[::9], (48, 96, 128))]
+    return out
+
+
+def test_functionals_equal_the_series_operation_reference():
+    for f in reference_candidates():
+        got = (starlike_quotient(f), convex_quotient(f), w_func(f),
+               *functionals._identity_parts(f))
+        for s, want in zip(got, _series_reference(f)):
+            assert s.coeffs.tobytes() == want.coeffs.tobytes()
+            assert not s.coeffs.flags.writeable
+
+
+def test_array_residuals_equal_the_scalar_calls():
+    rng = np.random.default_rng(19)
+    for f in reference_candidates():
+        beta = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
+        gamma = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
+        for residual in (identity_a_residual, identity_b_residual):
+            got = residual(f, beta, gamma)
+            assert got.shape == (6,)
+            for b, g, r in zip(beta, gamma, got):
+                one = residual(f, complex(b), complex(g))
+                assert type(one) is float
+                assert r == one
+
+
+def test_convex_quotient_refuses_an_overflowing_zf2():
+    # f' = 5e307 z^49 is finite; z f'' = 2.45e309 z^49 is not
+    arr = np.zeros(61, dtype=np.complex128)
+    arr[1], arr[50] = 1.0, 1e306
+    f = SchlichtCandidate(1, series.Series(arr))
+    assert np.isfinite(derivative(f.series).coeffs).all()
+    for _ in range(2):
+        with pytest.raises(series.SeriesError):
+            convex_quotient(f)
 
 
 def test_identity_parts_are_shared_and_read_only():

@@ -6,10 +6,12 @@ sampled (one FFT, see :func:`~starcert.series.evaluate_grid`), the grid
 extremum is taken at the smallest of the angles that tie for it up to
 rounding, and its angle is refined by Newton steps on the circle's
 trigonometric sum; a refined point replaces the grid point only when it
-gains more than that rounding tolerance.  Checks the strict hypothesis and
-conclusion inequalities of each criterion with explicit margins, counts
-zeros of ``f/z`` and ``f'`` by the argument principle, and demonstrates
-the boundary-maximum lemma numerically.
+gains more than that rounding tolerance.  The steps do their arithmetic
+on Python floats, which round as numpy's scalars do.  Checks the strict
+hypothesis and conclusion inequalities of each criterion with explicit
+margins, counts zeros of ``f/z`` and ``f'`` by the argument principle
+(on samples scaled by one power of two, so the phase products cannot
+overflow), and demonstrates the boundary-maximum lemma numerically.
 
 A passing verdict is always ``CERTIFIED_SAMPLED``: every sampled point
 satisfies each strict inequality, the modulus hypothesis with its heuristic
@@ -20,7 +22,7 @@ deliberately weaker than a proof over the open disk and the reports say so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -56,6 +58,7 @@ _NEWTON_TINY = 1e-13
 # Grid values this many rounding units (of the largest) below the extremum
 # tie with it.
 _TIE_ULPS = 64
+_EPS = float(np.finfo(float).eps)
 
 TAIL_DISCLAIMER = (
     "tail allowance is a coefficient-growth heuristic, not a rigorous bound"
@@ -74,9 +77,12 @@ _DEFAULT_RADII = tuple(round(0.10 + 0.01 * i, 10) for i in range(90)) + (0.995,)
 class SamplingConfig:
     """Grid and policy for sup estimation on the disk.
 
-    ``radii`` are candidate circles, ascending.  The margin policy is
-    fixed: a hypothesis certifies only when the sampled sup plus the tail
-    allowance at the sampled radius stays below the bound.
+    ``radii`` are candidate circles, ascending, each inside (0, 1);
+    ``angles`` is an integer (Python or numpy, not ``bool``) of at least 64
+    and ``refine`` a ``bool``.  Anything else is refused with a
+    ``ParameterError`` naming the field.  The margin policy is fixed: a
+    hypothesis certifies only when the sampled sup plus the tail allowance
+    at the sampled radius stays below the bound.
     """
 
     radii: tuple[float, ...] = _DEFAULT_RADII
@@ -91,8 +97,14 @@ class SamplingConfig:
             raise ParameterError("sampling radii must lie strictly inside (0, 1)")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ParameterError("sampling radii must be strictly ascending")
+        if (isinstance(self.angles, bool)
+                or not isinstance(self.angles, (int, np.integer))):
+            raise ParameterError(
+                f"angles must be an integer, got {self.angles!r}")
         if self.angles < 64:
             raise ParameterError(f"need at least 64 angles per circle, got {self.angles}")
+        if not isinstance(self.refine, bool):
+            raise ParameterError(f"refine must be a bool, got {self.refine!r}")
 
 
 class Verdict(Enum):
@@ -161,9 +173,12 @@ def _angle_sums(a: Series, r: float):
     with its first two derivatives in ``theta`` (``p' = i z a'(z)``), as a
     function of the angle returning all three."""
     k = np.arange(a.coeffs.size)
-    b = a.coeffs * r ** k
-    sums = np.stack([b, 1j * k * b, -(k * k) * b])
-    return lambda theta: sums @ np.exp(1j * k * theta)
+    ik = 1j * k
+    sums = np.empty((3, k.size), dtype=np.complex128)
+    b = np.multiply(a.coeffs, r ** k, out=sums[0])
+    np.multiply(ik, b, out=sums[1])
+    np.multiply(-(k * k), b, out=sums[2])
+    return lambda theta: sums @ np.exp(ik * theta)
 
 
 def _refine_circle(a: Series, r: float, theta0: float, span: float,
@@ -174,11 +189,12 @@ def _refine_circle(a: Series, r: float, theta0: float, span: float,
     wrong-sign curvature, a step out of ``theta0 +- span``, a tiny step or the
     cap.  Returns refined ``(theta, a(z))`` if its objective beats the grid
     value by more than ``tol``, else the grid point: a gain at rounding
-    level is a tie, and a tie stays at the grid angle."""
+    level is a tie, and a tie stays at the grid angle.  The steps do their
+    arithmetic on Python floats, which round as numpy's scalars do."""
     at = _angle_sums(a, r)
     theta = theta0
     for _ in range(_NEWTON_STEPS):
-        p, p1, p2 = at(theta)
+        p, p1, p2 = at(theta).tolist()
         if sign > 0:  # half the derivatives of |p|^2
             # scaled by one power of two, so the squares cannot overflow
             # and the step d1/d2 keeps its bits
@@ -201,22 +217,28 @@ def _refine_circle(a: Series, r: float, theta0: float, span: float,
     return (theta, value) if better else (theta0, value0)
 
 
-def _circle_extremum(a: Series, r: float, cfg: SamplingConfig,
-                     sign: float) -> Extremum:
+def _circle_extremum(a: Series, r: float, cfg: SamplingConfig, sign: float,
+                     tail: float = 0.0,
+                     skipped_radii: tuple[float, ...] = ()) -> Extremum:
     """Grid extremum of ``|a|`` (sign=+1, max) or ``Re a`` (sign=-1, min)
-    on ``|z| = r``, refined if configured.  Ties go to the smallest angle:
-    the first grid point within ``_TIE_ULPS`` rounding units of the
-    extremum counts as reaching it, so rounding cannot pick among equal
-    values (``|S z^n|`` is constant on the circle, for one)."""
+    on ``|z| = r``, refined if configured, recorded with the given tail
+    allowance and skipped radii.  Ties go to the smallest angle: the first
+    grid point within ``_TIE_ULPS`` rounding units of the extremum counts
+    as reaching it, so rounding cannot pick among equal values (``|S z^n|``
+    is constant on the circle, for one)."""
     vals = evaluate_grid(a, Circle(r, cfg.angles))
     obj = sign * _objective(vals, sign)
-    tol = _TIE_ULPS * np.finfo(float).eps * float(np.max(np.abs(obj)))
-    j = int(np.argmax(obj >= np.max(obj) - tol))
+    top = float(obj.max())
+    # the largest |objective|: the modulus is never negative
+    big = top if sign > 0 else max(top, -float(obj.min()))
+    tol = _TIE_ULPS * _EPS * big
+    j = int((obj >= top - tol).argmax())
     theta, value = 2.0 * np.pi * j / cfg.angles, vals[j]
     if cfg.refine:
         theta, value = _refine_circle(
             a, r, theta, 2.0 * np.pi / cfg.angles, sign, value, tol)
-    return Extremum(float(_objective(value, sign)), r, theta, complex(value))
+    return Extremum(float(_objective(value, sign)), r, theta, complex(value),
+                    tail, skipped_radii)
 
 
 def sup_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:
@@ -248,8 +270,7 @@ def sup_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:
         raise DegenerateSeriesError(
             "every sampling radius was refused by the tail heuristic"
         )
-    peak = _circle_extremum(a, radii[lo], cfg, +1.0)
-    return replace(peak, tail=tail, skipped_radii=radii[lo + 1:])
+    return _circle_extremum(a, radii[lo], cfg, +1.0, tail, radii[lo + 1:])
 
 
 def min_real_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:
@@ -265,19 +286,25 @@ def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig):
     so also flagged, when a phase step reaches pi/2) reported at the sample
     of least modulus.  A zero-free polynomial has its least modulus on the
     boundary, so near-zeros inside show on this circle too."""
-    r = cfg.radii[-1]
+    circle = Circle(cfg.radii[-1], cfg.angles)
     out = []
     for label, s in (("f/z", unit_part(f)), ("f'", derivative(f.series))):
-        vals = evaluate_grid(s, Circle(r, cfg.angles))
+        vals = evaluate_grid(s, circle)
         mags = np.abs(vals)
-        bad = np.nonzero(mags < _DENOM_FLOOR)[0]
+        bad = (mags < _DENOM_FLOOR).nonzero()[0]
         if not bad.size:
+            # scaled by one power of two, the middle of the moduli's
+            # exponents, so no product of neighbours over- or underflows;
+            # a product finite unscaled keeps its phase bits
+            mid = (math.frexp(mags.min())[1] + math.frexp(mags.max())[1]) // 2
+            vals = vals * math.ldexp(1.0, -mid)
             # summed principal phase steps / 2 pi = zeros inside the circle
-            steps = np.angle(np.roll(vals, -1) * np.conj(vals))
-            if (np.max(np.abs(steps)) >= 0.5 * np.pi
-                    or round(np.sum(steps) / (2.0 * np.pi)) != 0):
-                bad = [int(np.argmin(mags))]
-        out.extend((r, float(2.0 * np.pi * j / cfg.angles), label,
+            nxt = np.concatenate((vals[1:], vals[:1]))
+            steps = np.angle(nxt * np.conj(vals))
+            if (np.abs(steps).max() >= 0.5 * np.pi
+                    or round(steps.sum() / (2.0 * np.pi)) != 0):
+                bad = [int(mags.argmin())]
+        out.extend((circle.r, float(2.0 * np.pi * j / circle.m), label,
                     float(mags[j])) for j in bad)
     return tuple(out[:_DENOM_CAP])
 

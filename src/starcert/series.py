@@ -14,12 +14,15 @@ kernel, ``_mul`` and ``_derivative``; :func:`mul` and :func:`derivative`
 box their results as a :class:`Series`, and a caller that composes
 several steps (``functionals``) runs the kernels on coefficient arrays
 and boxes only what it keeps.  :func:`reciprocal` builds ``1/b`` by
-Newton iteration in O(log N) convolutions and is the one place a divisor
-is checked for a unit constant term.  :func:`div` is a product with it,
-so a caller dividing by one series several times builds its reciprocal
-once; :func:`log_unit` runs the same iteration on its unit-constant
-argument.  :func:`exp_unit` keeps its O(N^2) recurrence, which holds the
-relative accuracy of small coefficients.
+Newton iteration in O(log N) convolutions, each step's residual a middle
+product, and is the one place a divisor is checked for a unit constant
+term.  :func:`div` is a product with it, so a caller dividing by one
+series several times builds its reciprocal once; :func:`log_unit` runs
+the same iteration on its unit-constant argument.  :func:`exp_unit` keeps
+its O(N^2) recurrence, which holds the relative accuracy of small
+coefficients; it fills its result back to front, so each step's dot
+product reads two forward slices.  Both loops give the bits of their
+textbook forms (full product, negative-stride view).
 :func:`evaluate_grid` samples a series on a :class:`Circle` by one FFT, the
 one way a series is read off a circle.
 
@@ -176,13 +179,15 @@ def _reciprocal(b: np.ndarray) -> np.ndarray:
     Each step doubles the known length ``k``: ``b x = 1 + z^k r`` modulo
     ``z^(2k)``, so ``x (2 - b x) = x - z^k x r`` extends ``x`` by ``-x r``
     and leaves its first ``k`` coefficients as they were.  Two convolutions
-    per step, ``log2`` of the length steps (Kung 1974).
+    per step, ``log2`` of the length steps (Kung 1974).  The residual ``r``
+    is the middle product of ``b[1:2k]`` and ``x`` (Hanrot, Quercia and
+    Zimmermann 2004), which skips the product's low half.
     """
     x = np.array([1.0 / b[0]], dtype=np.complex128)
     while x.size < b.size:
         k = x.size
         k2 = min(2 * k, b.size)
-        r = np.convolve(b[:k2], x)[k:k2]
+        r = np.convolve(b[1:k2], x, "valid")  # entries k..k2-1 of b x
         x = np.concatenate([x, -np.convolve(x[: k2 - k], r)[: k2 - k]])
     return x
 
@@ -218,10 +223,13 @@ def _derivative(c: np.ndarray) -> np.ndarray:
 
 
 def derivative(a: Series) -> Series:
-    """Term-wise derivative; truncation order drops by one."""
+    """Term-wise derivative; truncation order drops by one.  A coefficient
+    that overflows is refused by the ``Series`` finiteness check."""
     if a.trunc_order == 0:
         return zero_series(0)
-    return Series(_derivative(a.coeffs))
+    with np.errstate(over="ignore"):  # an overflow is the refusal below
+        d = _derivative(a.coeffs)
+    return Series(d)
 
 
 def exp_unit(a: Series) -> Series:
@@ -238,11 +246,11 @@ def exp_unit(a: Series) -> Series:
         )
     n = a.trunc_order
     ka = a.coeffs * np.arange(n + 1)  # j * a_j
-    e = np.zeros(n + 1, dtype=np.complex128)
-    e[0] = 1.0
-    for k in range(1, n + 1):
-        e[k] = np.dot(ka[1 : k + 1], e[k - 1 :: -1]) / k
-    return Series(e)
+    rev = np.zeros(n + 1, dtype=np.complex128)  # e_k is rev[n - k]
+    rev[n] = 1.0
+    for k in range(1, n + 1):  # e_k = sum_j j a_j e_(k-j) / k
+        rev[n - k] = ka[1 : k + 1].dot(rev[n - k + 1 :]) / k
+    return Series(rev[::-1])
 
 
 def log_unit(a: Series) -> Series:

@@ -460,6 +460,12 @@ ERROR_SPECS = {
     # finite coefficients whose circle values overflow
     "ovf.json": {"kind": "COEFFS", "n": 1, "trunc": 8,
                  "coeffs": [[1e308, 0]] * 4},
+    # circle values whose neighbour products overflow
+    "ovf_phase.json": {"kind": "COEFFS", "n": 1, "trunc": 8,
+                       "coeffs": [[1e160, 0]] * 3},
+    # finite coefficients whose derivative overflows
+    "ovf_derivative.json": {"kind": "COEFFS", "n": 1, "trunc": 8,
+                            "coeffs": [[1e308, 0]] * 3},
     "latin1.json": ('{"kind": "BUILTIN", "builtin": "identity", "n": 1, '
                     '"trunc": 32, "note": "\u00e9"}').encode("latin-1"),
 }
@@ -551,6 +557,12 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
     pytest.param(["check", "latin1.json", *THM_B], 3, id="spec-not-utf8"),
     pytest.param(["jack", "ovf.json", "--radius", "0.9", "--out", "r.json"], 2,
                  id="jack-circle-overflows"),
+    pytest.param(["check", "ovf_phase.json", "--kind", "THM_B", "--beta", "1",
+                  "--gamma", "1", "--alpha", "0.5"], 2,
+                 id="check-phase-product-overflows"),
+    pytest.param(["check", "ovf_derivative.json", "--kind", "THM_B", "--beta",
+                  "1", "--gamma", "1", "--alpha", "0.5"], 2,
+                 id="check-derivative-overflows"),
     # an unwritable --out is a usage error, after the command's stdout lines
     pytest.param(["check", "identity.json", *THM_B, "--out", "missing/r.json"],
                  3, id="check-out-in-missing-dir"),
@@ -566,7 +578,9 @@ def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, monkeypatch,
         else:
             write_spec(tmp_path, name, payload)
     argv = [str(tmp_path / a) if a in ERROR_SPECS else a for a in argv]
-    assert main(argv) == expected
+    with warnings.catch_warnings():  # a warning would be a second line
+        warnings.simplefilter("error")
+        assert main(argv) == expected
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err

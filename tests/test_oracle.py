@@ -7,10 +7,12 @@ import pytest
 
 from starcert import oracle, series
 from starcert.series import (
+    Circle,
     Series,
     SchlichtCandidate,
     builtin_candidate,
     derivative,
+    evaluate_grid,
     make_series,
     monomial,
     schlicht_from_tail,
@@ -23,7 +25,7 @@ from starcert.extremals import (
     build_extremal,
     documented_grid,
 )
-from starcert.functionals import lhs_a
+from starcert.functionals import ParameterError, lhs_a, unit_part
 from starcert.oracle import (
     DegenerateSeriesError,
     Extremum,
@@ -50,6 +52,20 @@ def test_config_validation():
         SamplingConfig(radii=(0.5, 1.0))
     with pytest.raises(ValueError):
         SamplingConfig(angles=16)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"angles": 2048.0}, {"angles": True}, {"angles": "512"},
+    {"refine": "no"}, {"refine": 1}, {"refine": None},
+], ids=repr)
+def test_config_refuses_mistyped_angles_and_refine(kwargs):
+    (field,) = kwargs
+    with pytest.raises(ParameterError, match=field):
+        SamplingConfig(**kwargs)
+
+
+def test_config_accepts_numpy_integer_angles():
+    assert SamplingConfig(angles=np.int64(512)).angles == 512
 
 
 def test_default_radii_grid():
@@ -578,3 +594,118 @@ def test_jack_randomized_conformance():
         res = jack_demo(Series(arr), m, 0.9, CFG)
         assert res.imag_ok, f"Im(k) too large: {res.k_est}"
         assert res.real_ok, f"Re(k) below order: {res.k_est} vs {m}"
+
+
+# ----------------------------------------------------- loops as first written
+# The sampling loops as first written, kept as references: the oracle must
+# give reports and jack results equal to theirs.
+
+def _stacked_angle_sums(a, r):
+    """_angle_sums stacking its three weight rows."""
+    k = np.arange(a.coeffs.size)
+    b = a.coeffs * r ** k
+    sums = np.stack([b, 1j * k * b, -(k * k) * b])
+    return lambda theta: sums @ np.exp(1j * k * theta)
+
+
+def _numpy_scalar_refine(a, r, theta0, span, sign, value0, tol):
+    """_refine_circle taking its Newton steps on numpy scalars."""
+    at = _stacked_angle_sums(a, r)
+    theta = theta0
+    for _ in range(oracle._NEWTON_STEPS):
+        p, p1, p2 = at(theta)
+        if sign > 0:
+            s = math.ldexp(1.0, -math.frexp(max(abs(p), abs(p1), abs(p2)))[1])
+            p, p1, p2 = p * s, p1 * s, p2 * s
+            d1 = (p.conjugate() * p1).real
+            d2 = abs(p1) ** 2 + (p.conjugate() * p2).real
+        else:
+            d1, d2 = p1.real, p2.real
+        if sign * d2 >= 0.0:
+            break
+        step = float(d1 / d2)
+        if abs(theta - step - theta0) > span:
+            break
+        theta -= step
+        if abs(step) < oracle._NEWTON_TINY:
+            break
+    value = at(theta)[0]
+    obj = oracle._objective
+    better = sign * (obj(value, sign) - obj(value0, sign)) > tol
+    return (theta, value) if better else (theta0, value0)
+
+
+def _abs_max_circle_extremum(a, r, cfg, sign, tail=0.0, skipped_radii=()):
+    """_circle_extremum taking its tolerance from the max of |objective|."""
+    vals = evaluate_grid(a, Circle(r, cfg.angles))
+    obj = sign * oracle._objective(vals, sign)
+    tol = oracle._TIE_ULPS * np.finfo(float).eps * float(np.max(np.abs(obj)))
+    j = int(np.argmax(obj >= np.max(obj) - tol))
+    theta, value = 2.0 * np.pi * j / cfg.angles, vals[j]
+    if cfg.refine:
+        theta, value = oracle._refine_circle(
+            a, r, theta, 2.0 * np.pi / cfg.angles, sign, value, tol)
+    return Extremum(float(oracle._objective(value, sign)), r, theta,
+                    complex(value), tail, skipped_radii)
+
+
+def _roll_monitor(f, cfg):
+    """_denominator_violations with np.roll and unscaled phase products."""
+    r = cfg.radii[-1]
+    out = []
+    for label, s in (("f/z", unit_part(f)), ("f'", derivative(f.series))):
+        vals = evaluate_grid(s, Circle(r, cfg.angles))
+        mags = np.abs(vals)
+        bad = np.nonzero(mags < oracle._DENOM_FLOOR)[0]
+        if not bad.size:
+            steps = np.angle(np.roll(vals, -1) * np.conj(vals))
+            if (np.max(np.abs(steps)) >= 0.5 * np.pi
+                    or round(np.sum(steps) / (2.0 * np.pi)) != 0):
+                bad = [int(np.argmin(mags))]
+        out.extend((r, float(2.0 * np.pi * j / cfg.angles), label,
+                    float(mags[j])) for j in bad)
+    return tuple(out[:oracle._DENOM_CAP])
+
+
+def _use_first_loops(monkeypatch):
+    monkeypatch.setattr(oracle, "_angle_sums", _stacked_angle_sums)
+    monkeypatch.setattr(oracle, "_refine_circle", _numpy_scalar_refine)
+    monkeypatch.setattr(oracle, "_circle_extremum", _abs_max_circle_extremum)
+    monkeypatch.setattr(oracle, "_denominator_violations", _roll_monitor)
+
+
+ACC_CFG = SamplingConfig(
+    radii=tuple(round(0.10 + 0.02 * i, 10) for i in range(45)) + (0.99,),
+    angles=512,
+)
+
+
+@pytest.mark.parametrize("cfg", [ACC_CFG, SamplingConfig()],
+                         ids=["acceptance", "default"])
+def test_grid_reports_equal_the_first_loops(monkeypatch, cfg):
+    runs = []
+    for family in ExtremalFamily:
+        for p in documented_grid(family):
+            f = build_extremal(p, 128)
+            runs.append((f, p.criterion))
+            runs.append((f, CriterionParams(kind=CriterionKind.MOCANU, n=p.n,
+                                            alpha=p.alpha)))
+    runs.append((builtin_candidate("koebe", 128),
+                 CriterionParams(kind=CriterionKind.THM_A, n=1, beta=0j,
+                                 gamma=1 + 0j, alpha=0.5)))
+    got = [repr(check_criterion(f, c, cfg)) for f, c in runs]
+    _use_first_loops(monkeypatch)
+    assert got == [repr(check_criterion(f, c, cfg)) for f, c in runs]
+
+
+def test_jack_k_equals_the_first_loops(monkeypatch):
+    rng = np.random.default_rng(41)
+    probes = [(builtin_candidate("koebe", 128).series, 1, 0.9)]
+    for _ in range(12):
+        m = int(rng.integers(1, 4))
+        arr = np.zeros(m + 9, dtype=np.complex128)
+        arr[m:] = rng.uniform(0.3, 1.0, 9) * np.exp(2j * np.pi * rng.uniform(0, 1, 9))
+        probes.append((Series(arr), m, float(rng.uniform(0.5, 0.95))))
+    got = [repr(jack_demo(w, m, r, CFG).k_est) for w, m, r in probes]
+    _use_first_loops(monkeypatch)
+    assert got == [repr(jack_demo(w, m, r, CFG).k_est) for w, m, r in probes]

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starcert import series
+from starcert.extremals import ExtremalFamily, build_extremal, documented_grid
+from starcert.functionals import convex_quotient, starlike_quotient
 from starcert.series import (
     Circle,
     NonFiniteCoefficientError,
@@ -218,6 +221,87 @@ def test_kernels_refuse_non_unit_constant(order):
         div(rand_series(rng, order), rand_series(rng, order, unit=0.0))
     with pytest.raises(SeriesError):
         log_unit(rand_series(rng, order, unit=1.5))
+
+
+# The kernels' loops as first written, kept as references: exp_unit and
+# _reciprocal must reproduce their bytes (tobytes tells -0.0 from 0.0).
+def ref_exp_unit(a):
+    """The exp recurrence reading the known coefficients through a
+    negative-stride view."""
+    n = a.trunc_order
+    ka = a.coeffs * np.arange(n + 1)
+    e = np.zeros(n + 1, dtype=np.complex128)
+    e[0] = 1.0
+    for k in range(1, n + 1):
+        e[k] = np.dot(ka[1 : k + 1], e[k - 1 :: -1]) / k
+    return e
+
+
+def ref_reciprocal(b):
+    """The Newton reciprocal cutting each residual from the full product."""
+    x = np.array([1.0 / b[0]], dtype=np.complex128)
+    while x.size < b.size:
+        k = x.size
+        k2 = min(2 * k, b.size)
+        r = np.convolve(b[:k2], x)[k:k2]
+        x = np.concatenate([x, -np.convolve(x[: k2 - k], r)[: k2 - k]])
+    return x
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+def test_exp_unit_bytes_equal_the_negative_stride_recurrence(order):
+    rng = np.random.default_rng(300 + order)
+    for _ in range(5):
+        a = rand_series(rng, order, unit=0.0)
+        assert exp_unit(a).coeffs.tobytes() == ref_exp_unit(a).tobytes()
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+def test_reciprocal_bytes_equal_the_full_product_newton_step(order):
+    rng = np.random.default_rng(400 + order)
+    for _ in range(5):
+        b = rand_series(rng, order, amp=0.5, decay=0.55,
+                        unit=rng.uniform(0.5, 2) * np.exp(2j * rng.uniform(0, 3)))
+        assert (series._reciprocal(b.coeffs).tobytes()
+                == ref_reciprocal(b.coeffs).tobytes())
+
+
+@pytest.fixture(scope="module")
+def grid_kernel_inputs():
+    """What exp_unit and _reciprocal receive while the grid extremals are
+    built and their quotients formed."""
+    exps, recips = [], []
+    exp0, recip0 = series.exp_unit, series._reciprocal
+
+    def exp_spy(a):
+        exps.append(a)
+        return exp0(a)
+
+    def recip_spy(b):
+        recips.append(b.copy())
+        return recip0(b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "exp_unit", exp_spy)
+        mp.setattr(series, "_reciprocal", recip_spy)
+        for family in ExtremalFamily:
+            for p in documented_grid(family):
+                f = build_extremal(p, 128)
+                starlike_quotient(f)
+                convex_quotient(f)
+    return exps, recips
+
+
+def test_kernel_bytes_equal_the_references_on_the_grid_extremals(
+        grid_kernel_inputs):
+    exps, recips = grid_kernel_inputs
+    # one exp_unit and one log_unit reciprocal per extremal, then 1/(f/z)
+    # and 1/f'
+    assert len(exps) == 72 and len(recips) == 3 * 72
+    for a in exps:
+        assert exp_unit(a).coeffs.tobytes() == ref_exp_unit(a).tobytes()
+    for b in recips:
+        assert series._reciprocal(b).tobytes() == ref_reciprocal(b).tobytes()
 
 
 # ---------------------------------------------------------------- derivative

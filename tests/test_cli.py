@@ -1,7 +1,10 @@
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
+import stat
 import warnings
 from enum import Enum
 from pathlib import Path
@@ -568,6 +571,10 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
                  3, id="check-out-in-missing-dir"),
     pytest.param(["identities", "--per-n", "1", "--pairs", "1", "--trunc", "8",
                   "--out", "."], 3, id="identities-out-is-a-dir"),
+    pytest.param(["check", "identity.json", *THM_B, "--out", ""], 3,
+                 id="check-out-empty"),
+    pytest.param(["identities", "--per-n", "1", "--pairs", "1", "--trunc", "8",
+                  "--out", ""], 3, id="identities-out-empty"),
 ])
 def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, monkeypatch,
                                              argv, expected):
@@ -763,6 +770,94 @@ def test_report_bodies_match_the_asdict_rendering(tmp_path, monkeypatch,
                 "command": command, **sections}
         want = json.dumps(_asdict_jsonable(body), sort_keys=True, indent=2)
         assert text == want + "\n"
+
+
+# ------------------------------------------------------------- report writes
+
+def _check_to(spec, out):
+    return main(["check", spec, *THM_B, *FAST, "--out", str(out)])
+
+
+def test_rewritten_report_is_a_new_file_with_the_old_mode(tmp_path):
+    out = tmp_path / "r.json"
+    out.write_text("old report\n")
+    out.chmod(0o600)
+    inode = out.stat().st_ino
+    body = cli.render_report_body("check", {"margin": 0.5})
+    cli.write_report(str(out), body)
+    assert out.stat().st_ino != inode
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+    data = out.read_bytes()
+    stamp = json.dumps(json.loads(data)["timestamp"])
+    assert data == ('{\n"timestamp": ' + stamp + ',\n"report":\n' + body
+                    + "}\n").encode()
+
+
+def test_symlinked_out_stays_a_link_to_the_report(identity_spec, tmp_path,
+                                                  capsys):
+    target = tmp_path / "r.json"
+    target.write_text("old report\n")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert _check_to(identity_spec, link) == 0
+    assert link.is_symlink() and link.readlink() == target
+    assert json.loads(target.read_text())["report"]["command"] == "check"
+
+
+def test_hard_linked_report_is_written_in_place(identity_spec, tmp_path,
+                                                capsys):
+    out = tmp_path / "r.json"
+    out.write_text("old report\n")
+    other = tmp_path / "other.json"
+    os.link(out, other)
+    inode = out.stat().st_ino
+    assert _check_to(identity_spec, out) == 0
+    assert out.stat().st_ino == inode and out.stat().st_nlink == 2
+    assert json.loads(other.read_text())["report"]["command"] == "check"
+
+
+@pytest.mark.parametrize("target", ["devnull", "long-name", "not-writable"])
+def test_special_targets_are_written_in_place(identity_spec, tmp_path,
+                                              monkeypatch, capsys, target):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an in-place target was unlinked or renamed over")
+
+    out = tmp_path / ("x" * 250 + ".json")  # no room for the sibling's name
+    if target == "devnull":
+        out = os.devnull
+    elif target == "not-writable":
+        out = tmp_path / "r.json"
+        out.write_text("old report\n")
+        monkeypatch.setattr(cli.os, "access", lambda *args: False)
+    monkeypatch.setattr(cli.os, "unlink", refuse)
+    monkeypatch.setattr(cli.os, "rename", refuse)
+    assert _check_to(identity_spec, out) == 0
+    assert capsys.readouterr().out.endswith(f"report written to {out}\n")
+    if target != "devnull":
+        assert json.loads(out.read_text())["report"]["command"] == "check"
+
+
+def test_full_disk_keeps_the_old_report(identity_spec, tmp_path, monkeypatch,
+                                        capsys):
+    out = tmp_path / "r.json"
+    assert _check_to(identity_spec, out) == 0
+    old = out.read_bytes()
+    capsys.readouterr()
+
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli.os, "write", full)
+    assert _check_to(identity_spec, out) == 3
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "verdict: CERTIFIED_SAMPLED"
+    assert captured.err == (f"usage error: cannot write report to {out}: "
+                            "No space left on device\n")
+    assert out.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["identity.json",
+                                                          "r.json"]
 
 
 # ------------------------------------------------------------------- misc

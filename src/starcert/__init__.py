@@ -17,7 +17,6 @@ from .series import (
     integrate_offset,
     log_unit,
     make_series,
-    monomial,
     mul,
     pow_unit,
     scale,
@@ -46,8 +45,6 @@ from .criteria import (
     CriterionParams,
     CriterionSpec,
     build_spec,
-    corollary_mapping,
-    implied_rho,
 )
 from .extremals import (
     DegenerateExtremalError,

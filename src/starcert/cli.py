@@ -422,6 +422,8 @@ def _write_fresh(target: Path, data: bytes) -> bool:
 
 def _write_out(args, command: str, sections: dict) -> None:
     if args.out is not None:
+        if not args.out:  # Path("") is ".", which would name the wrong cause
+            raise UsageError("cannot write report to '': empty path")
         try:
             write_report(args.out, render_report_body(command, sections))
         except OSError as e:

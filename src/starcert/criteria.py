@@ -9,10 +9,12 @@ with a parameter constraint and a concluded disk for ``Q = f/(z f')``:
   concludes |Q - 1| < rho.
 * ``THM_A``, ``THM_B``:  the family's lemma at rho(alpha) = 1/max(1/2, alpha) - 1,
   concluding |Q - 1/(2 alpha)| < 1/(2 alpha).  The lemma weight
-  s = 1/(1 + rho) is max(1/2, alpha), so the bounds read |n gamma - beta| / 2
+  s = 1/(1 + rho) is max(1/2, alpha); :func:`build_spec` takes s first and
+  rho = 1/s - 1 from it.  So the bounds read |n gamma - beta| / 2
   and |beta + gamma (n+1)| / 2 for alpha <= 1/2, and |n gamma (1-alpha) - alpha beta|
   and (1-alpha) |beta + gamma (n+1)| for alpha >= 1/2.
-* ``COR_A``:    THM_A after the substitution (beta, gamma) -> (1, -gamma) for real gamma.
+* ``COR_A``:    THM_A after the substitution (beta, gamma) -> (1, -gamma) for real gamma,
+  made by :func:`build_spec` before any formula reads beta or gamma.
 * ``MOCANU``:   hypothesis shape Re(mocanu functional) > 0; no modulus bound.
 
 All admissibility inequalities are strict; a zero margin is inadmissible.
@@ -96,27 +98,11 @@ class CriterionSpec:
     rho: float | None
 
 
-def implied_rho(p: CriterionParams) -> float:
-    """The disk radius rho(alpha) = 1/max(1/2, alpha) - 1 a theorem runs its
-    family's lemma at: 1 for alpha <= 1/2, ``1/alpha - 1`` above."""
-    if p.kind not in (CriterionKind.THM_A, CriterionKind.THM_B, CriterionKind.COR_A):
-        raise ParameterError(f"implied_rho undefined for {p.kind.value}")
-    return 1.0 / max(0.5, p.alpha) - 1.0
-
-
-def corollary_mapping(gamma_real: float) -> tuple[complex, complex]:
-    """Parameters the corollary's statement substitutes into the theorem:
-    beta = 1 and gamma negated."""
-    if gamma_real == 0:
-        raise ParameterError("corollary gamma must be nonzero")
-    return 1.0 + 0.0j, complex(-gamma_real)
-
-
 def _effective_params(p: CriterionParams) -> tuple[complex, complex]:
     """The (beta, gamma) a criterion's formulas take: COR_A's after the
-    corollary substitution, every other kind's as given."""
+    corollary substitution (1, -gamma), every other kind's as given."""
     if p.kind is CriterionKind.COR_A:
-        return corollary_mapping(p.gamma.real)
+        return 1.0 + 0.0j, complex(-p.gamma.real)
     return p.beta, p.gamma
 
 
@@ -135,14 +121,14 @@ def build_spec(p: CriterionParams) -> CriterionSpec:
         # implied rho and concludes |Q - 1/(2 alpha)| < 1/(2 alpha).  Every
         # bound is written in the lemma weights s = 1/(1 + rho) and
         # t = 1 - s = rho/(1 + rho); a theorem's s is max(1/2, alpha)
-        # exactly.  A lemma forms t as rho/(1 + rho), since 1 - s cancels
-        # at small rho.
+        # exactly, and its rho is 1/s - 1.  A lemma forms t as
+        # rho/(1 + rho), since 1 - s cancels at small rho.
         if p.kind in _RHO_KINDS:
             alpha, rho, center, radius = None, p.rho, 1.0, p.rho
             s, t = 1.0 / (1.0 + rho), rho / (1.0 + rho)
         else:
-            alpha, rho, s = p.alpha, implied_rho(p), max(0.5, p.alpha)
-            t = 1.0 - s
+            alpha, s = p.alpha, max(0.5, p.alpha)
+            rho, t = 1.0 / s - 1.0, 1.0 - s
             center = radius = 1.0 / (2.0 * p.alpha)
         if p.kind in (CriterionKind.LEMMA_B, CriterionKind.THM_B):
             lhs, margin = FunctionalKind.LHS_B, ratio + (p.n + 1)

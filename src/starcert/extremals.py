@@ -14,12 +14,13 @@ scale ``k`` and ``e`` depend on the family:
 * family B:  g = exp((S/(n gamma)) z^n),
   c = beta/gamma + 1, k = (beta + gamma)/gamma, e = gamma/(beta + gamma).
 
-Each family's hypothesis functional equals a closed form in ``z^n``, and
-each self-check is the largest coefficient residual against it:
+Each family's hypothesis functional equals one closed form in ``z^n``,
+``(S z^n + b0) / (1 + (conj(b0)/S) z^n)``, and each self-check is the
+largest coefficient residual against its expansion:
 
-* family A:  ``lhs_a(f) = (S z^n + beta) / (1 + (conj(beta)/S) z^n)``,
-  checked by :func:`probe_identity_a`;
-* family B:  ``lhs_b(f) = S z^n``, checked by :func:`verify_identity_b`.
+* family A:  ``lhs_a(f)`` at ``b0 = beta``, checked by :func:`probe_identity_a`;
+* family B:  ``lhs_b(f)`` at ``b0 = 0``, where the form is ``S z^n``,
+  checked by :func:`verify_identity_b`.
 
 Family A's functional is ``beta`` at the origin, so its hypothesis
 ``|lhs_a| < S`` needs ``|beta| < S``; :class:`ExtremalParams` refuses the
@@ -40,7 +41,6 @@ from .series import (
     SeriesError,
     as_schlicht,
     integrate_offset,
-    monomial,
     pow_unit,
     require_trunc_order,
     scale,
@@ -145,32 +145,28 @@ def build_extremal(p: ExtremalParams, trunc_order: int = DEFAULT_TRUNC_ORDER
     return as_schlicht(n, shift(fz, 1))
 
 
-def _residual(left: Series, target: np.ndarray) -> float:
-    """Max coefficient residual of ``left - target``, skipping the top two
-    retained orders (truncation casualties)."""
+def _residual(left: Series, b0: complex, s: float, n: int) -> float:
+    """Max coefficient residual of ``left`` against the self-check form's
+    expansion ``b0 + (S - |b0|^2/S) sum_(j>=1) (-conj(b0)/S)^(j-1) z^(nj)``,
+    skipping the top two retained orders (truncation casualties)."""
+    target = np.zeros(left.trunc_order + 1, dtype=np.complex128)
+    target[0] = b0
+    ratio = -np.conj(b0) / s
+    target[n::n] = ((s - abs(b0) ** 2 / s)
+                    * ratio ** np.arange(left.trunc_order // n))
     resid = np.abs(left.coeffs - target)
     return float(resid[: max(1, resid.size - 2)].max())
 
 
 def verify_identity_b(f: SchlichtCandidate, p: ExtremalParams) -> float:
-    """Coefficient residual of ``lhs_b(f) - S z^n``."""
-    left = lhs_b(f, p.beta, p.gamma)
-    return _residual(left, monomial(p.S, p.n, left.trunc_order).coeffs)
+    """Coefficient residual of ``lhs_b(f) - S z^n``, the ``b0 = 0`` case."""
+    return _residual(lhs_b(f, p.beta, p.gamma), 0.0, p.S, p.n)
 
 
 def probe_identity_a(f: SchlichtCandidate, p: ExtremalParams) -> float:
     """Coefficient residual of
-    ``lhs_a(f) - (S z^n + beta) / (1 + (conj(beta)/S) z^n)``, the target
-    written from its expansion
-    ``beta + (S - |beta|^2/S) sum_(j>=1) (-conj(beta)/S)^(j-1) z^(nj)``."""
-    left = lhs_a(f, p.beta, p.gamma)
-    beta, n, s = p.beta, p.n, p.S
-    target = np.zeros(left.trunc_order + 1, dtype=np.complex128)
-    target[0] = beta
-    ratio = -np.conj(beta) / s
-    target[n::n] = ((s - abs(beta) ** 2 / s)
-                    * ratio ** np.arange(left.trunc_order // n))
-    return _residual(left, target)
+    ``lhs_a(f) - (S z^n + beta) / (1 + (conj(beta)/S) z^n)``."""
+    return _residual(lhs_a(f, p.beta, p.gamma), p.beta, p.S, p.n)
 
 
 # Documented parameter grid for the built-in sweeps.  Pairs are chosen to

@@ -43,6 +43,7 @@ from .series import (
     _derivative,
     _mul,
     reciprocal,
+    schlicht_from_tail,
 )
 
 
@@ -202,14 +203,12 @@ def random_candidate(n: int, trunc_order: int,
     convergent series there and residuals stay at rounding level instead
     of being amplified through a pole.
     """
-    arr = np.zeros(trunc_order + 1, dtype=np.complex128)
-    arr[1] = 1.0
     count = trunc_order - n
     radii = (_RANDOM_AMP * _RANDOM_DECAY ** np.arange(count)
              * rng.uniform(0.5, 1.0, count))
     phases = rng.uniform(0.0, 2.0 * np.pi, count)
-    arr[n + 1 :] = radii * np.exp(1j * phases)
-    return SchlichtCandidate(n=n, series=Series(arr))
+    tail = np.concatenate((np.zeros(n - 1), radii * np.exp(1j * phases)))
+    return schlicht_from_tail(n, tail, trunc_order)
 
 
 @dataclass(frozen=True)

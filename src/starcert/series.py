@@ -126,14 +126,6 @@ def zero_series(trunc_order: int) -> Series:
     return Series(np.zeros(trunc_order + 1, dtype=np.complex128))
 
 
-def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
-    if not 0 <= power <= trunc_order:
-        raise SeriesError(f"power {power} outside retained orders 0..{trunc_order}")
-    arr = np.zeros(trunc_order + 1, dtype=np.complex128)
-    arr[power] = coeff
-    return Series(arr)
-
-
 def add(a: Series, b: Series) -> Series:
     m = min(a.trunc_order, b.trunc_order)
     return Series(a.coeffs[: m + 1] + b.coeffs[: m + 1])
@@ -431,18 +423,14 @@ def builtin_candidate(name: str, trunc_order: int = DEFAULT_TRUNC_ORDER,
                       n: int = 1) -> SchlichtCandidate:
     """Named reference functions: ``identity`` (z), ``koebe`` (z/(1-z)^2),
     ``halfplane`` (z/(1-z))."""
-    arr = np.zeros(trunc_order + 1, dtype=np.complex128)
-    arr[1] = 1.0
+    if name in ("koebe", "halfplane") and n != 1:
+        raise SeriesError(f"{name} lies in the n=1 class only")
     if name == "identity":
-        pass
+        tail = ()
     elif name == "koebe":
-        if n != 1:
-            raise SeriesError("koebe lies in the n=1 class only")
-        arr[1:] = np.arange(1, trunc_order + 1)
+        tail = np.arange(2, trunc_order + 1)
     elif name == "halfplane":
-        if n != 1:
-            raise SeriesError("halfplane lies in the n=1 class only")
-        arr[1:] = 1.0
+        tail = np.ones(trunc_order - 1)
     else:
         raise SeriesError(f"unknown builtin '{name}'")
-    return SchlichtCandidate(n=n, series=Series(arr))
+    return schlicht_from_tail(n, tail, trunc_order)

@@ -16,17 +16,11 @@ from starcert.series import (
     Series,
     builtin_candidate,
     div,
-    monomial,
     mul,
     pow_unit,
 )
 from starcert.functionals import identity_sweep, lhs_a
-from starcert.criteria import (
-    CriterionKind,
-    CriterionParams,
-    build_spec,
-    corollary_mapping,
-)
+from starcert.criteria import CriterionKind, CriterionParams, build_spec
 from starcert.extremals import (
     ExtremalFamily,
     build_extremal,
@@ -41,6 +35,14 @@ from starcert.oracle import (
     jack_demo,
 )
 from starcert import cli
+
+
+def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
+    """``coeff z^power`` truncated at order ``trunc_order``."""
+    arr = np.zeros(trunc_order + 1, dtype=np.complex128)
+    arr[power] = coeff
+    return Series(arr)
+
 
 def max_coeff_diff(a: Series, b: Series) -> float:
     """Largest coefficient deviation over the common retained orders."""
@@ -193,8 +195,7 @@ def test_criterion_06_branch_consistency():
                     kind=CriterionKind.COR_A, n=n, gamma=gamma, alpha=alpha))
                 thm = build_spec(CriterionParams(
                     kind=CriterionKind.THM_A, n=n,
-                    beta=corollary_mapping(gamma)[0],
-                    gamma=corollary_mapping(gamma)[1], alpha=alpha))
+                    beta=1.0, gamma=-gamma, alpha=alpha))
                 assert cor.rhs_bound == thm.rhs_bound
                 assert cor.admissible == thm.admissible
                 assert cor.admissibility_margin == thm.admissibility_margin

@@ -32,6 +32,7 @@ def _load(name):
 
 
 TRACING = _load("tracing")
+WORKLOADS = _load("workloads")
 MANDATORY = [(mod, fn) for mod, fn, _, _, optional
              in TRACING.LAYER_FUNCTIONS if not optional]
 
@@ -43,9 +44,17 @@ def test_traced_layer_function_resolves(mod, fn):
 
 
 def test_workload_sampling_configs_run():
-    configs = _load("workloads").sampling_configs()
+    configs = WORKLOADS.sampling_configs()
     assert configs["check_default"]["angles"] > 0
     assert configs["grid72"]["radii"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
+def test_workload_ops_match_the_known_answers(name, tmp_path):
+    # each op's own check compares its output with perfbench/reference.json
+    workload = WORKLOADS.WORKLOADS[name](0, tmp_path, WORKLOADS.load_reference())
+    for op in [workload.warmup(), *workload.make_round(0)]:
+        assert op.check(op.run()) is None, op.label
 
 
 def test_tracer_hooks_read_the_oracle_records():

@@ -614,6 +614,23 @@ def test_unwritable_out_names_the_path_after_the_verdict(tmp_path, capsys):
                             "No such file or directory\n")
 
 
+@pytest.mark.parametrize("argv, last_line", [
+    (["check", "identity.json", *THM_B], "verdict: CERTIFIED_SAMPLED"),
+    (["identities", "--per-n", "1", "--pairs", "1", "--trunc", "8"],
+     "tolerance 1e-10: PASS"),
+])
+def test_empty_out_is_refused_as_an_empty_path(argv, last_line, tmp_path,
+                                               monkeypatch, capsys):
+    # Path("") is the working directory, whose error would name a directory
+    write_spec(tmp_path, "identity.json", ERROR_SPECS["identity.json"])
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--out", ""]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == last_line
+    assert captured.err == "usage error: cannot write report to '': empty path\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["identity.json"]
+
+
 def test_jack_refines_a_large_circle_without_warning(tmp_path, capsys):
     # |p|^2 of circle values near 1e200 overflows unless the Newton step
     # is taken on values scaled by a power of two

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from starcert.criteria import (
-    CriterionKind,
-    CriterionParams,
-    build_spec,
-    corollary_mapping,
-    implied_rho,
-)
+from starcert.criteria import CriterionKind, CriterionParams, build_spec
 from starcert.functionals import FunctionalKind, ParameterError
 
 
@@ -161,7 +155,7 @@ def test_theorem_is_its_lemma_at_implied_rho():
             t_spec = build_spec(thm)
             l_spec = build_spec(CriterionParams(
                 kind=lemma_kind, n=n, beta=beta, gamma=gamma,
-                rho=implied_rho(thm)))
+                rho=t_spec.rho))
             assert t_spec.lhs is l_spec.lhs
             assert t_spec.rho == l_spec.rho
             assert t_spec.admissibility_margin == l_spec.admissibility_margin
@@ -178,24 +172,13 @@ def test_theorem_is_its_lemma_at_implied_rho():
 
 
 def test_implied_rho_values():
-    assert implied_rho(thm_a(alpha=0.5)) == 1.0
-    assert implied_rho(thm_a(alpha=0.25)) == 1.0
-    assert implied_rho(thm_a(alpha=0.8)) == pytest.approx(0.25)
-    assert implied_rho(thm_b(alpha=0.8)) == pytest.approx(0.25)
-
-
-def test_implied_rho_rejects_lemmas():
-    with pytest.raises(ParameterError):
-        implied_rho(lemma_a())
+    assert build_spec(thm_a(alpha=0.5)).rho == 1.0
+    assert build_spec(thm_a(alpha=0.25)).rho == 1.0
+    assert build_spec(thm_a(alpha=0.8)).rho == pytest.approx(0.25)
+    assert build_spec(thm_b(alpha=0.8)).rho == pytest.approx(0.25)
 
 
 # ------------------------------------------------------------- corollary
-
-def test_corollary_mapping_values():
-    assert corollary_mapping(1.0) == (1.0 + 0j, -1.0 + 0j)
-    with pytest.raises(ParameterError):
-        corollary_mapping(0.0)
-
 
 def test_corollary_equivalence_field_for_field():
     alphas = (0.3, 0.5, 0.75)
@@ -204,7 +187,8 @@ def test_corollary_equivalence_field_for_field():
             for n in (1, 2, 3):
                 cor = build_spec(CriterionParams(
                     kind=CriterionKind.COR_A, n=n, gamma=gamma, alpha=alpha))
-                beta_m, gamma_m = corollary_mapping(gamma)
+                # the corollary's statement: beta = 1 and gamma negated
+                beta_m, gamma_m = 1.0, -gamma
                 thm = build_spec(CriterionParams(
                     kind=CriterionKind.THM_A, n=n, beta=beta_m, gamma=gamma_m,
                     alpha=alpha))

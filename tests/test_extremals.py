@@ -3,11 +3,11 @@ import pytest
 
 from starcert.series import (
     ResonantExponentError,
+    Series,
     SeriesError,
     builtin_candidate,
     exp_unit,
     integrate_offset,
-    monomial,
     pow_unit,
     scale,
     shift,
@@ -25,7 +25,16 @@ from starcert.extremals import (
     verify_identity_b,
 )
 from starcert.criteria import CriterionKind, CriterionParams
+from starcert.functionals import lhs_a, lhs_b
 from starcert.oracle import SamplingConfig, check_criterion
+
+
+def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
+    """``coeff z^power`` truncated at order ``trunc_order``."""
+    arr = np.zeros(trunc_order + 1, dtype=np.complex128)
+    arr[power] = coeff
+    return Series(arr)
+
 
 FAST_CFG = SamplingConfig(
     radii=tuple(round(0.1 + 0.05 * i, 10) for i in range(18)) + (0.99,),
@@ -246,6 +255,61 @@ def test_identity_a_residual_small_on_random_admitted_sample():
         assert abs(p.beta) < p.S
         assert probe_identity_a(build_extremal(p, 64), p) < 1e-9, p
     assert admitted > 100
+
+
+# ------------------------------------------------------------ self-check form
+
+def reference_residual(left, target):
+    """Largest ``|left - target|`` coefficient below the top two orders."""
+    resid = np.abs(left.coeffs - target)
+    return float(resid[: max(1, resid.size - 2)].max())
+
+
+def expansion_target(p, order):
+    """Family A's form ``(S z^n + beta) / (1 + (conj(beta)/S) z^n)`` from its
+    expansion ``beta + (S - |beta|^2/S) sum_(j>=1) (-conj(beta)/S)^(j-1)
+    z^(nj)``."""
+    target = np.zeros(order + 1, dtype=np.complex128)
+    target[0] = p.beta
+    ratio = -np.conj(p.beta) / p.S
+    target[p.n :: p.n] = ((p.S - abs(p.beta) ** 2 / p.S)
+                          * ratio ** np.arange(order // p.n))
+    return target
+
+
+def assert_selfchecks_equal_references(p, trunc):
+    # family B's target is the monomial S z^n, family A's its expansion;
+    # both self-checks must give their residuals bit for bit
+    f = build_extremal(p, trunc)
+    left_b, left_a = lhs_b(f, p.beta, p.gamma), lhs_a(f, p.beta, p.gamma)
+    assert verify_identity_b(f, p) == reference_residual(
+        left_b, monomial(p.S, p.n, left_b.trunc_order).coeffs), p
+    assert probe_identity_a(f, p) == reference_residual(
+        left_a, expansion_target(p, left_a.trunc_order)), p
+
+
+@pytest.mark.parametrize("family", list(ExtremalFamily))
+def test_selfchecks_equal_references_on_grid(family):
+    for p in documented_grid(family):
+        assert_selfchecks_equal_references(p, 128)
+
+
+@pytest.mark.parametrize("family", list(ExtremalFamily))
+def test_selfchecks_equal_references_on_admitted_sample(family):
+    rng = np.random.default_rng(20261018)
+    admitted = 0
+    for _ in range(100):
+        try:
+            p = ExtremalParams(
+                family=family, n=int(rng.integers(1, 4)),
+                alpha=rng.uniform(0.05, 0.95),
+                beta=complex(*rng.uniform(-1, 1, 2)),
+                gamma=complex(*rng.uniform(-2, 2, 2)))
+        except (InadmissibleExtremalError, DegenerateExtremalError):
+            continue
+        admitted += 1
+        assert_selfchecks_equal_references(p, 64)
+    assert admitted >= 30
 
 
 # ------------------------------------------------------------------ grid

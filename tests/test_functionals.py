@@ -241,6 +241,21 @@ def test_unit_part_has_unit_constant():
     assert u.coeffs[0] == 1.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_candidate_equals_hand_built_array(n):
+    # the same draws, in the same order, laid out by hand
+    got = random_candidate(n, N, np.random.default_rng(RNG_SEED + n))
+    rng = np.random.default_rng(RNG_SEED + n)
+    count = N - n
+    radii = 0.15 * 0.15 ** np.arange(count) * rng.uniform(0.5, 1.0, count)
+    phases = rng.uniform(0.0, 2.0 * np.pi, count)
+    want = np.zeros(N + 1, dtype=np.complex128)
+    want[1] = 1.0
+    want[n + 1 :] = radii * np.exp(1j * phases)
+    assert got.n == n
+    assert got.series.coeffs.tobytes() == want.tobytes()
+
+
 def test_identity_sweep_summary():
     res = identity_sweep(per_n=5, pairs=2, trunc_order=24, seed=99)
     assert res.functions == 15

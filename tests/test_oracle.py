@@ -14,7 +14,6 @@ from starcert.series import (
     derivative,
     evaluate_grid,
     make_series,
-    monomial,
     schlicht_from_tail,
     tail_estimate,
 )
@@ -36,6 +35,14 @@ from starcert.oracle import (
     min_real_on_disk,
     sup_on_disk,
 )
+
+
+def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
+    """``coeff z^power`` truncated at order ``trunc_order``."""
+    arr = np.zeros(trunc_order + 1, dtype=np.complex128)
+    arr[power] = coeff
+    return Series(arr)
+
 
 CFG = SamplingConfig(
     radii=tuple(round(0.1 + 0.05 * i, 10) for i in range(18)) + (0.99, 0.995),

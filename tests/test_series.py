@@ -25,7 +25,6 @@ from starcert.series import (
     integrate_offset,
     log_unit,
     make_series,
-    monomial,
     mul,
     pow_unit,
     scale,
@@ -33,6 +32,13 @@ from starcert.series import (
     tail_estimate,
     zero_series,
 )
+
+
+def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
+    """``coeff z^power`` truncated at order ``trunc_order``."""
+    arr = np.zeros(trunc_order + 1, dtype=np.complex128)
+    arr[power] = coeff
+    return Series(arr)
 
 
 def max_coeff_diff(a: Series, b: Series) -> float:
@@ -570,3 +576,15 @@ def test_builtin_candidates():
     assert ident.n == 4
     with pytest.raises(SeriesError):
         builtin_candidate("koebe", 16, n=2)
+
+
+@pytest.mark.parametrize("trunc", [8, 32, 128])
+def test_builtin_candidates_equal_hand_built_arrays(trunc):
+    want = {name: np.zeros(trunc + 1, dtype=np.complex128)
+            for name in ("identity", "koebe", "halfplane")}
+    want["identity"][1] = 1.0
+    want["koebe"][1:] = np.arange(1, trunc + 1)
+    want["halfplane"][1:] = 1.0
+    for name, arr in want.items():
+        got = builtin_candidate(name, trunc).series.coeffs
+        assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes(), name

@@ -140,7 +140,8 @@ def build_extremal(p: ExtremalParams, trunc_order: int = DEFAULT_TRUNC_ORDER
         e = gamma / (beta + gamma)
     g = np.zeros(work + 1, dtype=np.complex128)
     g[0] = 1.0
-    g[n::n] = np.cumprod(terms)
+    with np.errstate(over="ignore", invalid="ignore"):  # Series refuses it
+        g[n::n] = np.cumprod(terms)
     fz = pow_unit(scale(integrate_offset(Series(g), c), k), e)
     return as_schlicht(n, shift(fz, 1))
 

@@ -279,7 +279,10 @@ def integrate_offset(g: Series, c: complex) -> Series:
     gc = g.coeffs
     scale_ref = max(1.0, float(np.max(np.abs(gc))))
     if abs(gc[0]) < UNIT_TOL * scale_ref:
-        raise SeriesError("integrate_offset requires a nonzero constant term")
+        raise SeriesError(
+            f"integrate_offset needs a unit constant term: |g0| = "
+            f"{abs(gc[0]):.3e} is below {UNIT_TOL:g} × max(1, max|g_k|) = "
+            f"{scale_ref:.1e}")
     denom = complex(c) + np.arange(g.trunc_order + 1)
     near = np.abs(denom) < RESONANCE_TOL
     if near.any():
@@ -351,7 +354,10 @@ def tail_estimate(a: Series, r: float) -> float:
 
 
 def require_trunc_order(trunc_order: int, n: int) -> None:
-    """Refuse a truncation order too small for a class-``n`` candidate."""
+    """The one size rule for a class-``n`` candidate: refuse a class index
+    below 1, then a truncation order below ``n + 2``."""
+    if n < 1:
+        raise SeriesError(f"class index n must be >= 1, got {n}")
     if trunc_order < n + 2:
         raise SeriesError(
             f"truncation order {trunc_order} too small for n={n}; "
@@ -370,8 +376,6 @@ class SchlichtCandidate:
     snap_delta: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise SeriesError(f"class index n must be >= 1, got {self.n}")
         s = self.series
         require_trunc_order(s.trunc_order, self.n)
         c = s.coeffs
@@ -423,14 +427,15 @@ def builtin_candidate(name: str, trunc_order: int = DEFAULT_TRUNC_ORDER,
                       n: int = 1) -> SchlichtCandidate:
     """Named reference functions: ``identity`` (z), ``koebe`` (z/(1-z)^2),
     ``halfplane`` (z/(1-z))."""
-    if name in ("koebe", "halfplane") and n != 1:
+    if name not in ("identity", "koebe", "halfplane"):
+        raise SeriesError(f"unknown builtin '{name}'")
+    if name != "identity" and n != 1:
         raise SeriesError(f"{name} lies in the n=1 class only")
+    require_trunc_order(trunc_order, n)
     if name == "identity":
         tail = ()
     elif name == "koebe":
         tail = np.arange(2, trunc_order + 1)
-    elif name == "halfplane":
-        tail = np.ones(trunc_order - 1)
     else:
-        raise SeriesError(f"unknown builtin '{name}'")
+        tail = np.ones(trunc_order - 1)
     return schlicht_from_tail(n, tail, trunc_order)

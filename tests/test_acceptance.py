@@ -63,8 +63,7 @@ FAMILY_KIND = {
 
 @pytest.fixture(scope="module")
 def sweep_result():
-    return identity_sweep(ns=(1, 2, 3), per_n=100, pairs=5, trunc_order=48,
-                          seed=20240801)
+    return identity_sweep(per_n=100, pairs=5, trunc_order=48, seed=20240801)
 
 
 @pytest.fixture(scope="module")

@@ -654,6 +654,38 @@ def test_non_unit_divisor_names_the_relative_floor(tmp_path, capsys):
         "1e-12 × max(1, max|b_k|) = 1.0e+13\n")
 
 
+@pytest.mark.parametrize("beta, trunc, err", [
+    ("1e30", 32, "rejected: non-finite coefficient at index 11\n"),
+    # g0 = 1 is refused because the floor scales with g's largest term
+    ("60", 128, "rejected: integrate_offset needs a unit constant term: "
+                "|g0| = 1.000e+00 is below 1e-12 × max(1, max|g_k|) = "
+                "2.1e+12\n"),
+], ids=["overflow", "below-floor"])
+@pytest.mark.parametrize("runner", ["extremal", "check"])
+def test_extremal_refusal_is_one_stderr_line_naming_its_cause(
+        tmp_path, capsys, runner, beta, trunc, err):
+    if runner == "extremal":
+        argv = ["extremal", "--family", "EXTREMAL_B", "--n", "1", "--alpha",
+                "0.5", "--beta", beta, "--gamma", "1", "--trunc", str(trunc)]
+    else:
+        spec = write_spec(tmp_path, "b.json", {
+            "kind": "EXTREMAL_B", "n": 1, "trunc": trunc,
+            "extremal": {"alpha": 0.5, "beta": [float(beta), 0],
+                         "gamma": [1, 0]}})
+        argv = ["check", spec, "--kind", "THM_B", "--beta", beta, "--gamma",
+                "1", "--alpha", "0.5"]
+    with warnings.catch_warnings():  # a warning would be a second line
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == err
+
+
+def test_identities_short_trunc_names_the_class_3_floor(capsys):
+    assert main(["identities", "--trunc", "4"]) == 3
+    assert capsys.readouterr().err == (
+        "parameter error: identity sweep needs trunc_order >= 5, got 4\n")
+
+
 # ------------------------------------------------------------------- reports
 
 def _report_bodies(tmp_path, runs, tag):

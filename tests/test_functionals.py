@@ -4,6 +4,7 @@ import pytest
 from starcert.series import (
     Series,
     SchlichtCandidate,
+    SeriesError,
     add,
     builtin_candidate,
     derivative,
@@ -269,6 +270,19 @@ def test_identity_sweep_summary():
 def test_identity_sweep_refuses_to_check_nothing(kwargs):
     with pytest.raises(ParameterError):
         identity_sweep(trunc_order=24, **kwargs)
+
+
+@pytest.mark.parametrize("n, trunc, message", [
+    (0, 8, "class index n must be >= 1, got 0"),
+    (3, 4, "truncation order 4 too small for n=3; need at least 5"),
+])
+def test_random_candidate_refuses_before_it_draws(n, trunc, message):
+    rng = np.random.default_rng(RNG_SEED)
+    state = rng.bit_generator.state
+    with pytest.raises(SeriesError) as e:
+        random_candidate(n, trunc, rng)
+    assert str(e.value) == message
+    assert rng.bit_generator.state == state
 
 
 # ------------------------------------------- Series-operation references

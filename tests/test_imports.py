@@ -86,3 +86,18 @@ def test_guard_flags_an_unreferenced_definition():
 
 def test_every_definition_has_a_caller():
     assert unreferenced_definitions() == []
+
+
+def test_package_root_holds_only_what_the_benchmark_imports_from_it():
+    """Each public name has one home, its module: the package root imports
+    just the names ``perfbench`` takes ``from starcert`` itself."""
+    root = {a.asname or a.name
+            for node in ast.walk(ast.parse((SRC / "__init__.py").read_text()))
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+    modules = {p.stem for p in SRC.glob("*.py")}
+    taken = {a.name
+             for path in (ROOT / "perfbench").glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "starcert"
+             for a in node.names if a.name not in modules}
+    assert root == taken

@@ -113,16 +113,15 @@ def test_cache_is_not_part_of_the_candidate_record():
 
 
 def test_identity_sweep_matches_uncached_reference():
-    ns, per_n, pairs, trunc, seed = (1, 2, 3), 8, 5, 40, 99
-    got = identity_sweep(ns=ns, per_n=per_n, pairs=pairs, trunc_order=trunc,
-                         seed=seed)
+    per_n, pairs, trunc, seed = 8, 5, 40, 99
+    got = identity_sweep(per_n=per_n, pairs=pairs, trunc_order=trunc, seed=seed)
     # identity_sweep's draws, with every residual taken on a fresh candidate
     rng = np.random.default_rng(seed)
     bg = [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
            complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
           for _ in range(pairs)]
     worst_a = worst_b = 0.0
-    for n in ns:
+    for n in (1, 2, 3):
         for _ in range(per_n):
             f = random_candidate(n, trunc, rng)
             for beta, gamma in bg:
@@ -167,8 +166,8 @@ def reciprocal_calls(monkeypatch):
 @pytest.mark.parametrize("pairs", [1, 3, 5])
 def test_identity_sweep_builds_two_reciprocals_per_candidate(reciprocal_calls,
                                                              pairs):
-    res = identity_sweep(ns=(1, 2), per_n=2, pairs=pairs, trunc_order=24)
-    assert res.functions == 4
+    res = identity_sweep(per_n=2, pairs=pairs, trunc_order=24)
+    assert res.functions == 6
     # 1/(f/z) for zf'/f, and 1/f' shared by 1 + zf''/f' and w
     assert len(reciprocal_calls) == 2 * res.functions
 
@@ -200,8 +199,8 @@ def sweep_work(monkeypatch):
 
 @pytest.mark.parametrize("pairs", [1, 3, 5])
 def test_identity_sweep_builds_pair_parts_once_per_candidate(sweep_work, pairs):
-    res = identity_sweep(ns=(1, 2), per_n=2, pairs=pairs, trunc_order=24)
-    assert res.functions == 4
+    res = identity_sweep(per_n=2, pairs=pairs, trunc_order=24)
+    assert res.functions == 6
     # R1 and R2 are built once per candidate, and w looked up once, by them
     assert sweep_work["parts"] == res.functions
     assert sweep_work["w_func"] == res.functions

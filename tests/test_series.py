@@ -454,6 +454,15 @@ def test_integrate_offset_requires_nonzero_constant():
         integrate_offset(make_series([0.0, 1.0]), 1.0)
 
 
+def test_integrate_offset_names_the_relative_floor():
+    # g0 = 1 is refused because the floor scales with g_1 = 2e12
+    with pytest.raises(SeriesError) as e:
+        integrate_offset(make_series([1.0, 2e12]), 1.0)
+    assert str(e.value) == (
+        "integrate_offset needs a unit constant term: |g0| = 1.000e+00 is "
+        "below 1e-12 × max(1, max|g_k|) = 2.0e+12")
+
+
 # ---------------------------------------------------------------- evaluate / tail
 
 def _horner(coeffs, z):
@@ -576,6 +585,33 @@ def test_builtin_candidates():
     assert ident.n == 4
     with pytest.raises(SeriesError):
         builtin_candidate("koebe", 16, n=2)
+
+
+@pytest.mark.parametrize("name", ["identity", "koebe", "halfplane"])
+@pytest.mark.parametrize("trunc", [-1, 0, 1, 2])
+def test_builtin_candidate_refuses_a_short_order_before_building(name, trunc):
+    with pytest.raises(SeriesError) as e:
+        builtin_candidate(name, trunc)
+    assert str(e.value) == (
+        f"truncation order {trunc} too small for n=1; need at least 3")
+
+
+@pytest.mark.parametrize("name, message", [
+    ("identity", "class index n must be >= 1, got 0"),
+    ("koebe", "koebe lies in the n=1 class only"),
+    ("halfplane", "halfplane lies in the n=1 class only"),
+])
+def test_builtin_candidate_refuses_class_index_zero(name, message):
+    with pytest.raises(SeriesError) as e:
+        builtin_candidate(name, 16, n=0)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("n, trunc", [(0, 100), (-1, -5)])
+def test_size_rule_refuses_the_class_index_first(n, trunc):
+    with pytest.raises(SeriesError) as e:
+        series.require_trunc_order(trunc, n)
+    assert str(e.value) == f"class index n must be >= 1, got {n}"
 
 
 @pytest.mark.parametrize("trunc", [8, 32, 128])

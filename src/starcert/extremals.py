@@ -6,7 +6,10 @@ Both families are one construction, ``f = z (k h)^e``.  Here
 ``e = 1/c``, so the fractional power of ``z`` cancels exactly and the
 construction never leaves single-valued series arithmetic.  ``g`` is a
 series in ``z^n`` written from its closed form, a binomial or exponential
-series, and the outer power is ``exp(e log(k h))``.  Only ``g``, ``c``, the
+series, and the outer power is ``exp(e log(k h))``.  So ``h`` and the power
+are series in ``w = z^n`` too: at truncation order ``N`` they are built on
+their ``(N-1)//n + 1`` lattice coefficients, and ``f/z`` is spread out of
+the power once, with exact zeros off the lattice.  Only ``g``, ``c``, the
 scale ``k`` and ``e`` depend on the family:
 
 * family A:  g = (1 + (conj(beta)/S) z^n)^((S^2 - |beta|^2)/(n conj(beta) gamma)),
@@ -36,6 +39,7 @@ import numpy as np
 
 from .series import (
     DEFAULT_TRUNC_ORDER,
+    NonFiniteCoefficientError,
     SchlichtCandidate,
     Series,
     SeriesError,
@@ -138,12 +142,17 @@ def build_extremal(p: ExtremalParams, trunc_order: int = DEFAULT_TRUNC_ORDER
         # k is not folded into c: it keeps the coefficients bit-stable
         c, k = beta / gamma + 1.0, (beta + gamma) / gamma
         e = gamma / (beta + gamma)
-    g = np.zeros(work + 1, dtype=np.complex128)
-    g[0] = 1.0
+    # g on its lattice: g[j] holds g_(nj)
+    g = np.ones(j.size + 1, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # Series refuses it
-        g[n::n] = np.cumprod(terms)
-    fz = pow_unit(scale(integrate_offset(Series(g), c), k), e)
-    return as_schlicht(n, shift(fz, 1))
+        g[1:] = np.cumprod(terms)
+    try:
+        fw = pow_unit(scale(integrate_offset(Series(g), c, n), k), e)
+    except NonFiniteCoefficientError as err:
+        raise NonFiniteCoefficientError(n * err.index) from None
+    fz = np.zeros(work + 1, dtype=np.complex128)
+    fz[::n] = fw.coeffs
+    return as_schlicht(n, shift(Series(fz), 1))
 
 
 def _residual(left: Series, b0: complex, s: float, n: int) -> float:

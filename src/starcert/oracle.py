@@ -9,7 +9,8 @@ trigonometric sum; a refined point replaces the grid point only when it
 gains more than that rounding tolerance.  The steps do their arithmetic
 on Python floats, which round as numpy's scalars do.  Checks the strict
 hypothesis and conclusion inequalities of each criterion with explicit
-margins, counts zeros of ``f/z`` and ``f'`` by the argument principle
+margins, proves ``f/z`` and ``f'`` zero-free from their coefficients
+where it can and otherwise counts their zeros by the argument principle
 (on samples scaled by one power of two, so the phase products cannot
 overflow), and demonstrates the boundary-maximum lemma numerically.
 
@@ -21,6 +22,7 @@ deliberately weaker than a proof over the open disk and the reports say so.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -34,6 +36,7 @@ from .series import (
     SeriesError,
     derivative,
     evaluate_grid,
+    radius_powers,
     tail_estimate,
 )
 from .functionals import (
@@ -168,16 +171,26 @@ def _objective(v, sign: float):
     return np.abs(v) if sign > 0 else v.real
 
 
+@functools.lru_cache(maxsize=32)
+def _index_weights(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only rows ``i k`` and ``-k^2``, ``k = 0..size-1``."""
+    k = np.arange(size)
+    ik, k2 = 1j * k, -(k * k)
+    ik.setflags(write=False)
+    k2.setflags(write=False)
+    return ik, k2
+
+
 def _angle_sums(a: Series, r: float):
     """``p(theta) = a(r e^(i theta))``, the trigonometric sum of ``c_k r^k``,
     with its first two derivatives in ``theta`` (``p' = i z a'(z)``), as a
     function of the angle returning all three."""
-    k = np.arange(a.coeffs.size)
-    ik = 1j * k
-    sums = np.empty((3, k.size), dtype=np.complex128)
-    b = np.multiply(a.coeffs, r ** k, out=sums[0])
+    size = a.coeffs.size
+    ik, k2 = _index_weights(size)
+    sums = np.empty((3, size), dtype=np.complex128)
+    b = np.multiply(a.coeffs, radius_powers(r, size), out=sums[0])
     np.multiply(ik, b, out=sums[1])
-    np.multiply(-(k * k), b, out=sums[2])
+    np.multiply(k2, b, out=sums[2])
     return lambda theta: sums @ np.exp(ik * theta)
 
 
@@ -227,7 +240,7 @@ def _circle_extremum(a: Series, r: float, cfg: SamplingConfig, sign: float,
     as reaching it, so rounding cannot pick among equal values (``|S z^n|``
     is constant on the circle, for one)."""
     vals = evaluate_grid(a, Circle(r, cfg.angles))
-    obj = sign * _objective(vals, sign)
+    obj = np.abs(vals) if sign > 0 else -vals.real
     top = float(obj.max())
     # the largest |objective|: the modulus is never negative
     big = top if sign > 0 else max(top, -float(obj.min()))
@@ -280,15 +293,34 @@ def min_real_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:
     return _circle_extremum(a, cfg.radii[-1], cfg, -1.0)
 
 
+def _zero_free(b: np.ndarray, r: float) -> bool:
+    """Rouche against the constant term: ``sum b_k z^k`` has no zero on
+    ``|z| <= r`` when ``|b0| > sum_(k>=1) |b_k| r^k``.  The margin must
+    clear the sample floor and the rounding of the sum,
+    ``4 (N+1) eps (|b0| + sum)``, so no sample on ``|z| = r`` can fall
+    below the floor either; an overflowing sum decides nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.abs(b)
+        head = float(mags[0])
+        rest = float(mags[1:] @ radius_powers(r, b.size)[1:])
+    margin = head - rest
+    return (margin > _DENOM_FLOOR
+            and margin > 4.0 * b.size * _EPS * (head + rest))
+
+
 def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig):
-    """Zeros of ``f/z`` or ``f'`` inside the outer candidate circle: samples
-    below the floor, or else a nonzero argument-principle count (untrusted,
-    so also flagged, when a phase step reaches pi/2) reported at the sample
-    of least modulus.  A zero-free polynomial has its least modulus on the
+    """Zeros of ``f/z`` or ``f'`` inside the outer candidate circle.  A
+    series the coefficient test :func:`_zero_free` clears has none;
+    otherwise it is sampled, and a sample below the floor, or else a
+    nonzero argument-principle count (untrusted, so also flagged, when a
+    phase step reaches pi/2) reported at the sample of least modulus, is a
+    violation.  A zero-free polynomial has its least modulus on the
     boundary, so near-zeros inside show on this circle too."""
     circle = Circle(cfg.radii[-1], cfg.angles)
     out = []
     for label, s in (("f/z", unit_part(f)), ("f'", derivative(f.series))):
+        if _zero_free(s.coeffs, circle.r):
+            continue
         vals = evaluate_grid(s, circle)
         mags = np.abs(vals)
         bad = (mags < _DENOM_FLOOR).nonzero()[0]

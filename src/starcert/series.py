@@ -31,6 +31,7 @@ Series values are immutable and all functions here are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -268,13 +269,15 @@ def pow_unit(a: Series, e: complex) -> Series:
     return exp_unit(scale(log_unit(a), e))
 
 
-def integrate_offset(g: Series, c: complex) -> Series:
+def integrate_offset(g: Series, c: complex, step: int = 1) -> Series:
     """The shifted antiderivative: with ``F(z) = integral of t^(c-1) g(t)
     from 0 to z`` factored as ``F = z^c h(z)``, returns ``h``.
 
     ``h_k = g_k / (c + k)``; the symbolic ``z^c`` factor is the caller's to
     reattach (in the extremal constructions an outer power cancels it
-    exactly).
+    exactly).  With ``step = n``, ``g`` is a series in ``z^n`` held by its
+    lattice coefficients, ``g.coeffs[i] = g_(ni)``, and so is the result:
+    ``h_(ni) = g_(ni) / (c + n i)``.  A resonance names its order ``n i``.
     """
     gc = g.coeffs
     scale_ref = max(1.0, float(np.max(np.abs(gc))))
@@ -283,12 +286,12 @@ def integrate_offset(g: Series, c: complex) -> Series:
             f"integrate_offset needs a unit constant term: |g0| = "
             f"{abs(gc[0]):.3e} is below {UNIT_TOL:g} × max(1, max|g_k|) = "
             f"{scale_ref:.1e}")
-    denom = complex(c) + np.arange(g.trunc_order + 1)
+    denom = complex(c) + step * np.arange(g.trunc_order + 1)
     near = np.abs(denom) < RESONANCE_TOL
     if near.any():
-        for k in np.nonzero(near)[0]:
-            if gc[k] != 0:
-                raise ResonantExponentError(int(k), complex(c))
+        for i in np.nonzero(near)[0]:
+            if gc[i] != 0:
+                raise ResonantExponentError(step * int(i), complex(c))
     h = np.zeros_like(gc)
     ok = ~near
     h[ok] = gc[ok] / denom[ok]
@@ -307,6 +310,15 @@ class Circle:
         return self.m
 
 
+@functools.lru_cache(maxsize=128)
+def radius_powers(r: float, size: int) -> np.ndarray:
+    """``r^k`` for ``k = 0..size-1``, one read-only array per radius and
+    length: every circle read of a series takes its weights from here."""
+    powers = r ** np.arange(size)
+    powers.setflags(write=False)
+    return powers
+
+
 def evaluate_grid(a: Series, z: Circle) -> np.ndarray:
     """Values of ``a`` at the points of the circle ``z``.
 
@@ -316,7 +328,7 @@ def evaluate_grid(a: Series, z: Circle) -> np.ndarray:
     ``k mod m`` only, and the transform would otherwise drop the weights
     past ``m``.
     """
-    b = a.coeffs * z.r ** np.arange(a.coeffs.size)
+    b = a.coeffs * radius_powers(z.r, a.coeffs.size)
     if b.size > z.m:
         b = np.pad(b, (0, -b.size % z.m)).reshape(-1, z.m).sum(0)
     return np.fft.ifft(b, n=z.m, norm="forward")

@@ -17,7 +17,12 @@ import pytest
 
 from starcert import cli, oracle
 from starcert.criteria import CriterionKind, CriterionParams
-from starcert.extremals import ExtremalFamily, ExtremalParams, build_extremal
+from starcert.extremals import (
+    ExtremalFamily,
+    ExtremalParams,
+    build_extremal,
+    documented_grid,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -104,3 +109,29 @@ def test_extremal_selfcheck_is_one_traced_call(family, capsys):
     capsys.readouterr()
     assert code == 0
     assert tracer.metrics()["extremals.selfcheck.calls"] == 1
+
+
+def test_grid_cells_pin_their_work(monkeypatch):
+    # per cell, one exp_unit on the N//n + 1 lattice coefficients of the
+    # power, and one circle per sampled functional (3) plus the f' circles
+    # the coefficient test leaves open; it clears f/z on every cell
+    from starcert import series
+    exp_sizes, circles = [], []
+    exp_unit, evaluate_grid = series.exp_unit, oracle.evaluate_grid
+
+    def spy_exp_unit(a):
+        exp_sizes.append(a.coeffs.size)
+        return exp_unit(a)
+
+    def spy_evaluate_grid(a, z):
+        circles.append(a.coeffs.size)
+        return evaluate_grid(a, z)
+
+    monkeypatch.setattr(series, "exp_unit", spy_exp_unit)
+    monkeypatch.setattr(oracle, "evaluate_grid", spy_evaluate_grid)
+    cells = [p for family in ExtremalFamily for p in documented_grid(family)]
+    for p in cells:
+        oracle.check_criterion(build_extremal(p, 128), p.criterion,
+                               WORKLOADS.ACCEPTANCE_CFG)
+    assert exp_sizes == [127 // p.n + 1 for p in cells]
+    assert len(circles) == 3 * 72 + 24

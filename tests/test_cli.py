@@ -917,3 +917,17 @@ def test_version_flag():
 
 def test_unknown_subcommand_exit_3():
     assert main(["frobnicate"]) == 3
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the extremal "
+                   "self-check residual is printed but never compared with a "
+                   "tolerance")
+def test_extremal_with_a_large_selfcheck_residual_is_refused(capsys):
+    # the identity residual |lhs_b - S z^n| printed here is 2.9e-4
+    code = main(["extremal", "--family", "EXTREMAL_B", "--n", "1",
+                 "--alpha", "0.867273387572356",
+                 "--beta=-25.25596027149765,-35.314688227781616",
+                 "--gamma=0.30161488684445725,-0.5706474545124733",
+                 "--trunc", "58", "--radii", "0.2,0.5,0.9", "--angles", "256"])
+    assert "0.0002943497264096193" in capsys.readouterr().out
+    assert code == 2

@@ -5,6 +5,7 @@ from starcert.series import (
     ResonantExponentError,
     Series,
     SeriesError,
+    as_schlicht,
     builtin_candidate,
     exp_unit,
     integrate_offset,
@@ -327,3 +328,87 @@ def test_documented_grid_sizes_and_margins():
             else:
                 margin = (p.beta / p.gamma).real + p.n + 1
             assert margin >= 0.1
+
+
+# ------------------------------------------------------------ lattice build
+
+def dense_built_extremal(p, trunc_order):
+    """``build_extremal`` running every stage on all orders of ``z``, the
+    off-lattice ones included, as it did before the lattice build."""
+    work = trunc_order - 1
+    beta, gamma, n, s = p.beta, p.gamma, p.n, p.S
+    j = np.arange(1, work // n + 1)
+    if p.family is ExtremalFamily.EXTREMAL_A:
+        x = np.conj(beta) / s
+        power = (s * s - abs(beta) ** 2) / (n * np.conj(beta) * gamma)
+        terms = (power - j + 1) * x / j
+        c = k = beta / gamma
+        e = gamma / beta
+    else:
+        terms = s / (n * gamma) / j
+        c, k = beta / gamma + 1.0, (beta + gamma) / gamma
+        e = gamma / (beta + gamma)
+    g = np.zeros(work + 1, dtype=np.complex128)
+    g[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        g[n::n] = np.cumprod(terms)
+    fz = pow_unit(scale(integrate_offset(Series(g), c), k), e)
+    return as_schlicht(n, shift(fz, 1)).series.coeffs
+
+
+def admitted_draws(family, ns, count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        try:
+            out.append(ExtremalParams(
+                family=family, n=int(rng.choice(ns)),
+                alpha=rng.uniform(0.05, 0.95),
+                beta=complex(*rng.uniform(-1, 1, 2)),
+                gamma=complex(*rng.uniform(-2, 2, 2))))
+        except (InadmissibleExtremalError, DegenerateExtremalError):
+            continue
+    return out
+
+
+def lattice_cases():
+    for family in ExtremalFamily:
+        yield from ((p, 128) for p in documented_grid(family))
+        yield from ((p, 64) for p in admitted_draws(family, (2, 3), 40, 27))
+
+
+def test_lattice_build_keeps_the_dense_values():
+    # n = 1 runs the dense stages unchanged; for n >= 2 each coefficient is
+    # a sum of at most N + 1 terms on both sides, so they may differ by the
+    # rounding of such a sum
+    eps = np.finfo(float).eps
+    for p, trunc in lattice_cases():
+        got = build_extremal(p, trunc).series.coeffs
+        want = dense_built_extremal(p, trunc)
+        if p.n == 1:
+            assert got.tobytes() == want.tobytes(), p
+            continue
+        off = np.arange(got.size) % p.n != 1
+        assert np.all(got[off] == 0) and np.all(want[off] == 0), p
+        bound = (trunc + 1) * eps * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= bound, p
+
+
+@pytest.mark.parametrize("p, trunc", [
+    # g_(nj) = x^j / j! overflows at lattice index 11
+    (params_b(n=2, beta=1e30), 32),
+    (params_b(n=3, beta=1e30), 128),
+    # c + n is 1e-10 away from resonance: family B at its admissibility edge
+    (params_b(n=2, beta=-3 + 1e-10), 32),
+    (params_b(n=3, beta=-4 + 1e-10), 64),
+    (params_a(n=2, alpha=0.4, beta=-(2 - 1e-10)), 64),
+], ids=["overflow-n2", "overflow-n3", "resonance-b-n2", "resonance-b-n3",
+        "resonance-a-n2"])
+def test_lattice_refusals_name_the_dense_order(p, trunc):
+    with pytest.raises(SeriesError) as dense:
+        dense_built_extremal(p, trunc)
+    with pytest.raises(type(dense.value)) as lattice:
+        build_extremal(p, trunc)
+    assert str(lattice.value) == str(dense.value)
+    assert str(dense.value).startswith(("non-finite coefficient at index",
+                                        "resonant exponent at k="))

@@ -13,15 +13,27 @@ with ``q = |a| r^(k-1)``.  While ``kq < 1``:
 
 Every ``|a|`` below keeps ``kq < 1``: ``k |a| <= 1.1 k (1 - alpha)/(k - alpha)
 < 1`` for ``alpha >= 0.2``.  The closed forms share no code with the oracle.
+
+The documented extremal grid has known answers of its own: family B's
+hypothesis functional is ``S z^n`` and family A's is
+``(S w + beta)/(1 + (conj(beta)/S) w)`` with ``w = z^n``, so their sups on
+``|z| = r`` are ``S r^n`` and ``(S r^n + |beta|)/(1 + |beta| r^n/S)``; and
+their coefficients follow from ``f = z (k h)^e`` in ``mpmath`` arithmetic,
+by a power recurrence the library does not use.
+
+Open defects are strict expected failures: each asserts the true outcome,
+so the change that mends one has to drop its marker.
 """
 
 import cmath
 import functools
 import itertools
 
+import numpy as np
 import pytest
 
 from starcert.criteria import CriterionKind, CriterionParams
+from starcert.extremals import ExtremalFamily, build_extremal, documented_grid
 from starcert.oracle import SamplingConfig, Verdict, check_criterion
 from starcert.series import schlicht_from_tail
 
@@ -100,3 +112,116 @@ def test_cross_check_matches_its_closed_form(cfg):
     errors = [abs(rep.cross_min_re - _min_re_starlike(k, a, cfg.radii[-1]))
               for k, a, rep in reports]
     assert max(errors) <= CROSS_TOL
+
+
+# ------------------------------------------------------------ grid extremals
+
+ACC_CFG = SamplingConfig(
+    radii=tuple(round(0.10 + 0.02 * i, 10) for i in range(45)) + (0.99,),
+    angles=512,
+)
+EPS = float(np.finfo(float).eps)
+
+
+def test_grid_hypothesis_sups_equal_their_closed_forms():
+    mp = pytest.importorskip("mpmath").mp
+    worst = 0.0
+    with mp.workdps(40):
+        for family in ExtremalFamily:
+            for p in documented_grid(family):
+                rep = check_criterion(build_extremal(p, 128), p.criterion,
+                                      ACC_CFG)
+                s, b = mp.mpf(p.S), abs(mp.mpc(p.beta))
+                rn = mp.mpf(rep.hypothesis_witness[0]) ** p.n
+                want = (s * rn if family is ExtremalFamily.EXTREMAL_B
+                        else (s * rn + b) / (1 + b * rn / s))
+                worst = max(worst, float(abs(rep.hypothesis_sup - want) / want))
+    assert worst <= 8 * EPS
+
+
+def _mp_extremal(p, trunc_order, mp):
+    """Coefficients ``0..N`` of ``z (k h)^e``, all orders of ``z`` at once,
+    with the power taken by Miller's recurrence: ``P = A^e`` with
+    ``A_0 = 1`` has ``m P_m = sum_(j=1..m) ((e + 1) j - m) A_j P_(m-j)``."""
+    beta, gamma, s, n = mp.mpc(p.beta), mp.mpc(p.gamma), mp.mpf(p.S), p.n
+    work = trunc_order - 1
+    g = [mp.mpc(0)] * (work + 1)
+    g[0] = mp.mpc(1)
+    if p.family is ExtremalFamily.EXTREMAL_A:
+        x = mp.conj(beta) / s
+        power = (s * s - abs(beta) ** 2) / (n * mp.conj(beta) * gamma)
+        for j in range(1, work // n + 1):
+            g[n * j] = mp.binomial(power, j) * x ** j
+        c = beta / gamma
+    else:
+        x = s / (n * gamma)
+        for j in range(1, work // n + 1):
+            g[n * j] = x ** j / mp.factorial(j)
+        c = beta / gamma + 1
+    e = 1 / c
+    # k = c on both families, so A = k h has A_0 = 1
+    a = [c * g[m] / (c + m) for m in range(work + 1)]
+    terms = [j for j in range(1, work + 1) if a[j] != 0]
+    pw = [mp.mpc(1)]
+    for m in range(1, work + 1):
+        pw.append(sum(((e + 1) * j - m) * a[j] * pw[m - j]
+                      for j in terms if j <= m) / m)
+    return [mp.mpc(0)] + pw
+
+
+@pytest.mark.parametrize("family", list(ExtremalFamily))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_grid_extremal_coefficients_match_a_40_digit_build(family, n):
+    # the README's claim: coefficients down to the tail dust level, 1e-14 of
+    # the largest, agree to 1e-9 relative
+    mp = pytest.importorskip("mpmath").mp
+    p = next(q for q in documented_grid(family) if q.n == n)
+    got = build_extremal(p, 128).series.coeffs
+    with mp.workdps(40):
+        want = np.array([complex(v) for v in _mp_extremal(p, 128, mp)])
+    assert np.array_equal(got == 0, want == 0)
+    big = np.abs(want) > 1e-14 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)[big] / np.abs(want[big])) <= 1e-9
+
+
+# -------------------------------------------------------------- open defects
+
+TRUNCATED_QUOTIENT = ("ROADMAP item 4: a functional read from its truncated "
+                      "quotient series gets a zero tail allowance when the "
+                      "nonzero coefficients are spaced out")
+
+
+@pytest.mark.xfail(strict=True, reason=TRUNCATED_QUOTIENT)
+def test_cor_a_hypothesis_of_a_sparse_polynomial_fails():
+    # f = z + a z^9: sup |lhs| on the circle is 8.644 against the bound 8.5,
+    # but the truncated series reads 8.275 with a tail of 0
+    f = schlicht_from_tail(8, [0.0] * 7 + [0.04048003589591435], 32)
+    rep = check_criterion(f, CriterionParams(kind=CriterionKind.COR_A, n=8,
+                                             gamma=2.0, alpha=0.5),
+                          SamplingConfig())
+    assert rep.verdict is Verdict.HYPOTHESIS_FAILED
+
+
+@pytest.mark.xfail(strict=True, reason=TRUNCATED_QUOTIENT)
+def test_thm_b_conclusion_margin_of_a_sparse_polynomial():
+    # f/(zf') = (1 + u)/(1 + 5u) with u = a z^4, |u| = q on |z| = r; the
+    # truncated series reads a margin of +0.114 for the true -0.114
+    a = 0.17083333333333334
+    f = schlicht_from_tail(1, [0.0] * 3 + [a], 64)
+    rep = check_criterion(f, _params(CriterionKind.THM_B, 1.0, 1.0, 0.2),
+                          SamplingConfig())
+    q, c = a * rep.conclusion_witness[0] ** 4, rep.spec.conclusion_center
+    sup = max(abs((1 + q) / (1 + 5 * q) - c), abs((1 - q) / (1 - 5 * q) - c))
+    assert rep.spec.conclusion_radius - sup == pytest.approx(-0.114, abs=1e-3)
+    assert rep.conclusion_margin == pytest.approx(
+        rep.spec.conclusion_radius - sup, abs=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason=TRUNCATED_QUOTIENT)
+def test_cross_check_at_a_short_truncation_matches_its_closed_form():
+    # the sweep's k = 5, |a| = 1.1 x threshold, alpha = 0.2 case at trunc 32
+    # reads 0.1449917 against the exact 0.1449873
+    a, f = _candidate(5, 1.1, 0.2, 0.0, 32)
+    rep = check_criterion(f, _params(*KINDS[0], 0.2), CFG)
+    assert rep.cross_min_re == pytest.approx(
+        _min_re_starlike(5, a, CFG.radii[-1]), abs=1e-9)

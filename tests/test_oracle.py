@@ -1,9 +1,11 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starcert import oracle, series
 from starcert.series import (
@@ -17,14 +19,20 @@ from starcert.series import (
     schlicht_from_tail,
     tail_estimate,
 )
-from starcert.criteria import CriterionKind, CriterionParams
+from starcert.criteria import CriterionKind, CriterionParams, build_spec
 from starcert.extremals import (
     ExtremalFamily,
     ExtremalParams,
     build_extremal,
     documented_grid,
 )
-from starcert.functionals import ParameterError, lhs_a, unit_part
+from starcert.functionals import (
+    ParameterError,
+    centered_quotient,
+    lhs_a,
+    starlike_quotient,
+    unit_part,
+)
 from starcert.oracle import (
     DegenerateSeriesError,
     Extremum,
@@ -528,6 +536,72 @@ def test_truncated_koebe_derivative_zeros_detected():
     assert rep.verdict is Verdict.HYPOTHESIS_FAILED
 
 
+def _scan(s, r, m):
+    """The denominator monitor's sampled test on one series, as it runs
+    when the coefficient test decides nothing: the samples below the floor
+    and the argument-principle zero count on ``|z| = r``."""
+    vals = evaluate_grid(s, Circle(r, m))
+    steps = np.angle(np.roll(vals, -1) * np.conj(vals))
+    return (int(np.sum(np.abs(vals) < oracle._DENOM_FLOOR)),
+            round(np.sum(steps) / (2.0 * np.pi)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 80), st.floats(0.05, 0.999), st.floats(0.5, 1.2),
+       st.sampled_from([64, 512]), st.integers(0, 2**32 - 1))
+def test_coefficient_test_settles_only_zero_free_circles(degree, r, ratio, m,
+                                                         seed):
+    # sum_(k>=1) |b_k| r^k is ratio |b0|, so about half the draws settle
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(0.0, 1.0, degree + 1) * np.exp(
+        2j * np.pi * rng.uniform(0.0, 1.0, degree + 1))
+    b[1:] *= ratio * abs(b[0]) / np.sum(np.abs(b[1:]) * r ** np.arange(1, degree + 1))
+    if oracle._zero_free(b, r):
+        assert _scan(Series(b), r, m) == (0, 0)
+
+
+@pytest.mark.parametrize("excess, settled", [
+    (-2e-9, True), (-0.5e-9, False), (0.0, False), (1e-6, False)])
+def test_coefficient_test_needs_a_margin_above_the_floor(excess, settled):
+    # 1 + c z^8 with c r^8 = 1 + excess is zero-free on |z| <= r iff
+    # excess < 0; the test clears it only when -excess is above the floor
+    r = 0.99
+    b = np.zeros(9, dtype=np.complex128)
+    b[0], b[8] = 1.0, (1.0 + excess) / r ** 8
+    assert oracle._zero_free(b, r) is settled
+
+
+def test_coefficient_test_refuses_a_zero_inside_the_circle():
+    # f/z = 1 - z/z0 with |z0| = 0.98 < r; f' = 1 - 2z/z0 vanishes at z0/2
+    z0 = 0.98 * complex(math.cos(0.3), math.sin(0.3))
+    f = SchlichtCandidate(n=1, series=make_series([0, 1, -1 / z0] + [0] * 29))
+    assert not oracle._zero_free(unit_part(f).coeffs, 0.99)
+    cfg = SamplingConfig(radii=(0.99,), angles=512)
+    assert [label for _, _, label, _ in
+            oracle._denominator_violations(f, cfg)] == ["f/z", "f'"]
+
+
+def test_coefficient_test_decides_nothing_on_an_overflowing_sum():
+    # sum |b_k| r^k overflows to inf: the series falls through to the
+    # sampled test, without a numpy warning
+    b = np.array([1.0] + [1e308] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not oracle._zero_free(b, 0.99)
+
+
+def test_zero_free_quotient_is_not_flagged_for_a_coarse_phase_step():
+    # 1 + 1.3 z^40 is zero-free on |z| <= 0.99 (1.3 * 0.99^40 = 0.87 < 1),
+    # but its phase turns by more than pi/2 between 64 samples; its
+    # derivative 1 + 53.3 z^40 has zeros inside the circle
+    f = schlicht_from_tail(1, [0.0] * 39 + [1.3], 64)
+    cfg = SamplingConfig(radii=(0.99,), angles=64)
+    assert oracle._zero_free(unit_part(f).coeffs, 0.99)
+    got = oracle._denominator_violations(f, cfg)
+    assert [(r, theta, label) for r, theta, label, _ in got] == [
+        (0.99, 2.0 * np.pi * 4 / 64, "f'")]
+
+
 def test_mocanu_halfplane_certifies():
     # radii capped where the truncated geometric coefficients resolve
     f = builtin_candidate("halfplane", 96)
@@ -716,3 +790,37 @@ def test_jack_k_equals_the_first_loops(monkeypatch):
     got = [repr(jack_demo(w, m, r, CFG).k_est) for w, m, r in probes]
     _use_first_loops(monkeypatch)
     assert got == [repr(jack_demo(w, m, r, CFG).k_est) for w, m, r in probes]
+
+
+def _uncached_grid(a, z):
+    """evaluate_grid forming its weights ``r^k`` on every call."""
+    b = a.coeffs * z.r ** np.arange(a.coeffs.size)
+    if b.size > z.m:
+        b = np.pad(b, (0, -b.size % z.m)).reshape(-1, z.m).sum(0)
+    return np.fft.ifft(b, n=z.m, norm="forward")
+
+
+def test_cached_circle_weights_give_the_uncached_bytes():
+    # every series the grid cells sample: the three functionals, f/z, f'
+    r = ACC_CFG.radii[-1]
+    thetas = (0.0, 0.7, 2.0 * np.pi * 37 / 512, 5.1)
+    checked = 0
+    for family in ExtremalFamily:
+        for p in documented_grid(family):
+            f = build_extremal(p, 128)
+            spec = build_spec(p.criterion)
+            for a in (oracle._functional_series(f, spec),
+                      centered_quotient(f, spec.conclusion_center),
+                      starlike_quotient(f), unit_part(f),
+                      derivative(f.series)):
+                powers = series.radius_powers(r, a.coeffs.size)
+                assert not powers.flags.writeable
+                assert powers.tobytes() == (r ** np.arange(a.coeffs.size)).tobytes()
+                z = Circle(r, ACC_CFG.angles)
+                assert (evaluate_grid(a, z).tobytes()
+                        == _uncached_grid(a, z).tobytes())
+                at, want = oracle._angle_sums(a, r), _stacked_angle_sums(a, r)
+                for theta in thetas:
+                    assert at(theta).tobytes() == want(theta).tobytes()
+                checked += 1
+    assert checked == 72 * 5

@@ -67,6 +67,7 @@ from .series import (
 from .functionals import ParameterError, identity_sweep, w_func
 from .criteria import CriterionKind, CriterionParams
 from .extremals import (
+    SELFCHECK_RTOL,
     ExtremalFamily,
     ExtremalParams,
     InadmissibleExtremalError,
@@ -252,17 +253,23 @@ def load_function_spec(path: str) -> dict:
     return parse_function_spec(data)
 
 
+def extremal_params_from_spec(fs: dict) -> ExtremalParams | None:
+    """The construction an ``EXTREMAL_*`` spec names; None for other kinds."""
+    if fs["kind"] in ("BUILTIN", "COEFFS"):
+        return None
+    ext = fs["extremal"]
+    return ExtremalParams(family=ExtremalFamily(fs["kind"]), n=fs["n"],
+                          alpha=ext["alpha"], beta=complex(*ext["beta"]),
+                          gamma=complex(*ext["gamma"]))
+
+
 def candidate_from_spec(fs: dict) -> SchlichtCandidate:
     if fs["kind"] == "BUILTIN":
         return builtin_candidate(fs["builtin"], fs["trunc"], fs["n"])
     if fs["kind"] == "COEFFS":
         return schlicht_from_tail(fs["n"], [complex(*c) for c in fs["coeffs"]],
                                   fs["trunc"])
-    ext = fs["extremal"]
-    params = ExtremalParams(family=ExtremalFamily(fs["kind"]), n=fs["n"],
-                            alpha=ext["alpha"], beta=complex(*ext["beta"]),
-                            gamma=complex(*ext["gamma"]))
-    return build_extremal(params, fs["trunc"])
+    return build_extremal(extremal_params_from_spec(fs), fs["trunc"])
 
 
 def probe_series_from_spec(fs: dict) -> Series:
@@ -518,14 +525,36 @@ def cmd_check(args) -> int:
     f = candidate_from_spec(fs)
     params = _criterion_params(args, fs["n"])
     rep = check_criterion(f, params, cfg)
+    sections = {"function": fs, "criterion_params": params, "sampling": cfg}
+    extremal = extremal_params_from_spec(fs)
+    if extremal is not None:
+        resid, _ = _selfcheck(f, extremal)
+        rep = _gate_selfcheck(rep, resid, extremal)
+        sections["selfcheck"] = {"identity_residual": resid,
+                                 "tolerance": extremal.selfcheck_tol}
     _print_verification(rep)
-    _write_out(args, "check", {
-        "function": fs,
-        "criterion_params": params,
-        "sampling": cfg,
-        "result": rep,
-    })
+    _write_out(args, "check", {**sections, "result": rep})
     return _VERDICT_EXIT[rep.verdict]
+
+
+def _selfcheck(f: SchlichtCandidate, p: ExtremalParams) -> tuple[float, str]:
+    """The family's identity residual and the expression it measures."""
+    if p.family is ExtremalFamily.EXTREMAL_B:
+        return verify_identity_b(f, p), "|lhs_b - S z^n|"
+    return (probe_identity_a(f, p),
+            "|lhs_a - (S z^n + beta)/(1 + (conj(beta)/S) z^n)|")
+
+
+def _gate_selfcheck(rep: VerificationReport, resid: float,
+                    p: ExtremalParams) -> VerificationReport:
+    """A construction that fails its own identity beyond rounding yields no
+    verdict: DEGENERATE, with one stderr note naming both numbers."""
+    if resid <= p.selfcheck_tol:
+        return rep
+    print(f"rejected: extremal self-check residual {resid!r} exceeds its "
+          f"tolerance {p.selfcheck_tol!r} ({SELFCHECK_RTOL:g} x max(1, S))",
+          file=sys.stderr)
+    return dataclasses.replace(rep, verdict=Verdict.DEGENERATE)
 
 
 def cmd_extremal(args) -> int:
@@ -544,22 +573,18 @@ def cmd_extremal(args) -> int:
         c = f.series.coeffs[i]
         print(f"a_{i} = {_fmt_c(complex(c))}")
 
-    if params.family is ExtremalFamily.EXTREMAL_B:
-        resid = verify_identity_b(f, params)
-        print(f"identity residual |lhs_b - S z^n|: {resid!r}")
-    else:
-        resid = probe_identity_a(f, params)
-        print(f"identity residual |lhs_a - (S z^n + beta)/(1 + (conj(beta)/S) z^n)|: "
-              f"{resid!r}")
+    resid, label = _selfcheck(f, params)
+    print(f"identity residual {label}: {resid!r}")
 
     crit = params.criterion
-    rep = check_criterion(f, crit, cfg)
+    rep = _gate_selfcheck(check_criterion(f, crit, cfg), resid, params)
     _print_verification(rep)
     _write_out(args, "extremal", {
         "extremal_params": params,
         "trunc": args.trunc,
         "coefficients": [complex(c) for c in f.series.coeffs[: k + 1]],
-        "selfcheck": {"identity_residual": resid},
+        "selfcheck": {"identity_residual": resid,
+                      "tolerance": params.selfcheck_tol},
         "criterion_params": crit,
         "sampling": cfg,
         "result": rep,

@@ -54,6 +54,11 @@ from .functionals import lhs_a, lhs_b
 from .criteria import CriterionKind, CriterionParams, build_spec
 
 
+# Self-check tolerance relative to max(1, S); a larger residual means the
+# construction lost the identity it was built to satisfy.
+SELFCHECK_RTOL = 1e-10
+
+
 class ExtremalFamily(Enum):
     EXTREMAL_A = "EXTREMAL_A"
     EXTREMAL_B = "EXTREMAL_B"
@@ -112,6 +117,13 @@ class ExtremalParams:
             # lhs_a(0) = beta, so the hypothesis already fails at the origin
             raise InadmissibleExtremalError("|beta| < S", s - abs(self.beta))
         object.__setattr__(self, "S", float(s))
+
+    @property
+    def selfcheck_tol(self) -> float:
+        """Largest self-check residual the construction passes: the
+        self-check form's coefficients scale with ``S``, so its rounding
+        does too."""
+        return SELFCHECK_RTOL * max(1.0, self.S)
 
     @property
     def criterion(self) -> CriterionParams:

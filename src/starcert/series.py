@@ -13,15 +13,16 @@ The truncated product and the term-wise derivative are each one array
 kernel, ``_mul`` and ``_derivative``; :func:`mul` and :func:`derivative`
 box their results as a :class:`Series`, and a caller that composes
 several steps (``functionals``) runs the kernels on coefficient arrays
-and boxes only what it keeps.  :func:`reciprocal` builds ``1/b`` by
-Newton iteration in O(log N) convolutions, each step's residual a middle
-product, and is the one place a divisor is checked for a unit constant
-term.  :func:`div` is a product with it, so a caller dividing by one
-series several times builds its reciprocal once; :func:`log_unit` runs
-the same iteration on its unit-constant argument.  :func:`exp_unit` keeps
-its O(N^2) recurrence, which holds the relative accuracy of small
-coefficients; it fills its result back to front, so each step's dot
-product reads two forward slices.  Both loops give the bits of their
+and boxes only what it keeps.  :func:`reciprocal` builds ``1/b`` from an
+eight-term forward substitution and then Newton iteration in O(log N)
+convolutions, each step's residual a middle product, and is the one place
+a divisor is checked for a unit constant term.  :func:`div` is a product
+with it, so a caller dividing by one series several times builds its
+reciprocal once; :func:`log_unit` runs the same iteration on its
+unit-constant argument.  :func:`exp_unit` keeps its O(N^2) recurrence,
+which holds the relative accuracy of small coefficients; it fills its
+result back to front, so each step's dot product reads two forward
+slices.  Both loops give the bits of their
 textbook forms (full product, negative-stride view).
 :func:`evaluate_grid` samples a series on a :class:`Circle` by one FFT, the
 one way a series is read off a circle.
@@ -49,6 +50,9 @@ RESONANCE_TOL = 1e-8
 TAIL_DUST = 1e-14
 # Largest drift of c0 from 0 or c1 from 1 that as_schlicht snaps away.
 _SNAP_TOL = 1e-13
+# Leading coefficients of a reciprocal found by forward substitution before
+# its Newton steps; below this length a step is nearly all call overhead.
+_RECIPROCAL_START = 8
 
 
 class SeriesError(ValueError):
@@ -169,19 +173,34 @@ def shift(a: Series, k: int) -> Series:
 def _reciprocal(b: np.ndarray) -> np.ndarray:
     """``1/b`` to the length of ``b`` (``b[0] != 0``) by Newton iteration.
 
-    Each step doubles the known length ``k``: ``b x = 1 + z^k r`` modulo
-    ``z^(2k)``, so ``x (2 - b x) = x - z^k x r`` extends ``x`` by ``-x r``
-    and leaves its first ``k`` coefficients as they were.  Two convolutions
-    per step, ``log2`` of the length steps (Kung 1974).  The residual ``r``
-    is the middle product of ``b[1:2k]`` and ``x`` (Hanrot, Quercia and
-    Zimmermann 2004), which skips the product's low half.
+    The first ``_RECIPROCAL_START`` coefficients come from the forward
+    substitution ``x_k = -(sum_(j=1..k) b_j x_(k-j)) x_0`` on Python
+    scalars, where a convolution would cost more in calls than in work.
+    Each Newton step then doubles the known length ``k``: ``b x = 1 + z^k r``
+    modulo ``z^(2k)``, so ``x (2 - b x) = x - z^k x r`` extends ``x`` by
+    ``-x r`` and leaves its first ``k`` coefficients as they were.  Two
+    convolutions per step, ``ceil(log2(n/8))`` steps for ``n > 8``
+    coefficients (Kung 1974).  The residual ``r`` is the middle product
+    of ``b[1:2k]`` and ``x`` (Hanrot, Quercia and Zimmermann 2004), which
+    skips the product's low half.
     """
-    x = np.array([1.0 / b[0]], dtype=np.complex128)
-    while x.size < b.size:
-        k = x.size
-        k2 = min(2 * k, b.size)
-        r = np.convolve(b[1:k2], x, "valid")  # entries k..k2-1 of b x
-        x = np.concatenate([x, -np.convolve(x[: k2 - k], r)[: k2 - k]])
+    size = b.size
+    k = min(_RECIPROCAL_START, size)
+    head = b[:k].tolist()
+    x0 = 1 / head[0]
+    start = [x0]
+    for i in range(1, k):
+        acc = 0j
+        for j in range(1, i + 1):
+            acc += head[j] * start[i - j]
+        start.append(-acc * x0)
+    x = np.empty(size, dtype=np.complex128)
+    x[:k] = start
+    while k < size:
+        k2 = min(2 * k, size)
+        r = np.convolve(b[1:k2], x[:k], "valid")  # entries k..k2-1 of b x
+        x[k:k2] = -np.convolve(x[: k2 - k], r)[: k2 - k]
+        k = k2
     return x
 
 

@@ -135,3 +135,29 @@ def test_grid_cells_pin_their_work(monkeypatch):
                                WORKLOADS.ACCEPTANCE_CFG)
     assert exp_sizes == [127 // p.n + 1 for p in cells]
     assert len(circles) == 3 * 72 + 24
+
+
+def test_identities_op_pins_its_reciprocals(monkeypatch, capsys):
+    # the identities workload's op: 12 random candidates at trunc 48, each
+    # with one reciprocal of f/z and one of f', 48 coefficients long, and
+    # six convolutions in each
+    from starcert import series
+    convolutions, built = [0], []
+    reciprocal, convolve = series._reciprocal, series.np.convolve
+
+    def spy_convolve(*args, **kwargs):
+        convolutions[0] += 1
+        return convolve(*args, **kwargs)
+
+    def spy_reciprocal(b):
+        before = convolutions[0]
+        x = reciprocal(b)
+        built.append((b.size, convolutions[0] - before))
+        return x
+
+    monkeypatch.setattr(series, "_reciprocal", spy_reciprocal)
+    monkeypatch.setattr(series.np, "convolve", spy_convolve)
+    assert cli.main(["identities", "--per-n", "4", "--pairs", "5",
+                     "--trunc", "48", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert built == [(48, 6)] * 24

@@ -311,7 +311,7 @@ def test_extremal_a_probe_run(tmp_path, capsys):
     resid = float(line[len(label):])
     assert resid < 1e-9
     selfcheck = json.loads(report.read_text())["report"]["selfcheck"]
-    assert selfcheck == {"identity_residual": resid}
+    assert selfcheck == {"identity_residual": resid, "tolerance": 1e-10}
 
 
 def test_extremal_negative_complex_flag(capsys):
@@ -919,15 +919,48 @@ def test_unknown_subcommand_exit_3():
     assert main(["frobnicate"]) == 3
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: the extremal "
-                   "self-check residual is printed but never compared with a "
-                   "tolerance")
 def test_extremal_with_a_large_selfcheck_residual_is_refused(capsys):
-    # the identity residual |lhs_b - S z^n| printed here is 2.9e-4
+    # the identity residual |lhs_b - S z^n| printed here is 1.8e-5, against
+    # a tolerance of 1e-10 x S
     code = main(["extremal", "--family", "EXTREMAL_B", "--n", "1",
                  "--alpha", "0.867273387572356",
                  "--beta=-25.25596027149765,-35.314688227781616",
                  "--gamma=0.30161488684445725,-0.5706474545124733",
                  "--trunc", "58", "--radii", "0.2,0.5,0.9", "--angles", "256"])
-    assert "0.0002943497264096193" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "1.8305523281982258e-05" in captured.out
+    assert captured.out.endswith("verdict: DEGENERATE\n")
+    assert captured.err == (
+        "rejected: extremal self-check residual 1.8305523281982258e-05 "
+        "exceeds its tolerance 5.84117113580739e-10 (1e-10 x max(1, S))\n")
     assert code == 2
+
+
+@pytest.mark.parametrize("beta, gamma, alpha, trunc, code", [
+    ([-25.25596027149765, -35.314688227781616],
+     [0.30161488684445725, -0.5706474545124733], 0.867273387572356, 58, 2),
+    ([1.0, 0.0], [1.0, 0.0], 0.5, 64, 0),
+])
+def test_check_on_an_extremal_spec_runs_its_selfcheck(tmp_path, capsys, beta,
+                                                      gamma, alpha, trunc,
+                                                      code):
+    spec = write_spec(tmp_path, "b.json", {
+        "kind": "EXTREMAL_B", "n": 1, "trunc": trunc,
+        "extremal": {"alpha": alpha, "beta": beta, "gamma": gamma}})
+    out = tmp_path / "r.json"
+    assert main(["check", spec, "--kind", "THM_B", "--alpha", repr(alpha),
+                 f"--beta={beta[0]!r},{beta[1]!r}",
+                 f"--gamma={gamma[0]!r},{gamma[1]!r}", "--radii",
+                 "0.2,0.5,0.9", "--angles", "256", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    report = json.loads(out.read_text())["report"]
+    resid, tol = (report["selfcheck"]["identity_residual"],
+                  report["selfcheck"]["tolerance"])
+    if code:
+        assert captured.err == (
+            f"rejected: extremal self-check residual {resid!r} exceeds its "
+            f"tolerance {tol!r} (1e-10 x max(1, S))\n")
+        assert resid > tol and report["result"]["verdict"] == "DEGENERATE"
+    else:
+        assert captured.err == ""
+        assert resid <= tol and report["result"]["verdict"] == "CERTIFIED_SAMPLED"

@@ -19,7 +19,11 @@ hypothesis functional is ``S z^n`` and family A's is
 ``(S w + beta)/(1 + (conj(beta)/S) w)`` with ``w = z^n``, so their sups on
 ``|z| = r`` are ``S r^n`` and ``(S r^n + |beta|)/(1 + |beta| r^n/S)``; and
 their coefficients follow from ``f = z (k h)^e`` in ``mpmath`` arithmetic,
-by a power recurrence the library does not use.
+by a power recurrence the library does not use.  ``P = zf'/f`` follows from
+the inner series ``g`` and the shifted integral ``h`` alone, so the
+conclusion sup at its witness and the least ``Re P`` on a circle are
+evaluated at 40 digits with no series reciprocal and no power, for the grid
+and for seeded draws that pass their self-check.
 
 Open defects are strict expected failures: each asserts the true outcome,
 so the change that mends one has to drop its marker.
@@ -32,10 +36,19 @@ import itertools
 import numpy as np
 import pytest
 
+from starcert import cli
 from starcert.criteria import CriterionKind, CriterionParams
-from starcert.extremals import ExtremalFamily, build_extremal, documented_grid
+from starcert.extremals import (
+    ExtremalFamily,
+    ExtremalParams,
+    InadmissibleExtremalError,
+    build_extremal,
+    documented_grid,
+    probe_identity_a,
+    verify_identity_b,
+)
 from starcert.oracle import SamplingConfig, Verdict, check_criterion
-from starcert.series import schlicht_from_tail
+from starcert.series import SeriesError, schlicht_from_tail
 
 CFG = SamplingConfig(radii=(0.5, 0.9, 0.99), angles=512)
 ORDERS = (2, 3, 5)
@@ -123,19 +136,23 @@ ACC_CFG = SamplingConfig(
 EPS = float(np.finfo(float).eps)
 
 
+@functools.cache
+def _grid_reports():
+    """(params, report) for every grid cell at the acceptance config."""
+    return [(p, check_criterion(build_extremal(p, 128), p.criterion, ACC_CFG))
+            for family in ExtremalFamily for p in documented_grid(family)]
+
+
 def test_grid_hypothesis_sups_equal_their_closed_forms():
     mp = pytest.importorskip("mpmath").mp
     worst = 0.0
     with mp.workdps(40):
-        for family in ExtremalFamily:
-            for p in documented_grid(family):
-                rep = check_criterion(build_extremal(p, 128), p.criterion,
-                                      ACC_CFG)
-                s, b = mp.mpf(p.S), abs(mp.mpc(p.beta))
-                rn = mp.mpf(rep.hypothesis_witness[0]) ** p.n
-                want = (s * rn if family is ExtremalFamily.EXTREMAL_B
-                        else (s * rn + b) / (1 + b * rn / s))
-                worst = max(worst, float(abs(rep.hypothesis_sup - want) / want))
+        for p, rep in _grid_reports():
+            s, b = mp.mpf(p.S), abs(mp.mpc(p.beta))
+            rn = mp.mpf(rep.hypothesis_witness[0]) ** p.n
+            want = (s * rn if p.family is ExtremalFamily.EXTREMAL_B
+                    else (s * rn + b) / (1 + b * rn / s))
+            worst = max(worst, float(abs(rep.hypothesis_sup - want) / want))
     assert worst <= 8 * EPS
 
 
@@ -182,6 +199,157 @@ def test_grid_extremal_coefficients_match_a_40_digit_build(family, n):
     assert np.array_equal(got == 0, want == 0)
     big = np.abs(want) > 1e-14 * np.max(np.abs(want))
     assert np.max(np.abs(got - want)[big] / np.abs(want[big])) <= 1e-9
+
+
+# ------------------------------------------- conclusions from the construction
+
+class _Construction:
+    """``P = zf'/f`` of ``f = z (k h)^e`` from ``g`` and ``h`` alone, in
+    ``mpmath``: ``zh' = g - c h`` gives ``P = 1 + e (g/h - c)`` and
+    ``zP' = e (zg' h - g zh') / h^2``, with ``e = 1/c`` in both families.
+    ``g`` is its closed form and ``h`` its lattice series
+    ``sum_j g_j/(c + n j) w^j``, ``w = z^n``, summed until a term is below
+    1e-45 on ``|z| <= r``.  No series reciprocal and no power is taken."""
+
+    def __init__(self, p, r, mp):
+        self.mp, self.n = mp, p.n
+        beta, gamma, s = mp.mpc(p.beta), mp.mpc(p.gamma), mp.mpf(p.S)
+        if p.family is ExtremalFamily.EXTREMAL_A:
+            self.x = mp.conj(beta) / s
+            self.power = (s * s - abs(beta) ** 2) / (p.n * mp.conj(beta) * gamma)
+            self.c = beta / gamma
+        else:
+            self.x, self.power, self.c = s / (p.n * gamma), None, beta / gamma + 1
+        rho, gj, self.h = mp.mpf(r) ** p.n, mp.mpc(1), [1 / self.c]
+        while len(self.h) < 4 or (abs(self.h[-1]) * rho ** (len(self.h) - 1)
+                                  > mp.mpf(10) ** -45):
+            j = len(self.h)
+            gj *= (self.x / j if self.power is None
+                   else (self.power - j + 1) * self.x / j)
+            self.h.append(gj / (self.c + p.n * j))
+
+    def _g(self, w):
+        """``g(w)`` and ``z g'`` at ``w = z^n``."""
+        xw = self.x * w
+        if self.power is None:
+            g = self.mp.exp(xw)
+            return g, self.n * xw * g
+        g = (1 + xw) ** self.power
+        return g, self.n * self.power * xw * g / (1 + xw)
+
+    def p_and_zdp(self, z):
+        """``P(z)`` and ``z P'(z)``."""
+        w, h = z ** self.n, 0
+        for hj in reversed(self.h):
+            h = h * w + hj
+        g, zg = self._g(w)
+        return (1 + (g / h - self.c) / self.c,
+                (zg * h - g * (g - self.c * h)) / (self.c * h * h))
+
+    def min_re_p(self, r):
+        """Least ``Re P`` on ``|z| = r``: the best of 1024 angles in floats,
+        polished by ``findroot`` on ``d/dtheta Re P = -Im(z P')``."""
+        mp = self.mp
+        hf = np.array([complex(v) for v in self.h])
+        x, c = complex(self.x), complex(self.c)
+        theta = 2 * np.pi * np.arange(1024) / 1024
+        w = (float(r) * np.exp(1j * theta)) ** self.n
+        g = (np.exp(x * w) if self.power is None
+             else (1 + x * w) ** complex(self.power))
+        re_p = (1 + (g / np.polynomial.polynomial.polyval(w, hf) - c) / c).real
+        t = mp.findroot(lambda t: mp.im(self.p_and_zdp(r * mp.expj(t))[1]),
+                        mp.mpf(theta[int(np.argmin(re_p))]))
+        return mp.re(self.p_and_zdp(r * mp.expj(t))[0])
+
+
+def _conclusion_errors(reports, r, mp):
+    """Largest error of the conclusion sup at its witness and of
+    ``cross_min_re`` on ``|z| = r``, each in units of its value's rounding
+    ``eps max(1, |value|)``."""
+    worst_con = worst_cross = 0.0
+    with mp.workdps(40):
+        for p, rep in reports:
+            exact = _Construction(p, r, mp)
+            wr, wt = rep.conclusion_witness
+            pz, _ = exact.p_and_zdp(mp.mpf(wr) * mp.expj(mp.mpf(wt)))
+            want = float(abs(1 / pz - rep.spec.conclusion_center))
+            worst_con = max(worst_con, abs(rep.conclusion_sup - want)
+                            / (EPS * max(1.0, want)))
+            want = float(exact.min_re_p(mp.mpf(r)))
+            worst_cross = max(worst_cross, abs(rep.cross_min_re - want)
+                              / (EPS * max(1.0, abs(want))))
+    return worst_con, worst_cross
+
+
+def test_grid_conclusions_equal_a_40_digit_construction():
+    # every cell samples r = 0.99 (the worst seen is about 2 eps on both)
+    mp = pytest.importorskip("mpmath").mp
+    reports = _grid_reports()
+    assert {rep.conclusion_witness[0] for _, rep in reports} == {0.99}
+    con, cross = _conclusion_errors(reports, 0.99, mp)
+    assert con <= 8 and cross <= 8
+
+
+def _admitted_draws(family, count, seed, trunc):
+    """``count`` seeded admitted parameter sets of one family, each with its
+    candidate and self-check residual: beta a complex normal times a scale
+    log-uniform on 0.1..50, gamma a complex normal, n in 1..3."""
+    rng = np.random.default_rng(seed)
+    selfcheck = (verify_identity_b if family is ExtremalFamily.EXTREMAL_B
+                 else probe_identity_a)
+    out = []
+    while len(out) < count:
+        n, alpha = int(rng.integers(1, 4)), float(rng.uniform(0.05, 0.95))
+        scale = float(np.exp(rng.uniform(np.log(0.1), np.log(50.0))))
+        beta = complex(*rng.normal(size=2)) * scale
+        gamma = complex(*rng.normal(size=2))
+        try:
+            p = ExtremalParams(family=family, n=n, alpha=alpha, beta=beta,
+                               gamma=gamma)
+            f = build_extremal(p, trunc)
+        except (SeriesError, InadmissibleExtremalError):
+            continue
+        out.append((p, f, selfcheck(f, p)))
+    return out
+
+
+DRAW_CFG = SamplingConfig(radii=(0.5, 0.7), angles=256)
+
+
+@pytest.mark.parametrize("family", list(ExtremalFamily))
+def test_drawn_conclusions_equal_a_40_digit_construction(family):
+    # only draws that pass their self-check; at r = 0.7 the truncation at
+    # order 128 stays below rounding (the worst seen is about 2 eps)
+    mp = pytest.importorskip("mpmath").mp
+    reports = [(p, check_criterion(f, p.criterion, DRAW_CFG))
+               for p, f, resid in _admitted_draws(family, 16, 2801, 128)
+               if resid <= p.selfcheck_tol]
+    assert len(reports) >= 12
+    assert {rep.conclusion_witness[0] for _, rep in reports} == {0.7}
+    con, cross = _conclusion_errors(reports, 0.7, mp)
+    assert con <= 8 and cross <= 8
+
+
+def test_no_draw_certifies_past_its_selfcheck_tolerance(capsys):
+    # the draws of ROADMAP item 5's sweep, at its trunc and sampling: an
+    # extremal whose identity residual exceeds 1e-10 max(1, S) ends
+    # DEGENERATE, exit 2, whatever its sampled verdict
+    draws = _admitted_draws(ExtremalFamily.EXTREMAL_B, 100, 5, 58)
+    failed = [(p, resid) for p, _, resid in draws if resid > p.selfcheck_tol]
+    assert len(failed) >= 2
+    for p, resid in failed:
+        code = cli.main(["extremal", "--family", "EXTREMAL_B", "--n", str(p.n),
+                         "--alpha", repr(p.alpha),
+                         f"--beta={p.beta.real!r},{p.beta.imag!r}",
+                         f"--gamma={p.gamma.real!r},{p.gamma.imag!r}",
+                         "--trunc", "58", "--radii", "0.2,0.5,0.9",
+                         "--angles", "256"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.endswith("verdict: DEGENERATE\n")
+        assert captured.err == (
+            f"rejected: extremal self-check residual {resid!r} exceeds its "
+            f"tolerance {p.selfcheck_tol!r} (1e-10 x max(1, S))\n")
 
 
 # -------------------------------------------------------------- open defects

@@ -244,8 +244,16 @@ def ref_exp_unit(a):
 
 
 def ref_reciprocal(b):
-    """The Newton reciprocal cutting each residual from the full product."""
-    x = np.array([1.0 / b[0]], dtype=np.complex128)
+    """The Newton reciprocal cutting each residual from the full product,
+    from the same eight-term forward substitution as the kernel."""
+    x0 = 1 / complex(b[0])
+    start = [x0]
+    for k in range(1, min(8, b.size)):
+        acc = 0j
+        for j in range(1, k + 1):
+            acc += complex(b[j]) * start[k - j]
+        start.append(-acc * x0)
+    x = np.array(start, dtype=np.complex128)
     while x.size < b.size:
         k = x.size
         k2 = min(2 * k, b.size)
@@ -308,6 +316,98 @@ def test_kernel_bytes_equal_the_references_on_the_grid_extremals(
         assert exp_unit(a).coeffs.tobytes() == ref_exp_unit(a).tobytes()
     for b in recips:
         assert series._reciprocal(b).tobytes() == ref_reciprocal(b).tobytes()
+
+
+def ref_newton_reciprocal(b):
+    """The Newton reciprocal from its one-term start, as first written."""
+    x = np.array([1.0 / b[0]], dtype=np.complex128)
+    while x.size < b.size:
+        k = x.size
+        k2 = min(2 * k, b.size)
+        r = np.convolve(b[1:k2], x, "valid")
+        x = np.concatenate([x, -np.convolve(x[: k2 - k], r)[: k2 - k]])
+    return x
+
+
+def mp_reciprocal(b, mp):
+    """``1/b`` by forward substitution at 50 digits."""
+    with mp.workdps(50):
+        bm = [mp.mpc(v) for v in b.tolist()]
+        x = [1 / bm[0]]
+        for k in range(1, len(bm)):
+            x.append(-mp.fdot(bm[1 : k + 1], x[::-1]) * x[0])
+        return np.array([complex(v) for v in x])
+
+
+def unit_divisors(rng, size):
+    """Two random unit-divisor series of ``size`` coefficients, and two
+    ill-conditioned ones: a zero just outside and just inside the unit
+    circle times a random unit-constant factor."""
+    out = [rand_series(rng, size - 1, amp=0.5, decay=0.55,
+                       unit=rng.uniform(0.5, 2) * np.exp(2j * rng.uniform(0, 3))
+                       ).coeffs for _ in range(2)]
+    for modulus in (1.02, 0.98):
+        zeta = modulus * np.exp(2j * np.pi * rng.uniform())
+        q = rand_series(rng, size - 1, amp=0.3, decay=0.5, unit=1.0).coeffs
+        out.append(np.convolve([1.0, -1.0 / zeta], q)[:size])
+    return out
+
+
+RECIPROCAL_LENGTHS = (1, 2, 7, 8, 9, 24, 48, 127, 128, 256)
+
+
+@pytest.mark.parametrize("size", RECIPROCAL_LENGTHS)
+def test_reciprocal_kernels_match_a_50_digit_forward_substitution(size):
+    # the eight-term start and the one-term Newton start alike, on the
+    # coefficients above the tail dust level (the worst seen is 1.1e-14)
+    mp = pytest.importorskip("mpmath").mp
+    rng = np.random.default_rng(500 + size)
+    for b in unit_divisors(rng, size):
+        want = mp_reciprocal(b, mp)
+        big = np.abs(want) > 1e-14 * np.max(np.abs(want))
+        for kernel in (series._reciprocal, ref_newton_reciprocal):
+            got = kernel(b)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)[big] / np.abs(want[big])) <= 1e-12
+
+
+@pytest.mark.parametrize("size, calls", [(8, 0), (9, 2), (24, 4), (48, 6),
+                                         (128, 8), (256, 10)])
+def test_reciprocal_convolution_count(size, calls, monkeypatch):
+    # two per Newton step, ceil(log2(size / 8)) steps after the start
+    count = []
+    convolve = np.convolve
+
+    def spy(*args, **kwargs):
+        count.append(1)
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(np, "convolve", spy)
+    b = rand_series(np.random.default_rng(size), size - 1, unit=1.0).coeffs
+    series._reciprocal(b)
+    assert len(count) == calls
+
+
+def test_non_unit_divisor_keeps_its_message():
+    b = make_series(np.r_[1e-13, 1.0, np.zeros(10)])
+    with pytest.raises(NonUnitDivisorError) as err:
+        series.reciprocal(b)
+    assert str(err.value) == ("non-unit divisor: |b0| = 1.000e-13 is below "
+                              "1e-12 × max(1, max|b_k|) = 1.0e+00")
+
+
+@pytest.mark.parametrize("kernel, a1, size, index", [
+    (series.reciprocal, 1e11, 40, 29),  # overflows in a Newton step
+    (log_unit, 1e60, 20, 6),            # in the forward substitution
+    (log_unit, 1e30, 20, 11),           # in a Newton step
+])
+def test_overflow_is_refused_at_its_order(kernel, a1, size, index):
+    arr = np.zeros(size, dtype=np.complex128)
+    arr[0], arr[1] = 1.0, a1
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteCoefficientError) as err:
+            kernel(Series(arr))
+    assert str(err.value) == f"non-finite coefficient at index {index}"
 
 
 # ---------------------------------------------------------------- derivative

@@ -500,9 +500,9 @@ def _print_verification(rep: VerificationReport) -> None:
             print(f"conclusion: sup |f/(zf') - {_fmt(spec.conclusion_center)}| = "
                   f"{_fmt(rep.conclusion_sup)} vs {_fmt(spec.conclusion_radius)} "
                   f"-> margin {_fmt(rep.conclusion_margin)}")
-        if rep.cross_min_re is not None:
-            print(f"cross-check: min Re(zf'/f) = {_fmt(rep.cross_min_re)} vs "
-                  f"alpha {_fmt(spec.alpha)} -> margin {_fmt(rep.cross_margin)}")
+    if rep.cross_min_re is not None:
+        print(f"cross-check: min Re(zf'/f) = {_fmt(rep.cross_min_re)} vs "
+              f"order {_fmt(spec.order)} -> margin {_fmt(rep.cross_margin)}")
     if rep.hypothesis_witness is not None:
         r, th = rep.hypothesis_witness
         print(f"worst witness: r={_fmt(r)} theta={_fmt(th)}")
@@ -567,7 +567,6 @@ def cmd_extremal(args) -> int:
     print(f"family: {params.family.value}  n={params.n}  "
           f"alpha={params.alpha!r}  beta={_fmt_c(params.beta)}  "
           f"gamma={_fmt_c(params.gamma)}  S={params.S!r}")
-    print(f"normalization snap delta: {f.snap_delta!r}")
     k = min(_EMIT_COEFFS, f.trunc_order)
     for i in range(1, k + 1):
         c = f.series.coeffs[i]

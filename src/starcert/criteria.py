@@ -16,6 +16,12 @@ with a parameter constraint and a concluded disk for ``Q = f/(z f')``:
 * ``COR_A``:    THM_A after the substitution (beta, gamma) -> (1, -gamma) for real gamma,
   made by :func:`build_spec` before any formula reads beta or gamma.
 * ``MOCANU``:   hypothesis shape Re(mocanu functional) > 0; no modulus bound.
+  Every alpha-convex function is starlike (Miller, Mocanu and Reade,
+  Proc. AMS 37, 1973), so it concludes Re(zf'/f) > 0.
+
+``CriterionSpec.order`` is the starlikeness order a criterion concludes:
+alpha for the theorems and the corollary, 0 for ``MOCANU``, None for the
+lemmas, whose disk |Q - 1| < rho states no order.
 
 All admissibility inequalities are strict; a zero margin is inadmissible.
 """
@@ -96,6 +102,7 @@ class CriterionSpec:
     eff_gamma: complex
     alpha: float | None
     rho: float | None
+    order: float | None                # concluded Re(zf'/f) > order
 
 
 def _effective_params(p: CriterionParams) -> tuple[complex, complex]:
@@ -149,4 +156,6 @@ def build_spec(p: CriterionParams) -> CriterionSpec:
         eff_gamma=gamma,
         alpha=alpha,
         rho=rho,
+        # MOCANU's alpha weighs its functional; a lemma's alpha is None
+        order=0.0 if p.kind is CriterionKind.MOCANU else alpha,
     )

@@ -8,9 +8,11 @@ construction never leaves single-valued series arithmetic.  ``g`` is a
 series in ``z^n`` written from its closed form, a binomial or exponential
 series, and the outer power is ``exp(e log(k h))``.  So ``h`` and the power
 are series in ``w = z^n`` too: at truncation order ``N`` they are built on
-their ``(N-1)//n + 1`` lattice coefficients, and ``f/z`` is spread out of
-the power once, with exact zeros off the lattice.  Only ``g``, ``c``, the
-scale ``k`` and ``e`` depend on the family:
+their ``(N-1)//n + 1`` lattice coefficients, and ``f`` is laid out once,
+``z`` times the power on its ``z^n`` lattice, with exact zeros off it.  The
+power's constant term is exactly 1, so ``c0 = 0`` and ``c1 = 1`` hold by
+construction and nothing is snapped.  Only ``g``, ``c``, the scale ``k``
+and ``e`` depend on the family:
 
 * family A:  g = (1 + (conj(beta)/S) z^n)^((S^2 - |beta|^2)/(n conj(beta) gamma)),
   c = k = beta/gamma, e = gamma/beta;
@@ -43,12 +45,10 @@ from .series import (
     SchlichtCandidate,
     Series,
     SeriesError,
-    as_schlicht,
     integrate_offset,
     pow_unit,
     require_trunc_order,
     scale,
-    shift,
 )
 from .functionals import lhs_a, lhs_b
 from .criteria import CriterionKind, CriterionParams, build_spec
@@ -162,9 +162,9 @@ def build_extremal(p: ExtremalParams, trunc_order: int = DEFAULT_TRUNC_ORDER
         fw = pow_unit(scale(integrate_offset(Series(g), c, n), k), e)
     except NonFiniteCoefficientError as err:
         raise NonFiniteCoefficientError(n * err.index) from None
-    fz = np.zeros(work + 1, dtype=np.complex128)
-    fz[::n] = fw.coeffs
-    return as_schlicht(n, shift(Series(fz), 1))
+    f = np.zeros(trunc_order + 1, dtype=np.complex128)
+    f[1::n] = fw.coeffs
+    return SchlichtCandidate(n, Series(f))
 
 
 def _residual(left: Series, b0: complex, s: float, n: int) -> float:

@@ -380,6 +380,8 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
     describes them.  A check whose every radius the tail heuristic refuses
     leaves its fields None and makes the verdict DEGENERATE, unless the
     hypothesis was sampled and failed; a refused hypothesis ends the run.
+    Where the spec states a starlikeness order, ``Re(zf'/f) > order`` is
+    sampled too, as the cross-check, and must hold for a certificate.
 
     The implication 'hypothesis implies conclusion' is a theorem, so a run
     where the hypothesis certifies but the conclusion fails is escalated
@@ -403,14 +405,14 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
                                   verdict=Verdict.DEGENERATE,
                                   denominator_violations=violations,
                                   skipped_radii=cfg.radii)
-    cross = _Sample()
     if spec.hypothesis_shape == "positive_real":
         con = hyp
     else:
         con = _sample(centered_quotient(f, spec.conclusion_center), "modulus",
                       spec.conclusion_radius, cfg)
-        if spec.alpha is not None:
-            cross = _sample(starlike_quotient(f), "positive_real", spec.alpha, cfg)
+    cross = _Sample()
+    if spec.order is not None:
+        cross = _sample(starlike_quotient(f), "positive_real", spec.order, cfg)
 
     escalation = None
     if not hyp.margin > 0:

@@ -4,11 +4,11 @@ A :class:`Series` holds the coefficients ``c0..cN`` of a polynomial
 surrogate for a function analytic on the unit disk; ``N`` is the
 truncation order.  Every operation reports only an order whose
 coefficients are fully determined by its inputs: multiplication
-truncates to the shorter factor, differentiation drops one order,
-multiplying by ``z`` gains one.  Fractional powers of ``z`` never
-materialize; :func:`integrate_offset` factors the ``z^c`` part out
-symbolically, and :func:`pow_unit`, :func:`exp_unit`, :func:`log_unit`
-stay on the principal branch anchored at the unit constant term.
+truncates to the shorter factor and differentiation drops one order.
+Fractional powers of ``z`` never materialize; :func:`integrate_offset`
+factors the ``z^c`` part out symbolically, and :func:`pow_unit`,
+:func:`exp_unit`, :func:`log_unit` stay on the principal branch anchored
+at the unit constant term.
 The truncated product and the term-wise derivative are each one array
 kernel, ``_mul`` and ``_derivative``; :func:`mul` and :func:`derivative`
 box their results as a :class:`Series`, and a caller that composes
@@ -48,8 +48,6 @@ RESONANCE_TOL = 1e-8
 # Coefficients below this relative level count as zero in the tail
 # heuristic; they are rounding dust, not information about growth.
 TAIL_DUST = 1e-14
-# Largest drift of c0 from 0 or c1 from 1 that as_schlicht snaps away.
-_SNAP_TOL = 1e-13
 # Leading coefficients of a reciprocal found by forward substitution before
 # its Newton steps; below this length a step is nearly all call overhead.
 _RECIPROCAL_START = 8
@@ -159,15 +157,6 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def mul(a: Series, b: Series) -> Series:
     """Cauchy product truncated at the smaller input order."""
     return Series(_mul(a.coeffs, b.coeffs))
-
-
-def shift(a: Series, k: int) -> Series:
-    """Multiply by ``z^k`` for ``k >= 0``.  Dividing by a power of ``z``
-    is the caller's slice: a candidate's ``f/z`` drops its exact zero
-    ``c0``."""
-    if k < 0:
-        raise SeriesError(f"shift needs k >= 0, got {k}")
-    return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
 
 
 def _reciprocal(b: np.ndarray) -> np.ndarray:
@@ -404,7 +393,6 @@ class SchlichtCandidate:
 
     n: int
     series: Series
-    snap_delta: float = 0.0
 
     def __post_init__(self):
         s = self.series
@@ -423,21 +411,6 @@ class SchlichtCandidate:
     @property
     def trunc_order(self) -> int:
         return self.series.trunc_order
-
-
-def as_schlicht(n: int, s: Series) -> SchlichtCandidate:
-    """Snap the analytically forced values ``c0 = 0, c1 = 1`` to exact
-    floats (recording the pre-snap deviation) and certify the class shape."""
-    c = s.coeffs.copy()
-    delta = max(abs(c[0]), abs(c[1] - 1.0))
-    if delta > _SNAP_TOL:
-        raise SeriesError(
-            f"normalization drift {delta:.3e} exceeds {_SNAP_TOL:.0e}; "
-            "refusing to snap"
-        )
-    c[0] = 0.0
-    c[1] = 1.0
-    return SchlichtCandidate(n=n, series=Series(c), snap_delta=float(delta))
 
 
 def schlicht_from_tail(n: int, tail, trunc_order: int) -> SchlichtCandidate:

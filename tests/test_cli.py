@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from starcert import cli, oracle
+from starcert.series import make_series
 from starcert.cli import (
     SpecFileError,
     load_function_spec,
@@ -186,6 +187,29 @@ def test_check_escalation_exit_1(tmp_path, capsys):
     assert code == 1
     assert "verdict: CONCLUSION_FAILED" in out
     assert any(line.startswith("ESCALATION: ") for line in out.splitlines())
+
+
+def test_check_mocanu_conclusion_escalation_exit_1(tmp_path, capsys,
+                                                   monkeypatch):
+    # MOCANU concludes Re(zf'/f) > 0; its input is substituted by a series
+    # with negative real part, as no genuine input reaches this branch
+    monkeypatch.setattr(oracle, "starlike_quotient",
+                        lambda f: make_series([-0.25, 0.0, 0.0]))
+    spec = write_spec(tmp_path, "halfplane.json", {
+        "kind": "BUILTIN", "builtin": "halfplane", "n": 1, "trunc": 128})
+    out_path = tmp_path / "mocanu.json"
+    code = main(["check", spec, "--kind", "MOCANU", "--alpha", "0.5",
+                 "--radii", "0.5,0.9", "--angles", "512",
+                 "--out", str(out_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert ("cross-check: min Re(zf'/f) = -0.25 vs order 0.0 -> margin -0.25"
+            in out.splitlines())
+    assert any(line.startswith("ESCALATION: ") for line in out.splitlines())
+    assert "verdict: CONCLUSION_FAILED" in out.splitlines()
+    result = json.loads(out_path.read_text())["report"]["result"]
+    assert result["spec"]["order"] == 0.0
+    assert result["cross_min_re"] == result["cross_margin"] == -0.25
 
 
 def test_check_inadmissible_exit_2(identity_spec):

@@ -269,6 +269,20 @@ def test_mocanu_wide_alpha_flag():
     assert spec.admissible
 
 
+@pytest.mark.parametrize("kwargs, order", [
+    (dict(kind=CriterionKind.THM_A, alpha=0.3), 0.3),
+    (dict(kind=CriterionKind.THM_B, alpha=0.7), 0.7),
+    (dict(kind=CriterionKind.COR_A, alpha=0.6), 0.6),
+    (dict(kind=CriterionKind.MOCANU, alpha=2.5), 0.0),
+    (dict(kind=CriterionKind.LEMMA_A, rho=0.5), None),
+    (dict(kind=CriterionKind.LEMMA_B, rho=0.5), None),
+], ids=lambda v: v["kind"].value if isinstance(v, dict) else None)
+def test_spec_states_the_concluded_starlikeness_order(kwargs, order):
+    # MOCANU's alpha weighs its functional; what it concludes is order 0
+    spec = build_spec(CriterionParams(n=1, gamma=1.0, **kwargs))
+    assert spec.order == order
+
+
 def test_mocanu_spec_shape():
     spec = build_spec(CriterionParams(kind=CriterionKind.MOCANU, n=1,
                                       gamma=1.0, alpha=0.3))

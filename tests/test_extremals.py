@@ -5,13 +5,11 @@ from starcert.series import (
     ResonantExponentError,
     Series,
     SeriesError,
-    as_schlicht,
     builtin_candidate,
     exp_unit,
     integrate_offset,
     pow_unit,
     scale,
-    shift,
 )
 from starcert.extremals import (
     DegenerateExtremalError,
@@ -25,6 +23,7 @@ from starcert.extremals import (
     probe_identity_a,
     verify_identity_b,
 )
+from starcert.cli import main
 from starcert.criteria import CriterionKind, CriterionParams
 from starcert.functionals import lhs_a, lhs_b
 from starcert.oracle import SamplingConfig, check_criterion
@@ -35,6 +34,11 @@ def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
     arr = np.zeros(trunc_order + 1, dtype=np.complex128)
     arr[power] = coeff
     return Series(arr)
+
+
+def shift(a: Series, k: int) -> Series:
+    """``z^k a``: ``k`` zeros in front of the coefficients."""
+    return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
 
 
 FAST_CFG = SamplingConfig(
@@ -129,12 +133,45 @@ def test_extremal_b_reference_coefficients():
     assert abs(f.series.coeffs[3] - 0.15625) < 1e-14
 
 
-def test_normalization_snap_recorded():
-    for p in (params_a(), params_b()):
-        f = build_extremal(p, 96)
-        assert f.series.coeffs[0] == 0
-        assert f.series.coeffs[1] == 1
-        assert f.snap_delta < 1e-13
+def sweep_draws(family, count, seed):
+    """``count`` seeded admitted builds of one family, each at its own
+    truncation order ``n + 2 .. 199``: beta a complex normal times a scale
+    log-uniform on 0.1..50, gamma a complex normal, n in 1..3."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        n, alpha = int(rng.integers(1, 4)), float(rng.uniform(0.05, 0.95))
+        trunc = int(rng.integers(n + 2, 200))
+        scale = float(np.exp(rng.uniform(np.log(0.1), np.log(50.0))))
+        beta = complex(*rng.normal(size=2)) * scale
+        gamma = complex(*rng.normal(size=2))
+        try:
+            p = ExtremalParams(family=family, n=n, alpha=alpha, beta=beta,
+                               gamma=gamma)
+            out.append((p, build_extremal(p, trunc)))
+        except (SeriesError, InadmissibleExtremalError):
+            continue
+    return out
+
+
+def test_normalization_snap_recorded(capsys):
+    # f = z (k h)^e with the power's constant term exactly 1: f starts
+    # z + ... bit for bit and vanishes exactly off the orders 1 + n i,
+    # with nothing snapped and no snap printed
+    cases = [(p, build_extremal(p, 128)) for family in ExtremalFamily
+             for p in documented_grid(family)]
+    for family in ExtremalFamily:
+        cases += sweep_draws(family, 160, 29)
+    assert len(cases) == 72 + 320
+    for p, f in cases:
+        c = f.series.coeffs
+        assert c[0] == 0 and c[1] == 1, p
+        off = (np.arange(c.size) - 1) % p.n != 0
+        assert np.all(c[off] == 0), p
+    assert main(["extremal", "--family", "EXTREMAL_B", "--n", "2",
+                 "--alpha", "0.5", "--beta", "1", "--gamma", "1",
+                 "--trunc", "32", "--radii", "0.5,0.9", "--angles", "256"]) == 0
+    assert "snap" not in capsys.readouterr().out
 
 
 def test_class_shape_exact_zeros():
@@ -353,7 +390,7 @@ def dense_built_extremal(p, trunc_order):
     with np.errstate(over="ignore", invalid="ignore"):
         g[n::n] = np.cumprod(terms)
     fz = pow_unit(scale(integrate_offset(Series(g), c), k), e)
-    return as_schlicht(n, shift(fz, 1)).series.coeffs
+    return shift(fz, 1).coeffs
 
 
 def admitted_draws(family, ns, count, seed):

@@ -11,7 +11,6 @@ from starcert.series import (
     div,
     mul,
     scale,
-    shift,
 )
 from starcert.functionals import (
     ParameterError,
@@ -28,6 +27,12 @@ from starcert.functionals import (
     unit_part,
     w_func,
 )
+
+
+def shift(a: Series, k: int) -> Series:
+    """``z^k a``: ``k`` zeros in front of the coefficients."""
+    return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
+
 
 def max_coeff_diff(a: Series, b: Series) -> float:
     """Largest coefficient deviation over the common retained orders."""

@@ -1,5 +1,6 @@
 """Source hygiene: no module or test file imports a name it never uses,
-and no function or class in ``src/starcert`` goes uncalled by the program.
+no function or class in ``src/starcert`` goes uncalled by the program, and
+every third-party module a test needs is declared in ``pyproject.toml``.
 
 No linter ships with the toolchain, so this walks each module's syntax
 tree with ``ast``.  A name counts as used when it appears as a bare name
@@ -8,6 +9,8 @@ anywhere in the module, annotations included.
 
 import ast
 import re
+import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,43 @@ def test_package_root_holds_only_what_the_benchmark_imports_from_it():
              if isinstance(node, ast.ImportFrom) and node.module == "starcert"
              for a in node.names if a.name not in modules}
     assert root == taken
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level modules a file imports or ``importorskip``s, less the
+    standard library and ``starcert`` itself."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "importorskip"):
+            out.add(node.args[0].value.split(".")[0])
+    return out - set(sys.stdlib_module_names) - {"starcert"}
+
+
+def declared_requirements() -> set[str]:
+    """Distribution names in ``dependencies`` and the ``test`` extra."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    reqs = project["dependencies"] + project["optional-dependencies"]["test"]
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+            for r in reqs}
+
+
+def test_guard_collects_third_party_imports():
+    source = ("import os, numpy.linalg\nfrom mpmath import mp\n"
+              "from . import sibling\nfrom starcert import cli\n"
+              "pytest.importorskip('scipy.special')\n")
+    assert third_party_imports(source) == {"numpy", "mpmath", "scipy"}
+
+
+def test_every_module_the_tests_import_is_declared():
+    # a fresh `pip install -e .[test]` must bring every module the tests
+    # import, or importorskip turns a missing one into a silent skip
+    needed = set()
+    for path in TESTS.glob("*.py"):
+        needed |= third_party_imports(path.read_text())
+    assert needed - declared_requirements() == set()

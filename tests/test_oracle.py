@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import sys
@@ -619,6 +620,50 @@ def test_mocanu_wide_alpha_runs():
     assert rep.verdict is Verdict.CERTIFIED_SAMPLED
 
 
+HALFPLANE_CFG = SamplingConfig(radii=(0.5, 0.9), angles=512)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+def test_mocanu_halfplane_closed_forms(alpha):
+    """For f = z/(1-z), zf'/f = 1/(1-z) and 1 + zf''/f' = (1+z)/(1-z), so
+    J = (1 + alpha z)/(1 - z); on |z| = r both real parts are least at
+    z = -r, at 1/(1+r) and (1 - alpha r)/(1+r).  Truncated at order N
+    the two quotient series lose z^N/(1-z) and 2 z^N/(1-z), which at
+    z = -r (N even) take r^N/(1+r) and (1 + alpha) r^N/(1+r) off those
+    values.  Keep r <= 0.9: near r = 1 the truncation's f/z, whose zeros
+    lie on |z| = 1, fails every alpha."""
+    trunc, r = 128, HALFPLANE_CFG.radii[-1]
+    rep = check_criterion(builtin_candidate("halfplane", trunc),
+                          CriterionParams(kind=CriterionKind.MOCANU, n=1,
+                                          alpha=alpha), HALFPLANE_CFG)
+    tail = r ** trunc / (1 + r)
+    assert rep.hypothesis_witness == (r, np.pi)
+    assert rep.hypothesis_sup == pytest.approx(
+        (1 - alpha * r) / (1 + r) - (1 + alpha) * tail, abs=1e-12)
+    assert rep.cross_min_re == pytest.approx(1 / (1 + r) - tail, abs=1e-12)
+    assert rep.cross_margin == rep.cross_min_re
+    assert abs(rep.cross_min_re - 1 / 1.9) < 1e-6
+    if alpha <= 1.0:
+        assert rep.verdict is Verdict.CERTIFIED_SAMPLED
+    else:  # J tends to -1/2 as z -> -1
+        assert rep.verdict is Verdict.HYPOTHESIS_FAILED
+        assert rep.hypothesis_sup == pytest.approx((1 - 1.8) / 1.9, abs=1e-5)
+
+
+def test_mocanu_failed_conclusion_escalates(monkeypatch):
+    # a genuine input fails Re(zf'/f) > 0 only through sampling or
+    # truncation error, so the conclusion's input is substituted
+    monkeypatch.setattr(oracle, "starlike_quotient",
+                        lambda f: make_series([-0.25, 0.0, 0.0]))
+    rep = check_criterion(builtin_candidate("halfplane", 128),
+                          CriterionParams(kind=CriterionKind.MOCANU, n=1,
+                                          alpha=0.5), HALFPLANE_CFG)
+    assert rep.hypothesis_margin > 0
+    assert rep.cross_min_re == rep.cross_margin == -0.25
+    assert rep.verdict is Verdict.CONCLUSION_FAILED
+    assert "suspected implementation or truncation error" in rep.escalation
+
+
 # ------------------------------------------------------------------ jack
 
 def test_jack_pure_power():
@@ -798,6 +843,25 @@ def _uncached_grid(a, z):
     if b.size > z.m:
         b = np.pad(b, (0, -b.size % z.m)).reshape(-1, z.m).sum(0)
     return np.fft.ifft(b, n=z.m, norm="forward")
+
+
+def test_mocanu_grid_checks_its_starlike_conclusion():
+    # every alpha-convex function is starlike; the eight n = 3, alpha = 0.5
+    # cells fail the sampled hypothesis, and no cell fails the conclusion
+    verdicts = collections.Counter()
+    for family in ExtremalFamily:
+        for p in documented_grid(family):
+            rep = check_criterion(build_extremal(p, 128), CriterionParams(
+                kind=CriterionKind.MOCANU, n=p.n, alpha=p.alpha), ACC_CFG)
+            verdicts[rep.verdict] += 1
+            assert rep.cross_margin == rep.cross_min_re
+            if rep.verdict is Verdict.CERTIFIED_SAMPLED:
+                assert rep.cross_min_re >= 0.5685
+            else:
+                assert (p.n, p.alpha) == (3, 0.5)
+                assert rep.verdict is Verdict.HYPOTHESIS_FAILED
+    assert verdicts == {Verdict.CERTIFIED_SAMPLED: 64,
+                        Verdict.HYPOTHESIS_FAILED: 8}
 
 
 def test_cached_circle_weights_give_the_uncached_bytes():

@@ -38,11 +38,11 @@ from starcert.functionals import (
 from starcert.oracle import SamplingConfig, check_criterion
 from starcert.series import (
     SchlichtCandidate,
+    Series,
     builtin_candidate,
     derivative,
     div,
     mul,
-    shift,
 )
 
 CFG = SamplingConfig(radii=(0.5, 0.9, 0.99), angles=256)
@@ -53,7 +53,12 @@ FAMILY_KIND = {ExtremalFamily.EXTREMAL_A: CriterionKind.THM_A,
 
 def fresh(f: SchlichtCandidate) -> SchlichtCandidate:
     """The same function as ``f`` with an empty quotient cache."""
-    return SchlichtCandidate(f.n, f.series, f.snap_delta)
+    return SchlichtCandidate(f.n, f.series)
+
+
+def shift(a: Series, k: int) -> Series:
+    """``z^k a``: ``k`` zeros in front of the coefficients."""
+    return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
 
 
 def sample_candidates():
@@ -108,7 +113,7 @@ def test_cache_is_not_part_of_the_candidate_record():
     f = builtin_candidate("koebe", 16)
     starlike_quotient(f)
     w_func(f)
-    assert set(dataclasses.asdict(f)) == {"n", "series", "snap_delta"}
+    assert set(dataclasses.asdict(f)) == {"n", "series"}
     assert "_quotients" not in repr(f)
 
 

@@ -16,7 +16,6 @@ from starcert.series import (
     Series,
     SeriesError,
     add,
-    as_schlicht,
     builtin_candidate,
     derivative,
     div,
@@ -28,7 +27,6 @@ from starcert.series import (
     mul,
     pow_unit,
     scale,
-    shift,
     tail_estimate,
     zero_series,
 )
@@ -39,6 +37,11 @@ def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
     arr = np.zeros(trunc_order + 1, dtype=np.complex128)
     arr[power] = coeff
     return Series(arr)
+
+
+def shift(a: Series, k: int) -> Series:
+    """``z^k a``: ``k`` zeros in front of the coefficients."""
+    return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
 
 
 def max_coeff_diff(a: Series, b: Series) -> float:
@@ -610,11 +613,6 @@ def test_evaluate_circle_equals_folded_reference(order, m):
                           _folded_circle_reference(s, circle))
 
 
-def test_shift_refuses_negative_power():
-    with pytest.raises(SeriesError, match="k >= 0"):
-        shift(make_series([0.0, 1.0]), -1)
-
-
 def test_circle_size_is_its_point_count():
     assert Circle(0.5, 2048).size == 2048
 
@@ -658,22 +656,6 @@ def test_schlicht_shape_enforced():
 def test_schlicht_needs_enough_orders():
     with pytest.raises(SeriesError):
         SchlichtCandidate(n=3, series=make_series([0, 1, 0, 0]))
-
-
-def test_as_schlicht_snaps_and_records():
-    arr = np.zeros(8, dtype=np.complex128)
-    arr[0] = 1e-14
-    arr[1] = 1.0 + 1e-14
-    f = as_schlicht(1, Series(arr))
-    assert f.series.coeffs[0] == 0 and f.series.coeffs[1] == 1
-    assert 0 < f.snap_delta < 1e-13
-
-
-def test_as_schlicht_refuses_large_drift():
-    arr = np.zeros(8, dtype=np.complex128)
-    arr[1] = 1.01
-    with pytest.raises(SeriesError):
-        as_schlicht(1, Series(arr))
 
 
 def test_builtin_candidates():

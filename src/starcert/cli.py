@@ -100,8 +100,6 @@ _BUILTINS = ("identity", "koebe", "halfplane")
 
 # Leading coefficients an extremal run prints and reports.
 _EMIT_COEFFS = 12
-# Largest identity residual the identities sweep passes.
-_IDENTITY_TOL = 1e-10
 
 _REFUSED = "not sampled: the tail heuristic refused every candidate radius"
 
@@ -522,11 +520,12 @@ def cmd_check(args) -> int:
         raise UsageError("the following arguments are required: --gamma")
     fs = load_function_spec(args.spec)
     cfg = _sampling_config(args)
-    f = candidate_from_spec(fs)
+    extremal = extremal_params_from_spec(fs)
+    f = (candidate_from_spec(fs) if extremal is None
+         else build_extremal(extremal, fs["trunc"]))
     params = _criterion_params(args, fs["n"])
     rep = check_criterion(f, params, cfg)
     sections = {"function": fs, "criterion_params": params, "sampling": cfg}
-    extremal = extremal_params_from_spec(fs)
     if extremal is not None:
         resid, _ = _selfcheck(f, extremal)
         rep = _gate_selfcheck(rep, resid, extremal)
@@ -621,9 +620,10 @@ def cmd_identities(args) -> int:
           f"{res.max_residual_a!r}")
     print(f"max residual, identity B (lhs_b (1+w) = -(beta w + gamma (z w' + w))): "
           f"{res.max_residual_b!r}")
-    ok = res.max_residual_a < _IDENTITY_TOL and res.max_residual_b < _IDENTITY_TOL
-    print(f"tolerance {_IDENTITY_TOL!r}: {'PASS' if ok else 'FAIL'}")
-    _write_out(args, "identities", {"sweep": res, "tol": _IDENTITY_TOL})
+    tol = SELFCHECK_RTOL  # the one identity tolerance, the self-check's
+    ok = res.max_residual_a < tol and res.max_residual_b < tol
+    print(f"tolerance {tol!r}: {'PASS' if ok else 'FAIL'}")
+    _write_out(args, "identities", {"sweep": res, "tol": tol})
     return EXIT_OK if ok else EXIT_FAILED
 
 

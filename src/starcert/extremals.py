@@ -55,7 +55,8 @@ from .criteria import CriterionKind, CriterionParams, build_spec
 
 
 # Self-check tolerance relative to max(1, S); a larger residual means the
-# construction lost the identity it was built to satisfy.
+# construction lost the identity it was built to satisfy.  The CLI's
+# identities sweep passes below the same value.
 SELFCHECK_RTOL = 1e-10
 
 

@@ -7,12 +7,13 @@ extremum is taken at the smallest of the angles that tie for it up to
 rounding, and its angle is refined by Newton steps on the circle's
 trigonometric sum; a refined point replaces the grid point only when it
 gains more than that rounding tolerance.  The steps do their arithmetic
-on Python floats, which round as numpy's scalars do.  Checks the strict
-hypothesis and conclusion inequalities of each criterion with explicit
-margins, proves ``f/z`` and ``f'`` zero-free from their coefficients
-where it can and otherwise counts their zeros by the argument principle
-(on samples scaled by one power of two, so the phase products cannot
-overflow), and demonstrates the boundary-maximum lemma numerically.
+on Python floats, which round as numpy's scalars do.  :func:`check_criterion`
+samples each criterion's strict inequalities in one straight line, each
+with an explicit margin; proves ``f/z`` and ``f'`` zero-free from their
+coefficients where it can and otherwise counts their zeros by the argument
+principle (on samples scaled by one power of two, so the phase products
+cannot overflow); and :func:`jack_demo` demonstrates the boundary-maximum
+lemma numerically.
 
 A passing verdict is always ``CERTIFIED_SAMPLED``: every sampled point
 satisfies each strict inequality, the modulus hypothesis with its heuristic
@@ -160,6 +161,7 @@ class VerificationReport:
     conclusion_witness: tuple[float, float] | None = None
     cross_min_re: float | None = None
     cross_margin: float | None = None
+    cross_witness: tuple[float, float] | None = None
     worst_witness: tuple[float, float, complex] | None = None
     denominator_violations: tuple[tuple[float, float, str, float], ...] = ()
     skipped_radii: tuple[float, ...] = ()
@@ -341,47 +343,17 @@ def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig):
     return tuple(out[:_DENOM_CAP])
 
 
-def _functional_series(f: SchlichtCandidate, spec: CriterionSpec) -> Series:
-    if spec.lhs is FunctionalKind.MOCANU_Q:
-        return mocanu_functional(f, spec.alpha)
-    lhs = lhs_a if spec.lhs is FunctionalKind.LHS_A else lhs_b
-    return lhs(f, spec.eff_beta, spec.eff_gamma)
-
-
-@dataclass(frozen=True)
-class _Sample:
-    """One sampled inequality of a criterion: its extremum and margin, both
-    None when the check was not sampled."""
-
-    ext: Extremum | None = None
-    margin: float | None = None
-
-
-def _sample(a: Series, shape: str, bound: float, cfg: SamplingConfig,
-            fold_tail: bool = False) -> _Sample:
-    """Sample ``sup |a| < bound`` (shape "modulus") or ``min Re a > bound``
-    (shape "positive_real") and its margin; a modulus check the tail
-    heuristic refuses at every radius is not sampled.  Only a modulus check
-    with ``fold_tail`` adds the tail allowance to its sup before comparing."""
-    if shape == "positive_real":
-        low = min_real_on_disk(a, cfg)
-        return _Sample(low, low.value - bound)
-    try:
-        est = sup_on_disk(a, cfg)
-    except DegenerateSeriesError:
-        return _Sample()
-    top = est.value + est.tail if fold_tail else est.value
-    return _Sample(est, bound - top)
-
-
 def check_criterion(f: SchlichtCandidate, p: CriterionParams,
                     cfg: SamplingConfig | None = None) -> VerificationReport:
-    """Sample the hypothesis and conclusion of one criterion, as the spec
-    describes them.  A check whose every radius the tail heuristic refuses
-    leaves its fields None and makes the verdict DEGENERATE, unless the
-    hypothesis was sampled and failed; a refused hypothesis ends the run.
-    Where the spec states a starlikeness order, ``Re(zf'/f) > order`` is
-    sampled too, as the cross-check, and must hold for a certificate.
+    """Sample one criterion in one straight line.  MOCANU takes ``min Re``
+    of its functional once, and that record is its hypothesis and its
+    conclusion.  A modulus kind takes ``sup |lhs|``, the only margin that
+    folds in the tail allowance (refused at every radius, it ends the run
+    DEGENERATE with nothing else sampled), then ``sup |f/(zf') - c|``
+    (refused, its fields are None and the verdict DEGENERATE unless the
+    hypothesis failed).  Where the spec states a starlikeness order,
+    ``Re(zf'/f) > order`` is sampled as the cross-check and must hold for a
+    certificate.
 
     The implication 'hypothesis implies conclusion' is a theorem, so a run
     where the hypothesis certifies but the conclusion fails is escalated
@@ -395,31 +367,36 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
                                   verdict=Verdict.INADMISSIBLE)
 
     violations = _denominator_violations(f, cfg)
-    # Only the modulus hypothesis folds its tail allowance into the margin;
-    # the conclusion and every positive-real check compare the bare sample.
-    hyp = _sample(_functional_series(f, spec), spec.hypothesis_shape,
-                  spec.rhs_bound, cfg, fold_tail=True)
-    h = hyp.ext
-    if h is None:  # refused at every radius: nothing else is sampled
-        return VerificationReport(kind=p.kind, spec=spec,
-                                  verdict=Verdict.DEGENERATE,
-                                  denominator_violations=violations,
-                                  skipped_radii=cfg.radii)
-    if spec.hypothesis_shape == "positive_real":
-        con = hyp
+    if spec.lhs is FunctionalKind.MOCANU_Q:
+        h = c = min_real_on_disk(mocanu_functional(f, spec.alpha), cfg)
+        hyp_margin = con_margin = h.value - spec.rhs_bound
     else:
-        con = _sample(centered_quotient(f, spec.conclusion_center), "modulus",
-                      spec.conclusion_radius, cfg)
-    cross = _Sample()
+        lhs = lhs_a if spec.lhs is FunctionalKind.LHS_A else lhs_b
+        try:
+            h = sup_on_disk(lhs(f, spec.eff_beta, spec.eff_gamma), cfg)
+        except DegenerateSeriesError:
+            return VerificationReport(kind=p.kind, spec=spec,
+                                      verdict=Verdict.DEGENERATE,
+                                      denominator_violations=violations,
+                                      skipped_radii=cfg.radii)
+        hyp_margin = spec.rhs_bound - (h.value + h.tail)
+        try:
+            c = sup_on_disk(centered_quotient(f, spec.conclusion_center), cfg)
+        except DegenerateSeriesError:
+            c = con_margin = None
+        else:
+            con_margin = spec.conclusion_radius - c.value
+    x = cross_margin = None
     if spec.order is not None:
-        cross = _sample(starlike_quotient(f), "positive_real", spec.order, cfg)
+        x = min_real_on_disk(starlike_quotient(f), cfg)
+        cross_margin = x.value - spec.order
 
     escalation = None
-    if not hyp.margin > 0:
+    if not hyp_margin > 0:
         verdict = Verdict.HYPOTHESIS_FAILED
-    elif con.margin is None:
+    elif con_margin is None:
         verdict = Verdict.DEGENERATE
-    elif not (con.margin > 0 and (cross.margin is None or cross.margin > 0)):
+    elif not (con_margin > 0 and (cross_margin is None or cross_margin > 0)):
         verdict = Verdict.CONCLUSION_FAILED
         escalation = (
             "hypothesis certified on samples but the concluded inequality "
@@ -432,20 +409,20 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
     else:
         verdict = Verdict.CERTIFIED_SAMPLED
 
-    c, x = con.ext, cross.ext
     return VerificationReport(
         kind=p.kind,
         spec=spec,
         verdict=verdict,
         hypothesis_sup=h.value,
         hypothesis_tail=h.tail,
-        hypothesis_margin=hyp.margin,
+        hypothesis_margin=hyp_margin,
         hypothesis_witness=(h.witness_r, h.witness_theta),
         conclusion_sup=None if c is None else c.value,
-        conclusion_margin=con.margin,
+        conclusion_margin=con_margin,
         conclusion_witness=None if c is None else (c.witness_r, c.witness_theta),
         cross_min_re=None if x is None else x.value,
-        cross_margin=cross.margin,
+        cross_margin=cross_margin,
+        cross_witness=None if x is None else (x.witness_r, x.witness_theta),
         worst_witness=(h.witness_r, h.witness_theta, h.witness_value),
         denominator_violations=violations,
         skipped_radii=h.skipped_radii,

@@ -210,6 +210,7 @@ def test_check_mocanu_conclusion_escalation_exit_1(tmp_path, capsys,
     result = json.loads(out_path.read_text())["report"]["result"]
     assert result["spec"]["order"] == 0.0
     assert result["cross_min_re"] == result["cross_margin"] == -0.25
+    assert result["cross_witness"] == [0.9, 0.0]
 
 
 def test_check_inadmissible_exit_2(identity_spec):

@@ -28,9 +28,11 @@ from starcert.extremals import (
     documented_grid,
 )
 from starcert.functionals import (
+    FunctionalKind,
     ParameterError,
     centered_quotient,
     lhs_a,
+    lhs_b,
     starlike_quotient,
     unit_part,
 )
@@ -660,8 +662,23 @@ def test_mocanu_failed_conclusion_escalates(monkeypatch):
                                           alpha=0.5), HALFPLANE_CFG)
     assert rep.hypothesis_margin > 0
     assert rep.cross_min_re == rep.cross_margin == -0.25
+    # a constant ties at every angle: the top radius, the smallest angle
+    assert rep.cross_witness == (0.9, 0.0)
     assert rep.verdict is Verdict.CONCLUSION_FAILED
     assert "suspected implementation or truncation error" in rep.escalation
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0])
+def test_mocanu_conclusion_is_its_hypothesis_record(alpha):
+    # Re J > 0 is sampled once; that record fills the conclusion fields too
+    rep = check_criterion(builtin_candidate("halfplane", 128),
+                          CriterionParams(kind=CriterionKind.MOCANU, n=1,
+                                          alpha=alpha), HALFPLANE_CFG)
+    assert rep.hypothesis_tail == 0.0
+    assert rep.conclusion_sup == rep.hypothesis_sup
+    assert rep.conclusion_margin == rep.hypothesis_margin
+    assert rep.conclusion_witness == rep.hypothesis_witness
+    assert rep.cross_witness == (0.9, np.pi)
 
 
 # ------------------------------------------------------------------ jack
@@ -873,7 +890,9 @@ def test_cached_circle_weights_give_the_uncached_bytes():
         for p in documented_grid(family):
             f = build_extremal(p, 128)
             spec = build_spec(p.criterion)
-            for a in (oracle._functional_series(f, spec),
+            # the grid's theorems take lhs_a (THM_A) or lhs_b (THM_B)
+            lhs = lhs_a if spec.lhs is FunctionalKind.LHS_A else lhs_b
+            for a in (lhs(f, spec.eff_beta, spec.eff_gamma),
                       centered_quotient(f, spec.conclusion_center),
                       starlike_quotient(f), unit_part(f),
                       derivative(f.series)):

@@ -56,6 +56,7 @@ import numpy as np
 
 from . import __version__
 from .series import (
+    BUILTIN_NAMES,
     DEFAULT_TRUNC_ORDER,
     SchlichtCandidate,
     Series,
@@ -95,8 +96,6 @@ _VERDICT_EXIT = {
     Verdict.INADMISSIBLE: EXIT_REJECTED,
     Verdict.DEGENERATE: EXIT_REJECTED,
 }
-
-_BUILTINS = ("identity", "koebe", "halfplane")
 
 # Leading coefficients an extremal run prints and reports.
 _EMIT_COEFFS = 12
@@ -214,9 +213,9 @@ def parse_function_spec(data: dict) -> dict:
         return out
     if kind == "BUILTIN":
         name = data["builtin"]
-        if name not in _BUILTINS:
-            raise SpecFileError(
-                f"field 'builtin': expected one of {_BUILTINS}, got {name!r}")
+        if name not in BUILTIN_NAMES:
+            raise SpecFileError(f"field 'builtin': expected one of "
+                                f"{BUILTIN_NAMES}, got {name!r}")
         out["builtin"] = name
         return out
     ext = data["extremal"]

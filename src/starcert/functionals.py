@@ -148,7 +148,9 @@ def mocanu_functional(f: SchlichtCandidate, alpha: float) -> Series:
 def centered_quotient(f: SchlichtCandidate, center: float) -> Series:
     """``f/(z f') - center``, the series a conclusion disk is centred on;
     any centre is valid."""
-    return w_func(f) + (1.0 - center)
+    c = w_func(f).coeffs.copy()
+    c[0] += complex(1.0 - center)
+    return Series(c)
 
 
 @_once_per_candidate
@@ -223,8 +225,8 @@ class IdentitySweepResult:
     seed: int
 
 
-def identity_sweep(per_n: int = 100, pairs: int = 5, trunc_order: int = 48,
-                   seed: int = 20240801) -> IdentitySweepResult:
+def identity_sweep(per_n: int, pairs: int, trunc_order: int,
+                   seed: int) -> IdentitySweepResult:
     """Randomized conformance sweep for both rewrite identities.
 
     Draws ``per_n`` random candidates for each class index 1, 2 and 3 and

@@ -353,13 +353,17 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
     (refused, its fields are None and the verdict DEGENERATE unless the
     hypothesis failed).  Where the spec states a starlikeness order,
     ``Re(zf'/f) > order`` is sampled as the cross-check and must hold for a
-    certificate.
+    certificate.  A class index above the candidate's is refused with a
+    ``ParameterError``: the class-``n`` theorem presumes ``a_2..a_n = 0``.
 
     The implication 'hypothesis implies conclusion' is a theorem, so a run
     where the hypothesis certifies but the conclusion fails is escalated
     as a suspected implementation/numerics bug rather than reported as a
     counterexample.
     """
+    if p.n > f.n:
+        raise ParameterError(
+            f"class index n={p.n} exceeds the candidate's n={f.n}")
     cfg = cfg or SamplingConfig()
     spec = build_spec(p)
     if not spec.admissible:

@@ -2,8 +2,9 @@
 
 A :class:`Series` holds the coefficients ``c0..cN`` of a polynomial
 surrogate for a function analytic on the unit disk; ``N`` is the
-truncation order.  Every operation reports only an order whose
-coefficients are fully determined by its inputs: multiplication
+truncation order.  It is a finiteness-checked, read-only array with no
+operators; each operation is one named function and reports only an
+order whose coefficients its inputs fully determine: multiplication
 truncates to the shorter factor and differentiation drops one order.
 Fractional powers of ``z`` never materialize; :func:`integrate_offset`
 factors the ``z^c`` part out symbolically, and :func:`pow_unit`,
@@ -103,16 +104,6 @@ class Series:
         tail = ", ..." if self.coeffs.size > 4 else ""
         return f"Series(order={self.trunc_order}, [{head}{tail}])"
 
-    def __add__(self, other):
-        if isinstance(other, Series):
-            return add(self, other)
-        return _add_scalar(self, other)
-
-    def __sub__(self, other):
-        if isinstance(other, Series):
-            return add(self, neg(other))
-        return _add_scalar(self, -other)
-
 
 def make_series(coeffs, trunc_order: int | None = None) -> Series:
     """Build a Series from ``c0..cN``, verifying length and finiteness."""
@@ -123,25 +114,6 @@ def make_series(coeffs, trunc_order: int | None = None) -> Series:
             f"{trunc_order}, got {arr.size}"
         )
     return Series(arr)
-
-
-def zero_series(trunc_order: int) -> Series:
-    return Series(np.zeros(trunc_order + 1, dtype=np.complex128))
-
-
-def add(a: Series, b: Series) -> Series:
-    m = min(a.trunc_order, b.trunc_order)
-    return Series(a.coeffs[: m + 1] + b.coeffs[: m + 1])
-
-
-def _add_scalar(a: Series, s) -> Series:
-    arr = a.coeffs.copy()
-    arr[0] += complex(s)
-    return Series(arr)
-
-
-def neg(a: Series) -> Series:
-    return Series(-a.coeffs)
 
 
 def scale(a: Series, s) -> Series:
@@ -227,7 +199,7 @@ def derivative(a: Series) -> Series:
     """Term-wise derivative; truncation order drops by one.  A coefficient
     that overflows is refused by the ``Series`` finiteness check."""
     if a.trunc_order == 0:
-        return zero_series(0)
+        return Series(np.zeros(1, dtype=np.complex128))
     with np.errstate(over="ignore"):  # an overflow is the refusal below
         d = _derivative(a.coeffs)
     return Series(d)
@@ -427,11 +399,14 @@ def schlicht_from_tail(n: int, tail, trunc_order: int) -> SchlichtCandidate:
     return SchlichtCandidate(n=n, series=Series(arr))
 
 
+BUILTIN_NAMES = ("identity", "koebe", "halfplane")
+
+
 def builtin_candidate(name: str, trunc_order: int = DEFAULT_TRUNC_ORDER,
                       n: int = 1) -> SchlichtCandidate:
     """Named reference functions: ``identity`` (z), ``koebe`` (z/(1-z)^2),
     ``halfplane`` (z/(1-z))."""
-    if name not in ("identity", "koebe", "halfplane"):
+    if name not in BUILTIN_NAMES:
         raise SeriesError(f"unknown builtin '{name}'")
     if name != "identity" and n != 1:
         raise SeriesError(f"{name} lies in the n=1 class only")

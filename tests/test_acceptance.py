@@ -44,6 +44,13 @@ def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
     return Series(arr)
 
 
+def add_scalar(a: Series, s) -> Series:
+    """``a + s``: ``s`` added to the constant term."""
+    c = a.coeffs.copy()
+    c[0] += complex(s)
+    return Series(c)
+
+
 def max_coeff_diff(a: Series, b: Series) -> float:
     """Largest coefficient deviation over the common retained orders."""
     m = min(a.trunc_order, b.trunc_order)
@@ -81,7 +88,7 @@ def grid_reports():
 
 
 def test_criterion_01_series_exactness():
-    p = pow_unit(monomial(1.0, 1, 64) + 1.0, -2)
+    p = pow_unit(add_scalar(monomial(1.0, 1, 64), 1.0), -2)
     worst_rel = 0.0
     for k in range(65):
         expected = (-1) ** k * (k + 1)
@@ -264,8 +271,8 @@ def gamma_form_residual(f, p):
     retained orders as ``probe_identity_a`` does."""
     left = lhs_a(f, p.beta, p.gamma)
     order = left.trunc_order
-    form = div(monomial(p.S, p.n, order) + p.gamma,
-               monomial(np.conj(p.gamma) / p.S, p.n, order) + 1.0)
+    form = div(add_scalar(monomial(p.S, p.n, order), p.gamma),
+               add_scalar(monomial(np.conj(p.gamma) / p.S, p.n, order), 1.0))
     return float(np.abs(left.coeffs - form.coeffs)[: order - 1].max())
 
 

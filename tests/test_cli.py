@@ -114,6 +114,16 @@ def test_spec_refuses_non_finite_numbers(field, spec):
         parse_function_spec(spec)
 
 
+def test_spec_unknown_builtin_lists_the_known_names(tmp_path, capsys):
+    path = write_spec(tmp_path, "kobe.json", {"kind": "BUILTIN",
+                                              "builtin": "kobe", "n": 1,
+                                              "trunc": 32})
+    assert main(["check", path, "--kind", "MOCANU", "--alpha", "0.5"]) == 3
+    assert capsys.readouterr().err == (
+        "spec file error: field 'builtin': expected one of "
+        "('identity', 'koebe', 'halfplane'), got 'kobe'\n")
+
+
 def test_spec_file_not_utf8_cannot_be_read(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"kind": "BUILTIN", "builtin": "identit\u00e9", '

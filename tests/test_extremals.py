@@ -206,6 +206,13 @@ def test_truncation_too_small_refused_before_construction(trunc):
         build_extremal(params_b(), trunc)
 
 
+def add_scalar(a: Series, s) -> Series:
+    """``a + s``: ``s`` added to the constant term."""
+    c = a.coeffs.copy()
+    c[0] += complex(s)
+    return Series(c)
+
+
 def series_built_extremal(p, trunc_order):
     """``build_extremal`` with the inner series ``g`` taken through
     ``exp_unit``/``pow_unit`` instead of its closed form."""
@@ -213,7 +220,8 @@ def series_built_extremal(p, trunc_order):
     beta, gamma, n, s = p.beta, p.gamma, p.n, p.S
     if p.family is ExtremalFamily.EXTREMAL_A:
         exponent = (s * s - abs(beta) ** 2) / (n * np.conj(beta) * gamma)
-        g = pow_unit(monomial(np.conj(beta) / s, n, work) + 1.0, exponent)
+        g = pow_unit(add_scalar(monomial(np.conj(beta) / s, n, work), 1.0),
+                     exponent)
         c = k = beta / gamma
         e = gamma / beta
     else:

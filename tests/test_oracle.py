@@ -681,6 +681,27 @@ def test_mocanu_conclusion_is_its_hypothesis_record(alpha):
     assert rep.cross_witness == (0.9, np.pi)
 
 
+def test_check_refuses_a_class_index_the_candidate_lacks():
+    # z + 0.3 z^2 is class 1 only; the n = 2 theorem presumes a_2 = 0, and
+    # sampled under it this candidate would certify (margin +0.1145)
+    f = schlicht_from_tail(1, [0.3], 32)
+    cfg = SamplingConfig(radii=(0.5, 0.9, 0.99), angles=512)
+
+    def thm_b(n):
+        return CriterionParams(kind=CriterionKind.THM_B, n=n, beta=1,
+                               gamma=1, alpha=0.5)
+
+    rep = check_criterion(f, thm_b(1), cfg)
+    assert rep.verdict is Verdict.HYPOTHESIS_FAILED
+    assert rep.hypothesis_margin == pytest.approx(-0.3855, abs=1e-4)
+    with pytest.raises(ParameterError,
+                       match=r"class index n=2 exceeds the candidate's n=1"):
+        check_criterion(f, thm_b(2), cfg)
+    # a smaller class index is a weaker claim: A(2) lies inside A(1)
+    g = builtin_candidate("identity", 32, n=2)
+    assert check_criterion(g, thm_b(1), cfg).verdict is Verdict.CERTIFIED_SAMPLED
+
+
 # ------------------------------------------------------------------ jack
 
 def test_jack_pure_power():

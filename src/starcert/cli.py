@@ -58,6 +58,7 @@ from . import __version__
 from .series import (
     BUILTIN_NAMES,
     DEFAULT_TRUNC_ORDER,
+    MAX_TRUNC_ORDER,
     SchlichtCandidate,
     Series,
     SeriesError,
@@ -195,6 +196,9 @@ def parse_function_spec(data: dict) -> dict:
     if not _number(trunc, int) or trunc < n + 2:
         raise SpecFileError(
             f"field 'trunc': integer >= n+2 = {n + 2} required, got {trunc!r}")
+    if trunc > MAX_TRUNC_ORDER:
+        raise SpecFileError(
+            f"field 'trunc': at most {MAX_TRUNC_ORDER} supported, got {trunc}")
     out: dict = {"kind": kind, "n": n, "trunc": trunc}
     if kind == "COEFFS":
         raw = data["coeffs"]
@@ -250,23 +254,20 @@ def load_function_spec(path: str) -> dict:
     return parse_function_spec(data)
 
 
-def extremal_params_from_spec(fs: dict) -> ExtremalParams | None:
-    """The construction an ``EXTREMAL_*`` spec names; None for other kinds."""
-    if fs["kind"] in ("BUILTIN", "COEFFS"):
-        return None
-    ext = fs["extremal"]
-    return ExtremalParams(family=ExtremalFamily(fs["kind"]), n=fs["n"],
-                          alpha=ext["alpha"], beta=complex(*ext["beta"]),
-                          gamma=complex(*ext["gamma"]))
-
-
-def candidate_from_spec(fs: dict) -> SchlichtCandidate:
+def candidate_from_spec(fs: dict
+                        ) -> tuple[SchlichtCandidate, ExtremalParams | None]:
+    """The candidate a spec names, with the construction of an
+    ``EXTREMAL_*`` spec (None for other kinds)."""
     if fs["kind"] == "BUILTIN":
-        return builtin_candidate(fs["builtin"], fs["trunc"], fs["n"])
+        return builtin_candidate(fs["builtin"], fs["trunc"], fs["n"]), None
     if fs["kind"] == "COEFFS":
         return schlicht_from_tail(fs["n"], [complex(*c) for c in fs["coeffs"]],
-                                  fs["trunc"])
-    return build_extremal(extremal_params_from_spec(fs), fs["trunc"])
+                                  fs["trunc"]), None
+    ext = fs["extremal"]
+    p = ExtremalParams(family=ExtremalFamily(fs["kind"]), n=fs["n"],
+                       alpha=ext["alpha"], beta=complex(*ext["beta"]),
+                       gamma=complex(*ext["gamma"]))
+    return build_extremal(p, fs["trunc"]), p
 
 
 def probe_series_from_spec(fs: dict) -> Series:
@@ -277,7 +278,7 @@ def probe_series_from_spec(fs: dict) -> Series:
         for i, c in enumerate(fs["coeffs"]):
             arr[i + 1] = complex(*c)
         return make_series(arr)
-    return w_func(candidate_from_spec(fs))
+    return w_func(candidate_from_spec(fs)[0])
 
 
 _NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
@@ -436,29 +437,17 @@ def _write_out(args, command: str, sections: dict) -> None:
         print(f"report written to {args.out}")
 
 
-def _fmt_c(z: complex | None) -> str:
-    if z is None:
-        return "none"
+def _fmt_c(z: complex) -> str:
     return f"[{z.real!r}, {z.imag!r}]"
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return "none"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return "none" if x is None else str(x)
 
 
 def _sampling_config(args) -> SamplingConfig:
-    kwargs = {}
-    if args.radii:
-        kwargs["radii"] = args.radii
-    if args.angles is not None:
-        kwargs["angles"] = args.angles
-    if args.no_refine:
-        kwargs["refine"] = False
-    return SamplingConfig(**kwargs)
+    return SamplingConfig(radii=args.radii, angles=args.angles,
+                          refine=args.refine)
 
 
 def _criterion_params(args, n: int) -> CriterionParams:
@@ -519,40 +508,46 @@ def cmd_check(args) -> int:
         raise UsageError("the following arguments are required: --gamma")
     fs = load_function_spec(args.spec)
     cfg = _sampling_config(args)
-    extremal = extremal_params_from_spec(fs)
-    f = (candidate_from_spec(fs) if extremal is None
-         else build_extremal(extremal, fs["trunc"]))
+    f, extremal = candidate_from_spec(fs)
     params = _criterion_params(args, fs["n"])
     rep = check_criterion(f, params, cfg)
     sections = {"function": fs, "criterion_params": params, "sampling": cfg}
     if extremal is not None:
-        resid, _ = _selfcheck(f, extremal)
-        rep = _gate_selfcheck(rep, resid, extremal)
-        sections["selfcheck"] = {"identity_residual": resid,
-                                 "tolerance": extremal.selfcheck_tol}
+        sections["selfcheck"] = _selfcheck(f, extremal)
+    return _finish(args, "check", rep, sections)
+
+
+# The expression each family's self-check residual measures.
+_RESIDUAL_LABELS = {
+    ExtremalFamily.EXTREMAL_A:
+        "|lhs_a - (S z^n + beta)/(1 + (conj(beta)/S) z^n)|",
+    ExtremalFamily.EXTREMAL_B: "|lhs_b - S z^n|",
+}
+
+
+def _selfcheck(f: SchlichtCandidate, p: ExtremalParams) -> dict:
+    """The report's ``selfcheck`` section: the family's identity residual
+    and the tolerance it must stay within."""
+    resid = (verify_identity_b(f, p) if p.family is ExtremalFamily.EXTREMAL_B
+             else probe_identity_a(f, p))
+    return {"identity_residual": resid, "tolerance": p.selfcheck_tol}
+
+
+def _finish(args, command: str, rep: VerificationReport, sections: dict) -> int:
+    """Print ``rep``, write the report and return the exit code.  A
+    construction whose ``selfcheck`` section fails its own identity beyond
+    rounding yields no verdict: DEGENERATE, with one stderr note naming
+    both numbers."""
+    sc = sections.get("selfcheck")
+    if sc is not None and not sc["identity_residual"] <= sc["tolerance"]:
+        print(f"rejected: extremal self-check residual "
+              f"{sc['identity_residual']!r} exceeds its tolerance "
+              f"{sc['tolerance']!r} ({SELFCHECK_RTOL:g} x max(1, S))",
+              file=sys.stderr)
+        rep = dataclasses.replace(rep, verdict=Verdict.DEGENERATE)
     _print_verification(rep)
-    _write_out(args, "check", {**sections, "result": rep})
+    _write_out(args, command, {**sections, "result": rep})
     return _VERDICT_EXIT[rep.verdict]
-
-
-def _selfcheck(f: SchlichtCandidate, p: ExtremalParams) -> tuple[float, str]:
-    """The family's identity residual and the expression it measures."""
-    if p.family is ExtremalFamily.EXTREMAL_B:
-        return verify_identity_b(f, p), "|lhs_b - S z^n|"
-    return (probe_identity_a(f, p),
-            "|lhs_a - (S z^n + beta)/(1 + (conj(beta)/S) z^n)|")
-
-
-def _gate_selfcheck(rep: VerificationReport, resid: float,
-                    p: ExtremalParams) -> VerificationReport:
-    """A construction that fails its own identity beyond rounding yields no
-    verdict: DEGENERATE, with one stderr note naming both numbers."""
-    if resid <= p.selfcheck_tol:
-        return rep
-    print(f"rejected: extremal self-check residual {resid!r} exceeds its "
-          f"tolerance {p.selfcheck_tol!r} ({SELFCHECK_RTOL:g} x max(1, S))",
-          file=sys.stderr)
-    return dataclasses.replace(rep, verdict=Verdict.DEGENERATE)
 
 
 def cmd_extremal(args) -> int:
@@ -570,23 +565,19 @@ def cmd_extremal(args) -> int:
         c = f.series.coeffs[i]
         print(f"a_{i} = {_fmt_c(complex(c))}")
 
-    resid, label = _selfcheck(f, params)
-    print(f"identity residual {label}: {resid!r}")
+    selfcheck = _selfcheck(f, params)
+    print(f"identity residual {_RESIDUAL_LABELS[params.family]}: "
+          f"{selfcheck['identity_residual']!r}")
 
     crit = params.criterion
-    rep = _gate_selfcheck(check_criterion(f, crit, cfg), resid, params)
-    _print_verification(rep)
-    _write_out(args, "extremal", {
+    return _finish(args, "extremal", check_criterion(f, crit, cfg), {
         "extremal_params": params,
         "trunc": args.trunc,
         "coefficients": [complex(c) for c in f.series.coeffs[: k + 1]],
-        "selfcheck": {"identity_residual": resid,
-                      "tolerance": params.selfcheck_tol},
+        "selfcheck": selfcheck,
         "criterion_params": crit,
         "sampling": cfg,
-        "result": rep,
     })
-    return _VERDICT_EXIT[rep.verdict]
 
 
 def cmd_jack(args) -> int:
@@ -632,11 +623,11 @@ _RADII_HELP = ("comma-separated ascending candidate radii; each functional "
 
 
 def _add_sampling_flags(sp, radii_help: str = _RADII_HELP) -> None:
-    sp.add_argument("--radii", type=_parse_radii, default=None,
-                    help=radii_help)
-    sp.add_argument("--angles", type=int, default=None,
+    sp.add_argument("--radii", type=_parse_radii,
+                    default=SamplingConfig.radii, help=radii_help)
+    sp.add_argument("--angles", type=int, default=SamplingConfig.angles,
                     help="samples per circle (default 2048)")
-    sp.add_argument("--no-refine", action="store_true",
+    sp.add_argument("--no-refine", action="store_false", dest="refine",
                     help="skip Newton refinement of circle extrema")
     sp.add_argument("--out", default=None, help="write a JSON report here")
 

@@ -38,6 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .series import (
+    MAX_TRUNC_ORDER,
     Series,
     SchlichtCandidate,
     _derivative,
@@ -238,9 +239,10 @@ def identity_sweep(per_n: int, pairs: int, trunc_order: int,
         raise ParameterError(
             f"identity sweep needs per_n >= 1 and pairs >= 1, got "
             f"per_n={per_n}, pairs={pairs}")
-    if trunc_order < 5:
+    if not 5 <= trunc_order <= MAX_TRUNC_ORDER:
+        bound = ">= 5" if trunc_order < 5 else f"<= {MAX_TRUNC_ORDER}"
         raise ParameterError(
-            f"identity sweep needs trunc_order >= 5, got {trunc_order}")
+            f"identity sweep needs trunc_order {bound}, got {trunc_order}")
     if seed < 0:
         raise ParameterError(f"identity sweep needs seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)

@@ -82,8 +82,8 @@ class SamplingConfig:
     """Grid and policy for sup estimation on the disk.
 
     ``radii`` are candidate circles, ascending, each inside (0, 1);
-    ``angles`` is an integer (Python or numpy, not ``bool``) of at least 64
-    and ``refine`` a ``bool``.  Anything else is refused with a
+    ``angles`` is an integer (Python or numpy, not ``bool``) from 64 to
+    2**20 and ``refine`` a ``bool``.  Anything else is refused with a
     ``ParameterError`` naming the field.  The margin policy is fixed: a
     hypothesis certifies only when the sampled sup plus the tail allowance
     at the sampled radius stays below the bound.
@@ -107,6 +107,8 @@ class SamplingConfig:
                 f"angles must be an integer, got {self.angles!r}")
         if self.angles < 64:
             raise ParameterError(f"need at least 64 angles per circle, got {self.angles}")
+        if self.angles > 2 ** 20:
+            raise ParameterError(f"at most 2**20 angles per circle, got {self.angles}")
         if not isinstance(self.refine, bool):
             raise ParameterError(f"refine must be a bool, got {self.refine!r}")
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TRUNC_ORDER = 128
+MAX_TRUNC_ORDER = 2 ** 16  # refused above, before any array is laid out
 
 # Relative floor for "unit" constant terms (division, logarithms, powers).
 UNIT_TOL = 1e-12
@@ -347,7 +348,7 @@ def tail_estimate(a: Series, r: float) -> float:
 
 def require_trunc_order(trunc_order: int, n: int) -> None:
     """The one size rule for a class-``n`` candidate: refuse a class index
-    below 1, then a truncation order below ``n + 2``."""
+    below 1, then a truncation order outside ``n + 2..MAX_TRUNC_ORDER``."""
     if n < 1:
         raise SeriesError(f"class index n must be >= 1, got {n}")
     if trunc_order < n + 2:
@@ -355,6 +356,9 @@ def require_trunc_order(trunc_order: int, n: int) -> None:
             f"truncation order {trunc_order} too small for n={n}; "
             f"need at least {n + 2}"
         )
+    if trunc_order > MAX_TRUNC_ORDER:
+        raise SeriesError(f"truncation order {trunc_order} too large; "
+                          f"at most {MAX_TRUNC_ORDER}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,6 +391,7 @@ class SchlichtCandidate:
 
 def schlicht_from_tail(n: int, tail, trunc_order: int) -> SchlichtCandidate:
     """Candidate from the coefficients ``a_2, a_3, ...`` (``a_1`` implied 1)."""
+    require_trunc_order(trunc_order, n)
     tail = np.asarray(tail, dtype=np.complex128)
     if tail.size > trunc_order - 1:
         raise SeriesError(

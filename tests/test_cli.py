@@ -70,6 +70,14 @@ def test_spec_round_trip(tmp_path):
     assert body["function"] == parse_function_spec(json.loads(Path(path).read_text()))
 
 
+@pytest.mark.parametrize("trunc", [2 ** 16 + 1, 10 ** 20])
+def test_spec_rejects_a_trunc_above_the_cap(trunc):
+    with pytest.raises(SpecFileError) as e:
+        parse_function_spec({"kind": "BUILTIN", "builtin": "identity", "n": 1,
+                             "trunc": trunc})
+    assert str(e.value) == f"field 'trunc': at most 65536 supported, got {trunc}"
+
+
 def test_spec_rejects_unknown_kind():
     with pytest.raises(SpecFileError):
         parse_function_spec({"kind": "WAT", "n": 1, "trunc": 16})
@@ -506,7 +514,14 @@ ERROR_SPECS = {
                             "coeffs": [[1e308, 0]] * 3},
     "latin1.json": ('{"kind": "BUILTIN", "builtin": "identity", "n": 1, '
                     '"trunc": 32, "note": "\u00e9"}').encode("latin-1"),
+    # truncation orders above the cap of 2**16, refused before any array
+    "trunc_cap.json": {"kind": "BUILTIN", "builtin": "identity", "n": 1,
+                       "trunc": 2 ** 16 + 1},
+    "trunc_huge.json": {"kind": "BUILTIN", "builtin": "identity", "n": 1,
+                        "trunc": 10 ** 20},
 }
+EXTREMAL_B = ["extremal", "--family", "EXTREMAL_B", "--n", "1", "--alpha",
+              "0.5", "--beta", "1", "--gamma", "1"]
 THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
 
 
@@ -610,6 +625,22 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
                  id="check-out-empty"),
     pytest.param(["identities", "--per-n", "1", "--pairs", "1", "--trunc", "8",
                   "--out", ""], 3, id="identities-out-empty"),
+    # sizes above their caps are refused as a too-small value of each is
+    pytest.param(["check", "trunc_cap.json", *THM_B], 3, id="spec-trunc-cap"),
+    pytest.param(["check", "trunc_huge.json", *THM_B], 3,
+                 id="spec-trunc-huge"),
+    pytest.param([*EXTREMAL_B, "--trunc", "65537"], 2,
+                 id="extremal-trunc-cap"),
+    pytest.param([*EXTREMAL_B, "--trunc", str(10 ** 20)], 2,
+                 id="extremal-trunc-huge"),
+    pytest.param(["identities", "--trunc", "65537"], 3,
+                 id="identities-trunc-cap"),
+    pytest.param(["identities", "--trunc", str(10 ** 20)], 3,
+                 id="identities-trunc-huge"),
+    pytest.param(["check", "identity.json", *THM_B, "--angles", "1048577"], 3,
+                 id="check-angles-cap"),
+    pytest.param(["check", "identity.json", *THM_B, "--angles",
+                  str(10 ** 20)], 3, id="check-angles-huge"),
 ])
 def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, monkeypatch,
                                              argv, expected):
@@ -999,3 +1030,35 @@ def test_check_on_an_extremal_spec_runs_its_selfcheck(tmp_path, capsys, beta,
     else:
         assert captured.err == ""
         assert resid <= tol and report["result"]["verdict"] == "CERTIFIED_SAMPLED"
+
+
+@pytest.mark.parametrize("family, n, alpha, beta, gamma, trunc, code", [
+    ("EXTREMAL_A", 2, 0.5, [0.12, -0.024], [1.0, -0.2], 64, 0),
+    ("EXTREMAL_B", 1, 0.5, [1.0, 0.0], [1.0, 0.0], 64, 0),
+    # the draw whose self-check refuses it
+    ("EXTREMAL_B", 1, 0.867273387572356,
+     [-25.25596027149765, -35.314688227781616],
+     [0.30161488684445725, -0.5706474545124733], 58, 2),
+], ids=["A", "B", "B-selfcheck-refused"])
+def test_extremal_and_check_agree_on_one_construction(
+        tmp_path, capsys, family, n, alpha, beta, gamma, trunc, code):
+    spec = write_spec(tmp_path, "e.json", {
+        "kind": family, "n": n, "trunc": trunc,
+        "extremal": {"alpha": alpha, "beta": beta, "gamma": gamma}})
+    scalars = ["--alpha", repr(alpha), f"--beta={beta[0]!r},{beta[1]!r}",
+               f"--gamma={gamma[0]!r},{gamma[1]!r}", "--radii", "0.2,0.5,0.9",
+               "--angles", "256"]
+    kind = "THM_A" if family == "EXTREMAL_A" else "THM_B"
+    runs = {}
+    for argv in (["extremal", "--family", family, "--n", str(n), "--trunc",
+                  str(trunc), *scalars],
+                 ["check", spec, "--kind", kind, *scalars]):
+        out = tmp_path / f"{argv[0]}.json"
+        code = main([*argv, "--out", str(out)])
+        report = json.loads(out.read_text())["report"]
+        runs[argv[0]] = (code, capsys.readouterr().err,
+                         {k: report[k] for k in ("result", "selfcheck",
+                                                 "criterion_params",
+                                                 "sampling")})
+    assert runs["extremal"] == runs["check"]
+    assert runs["check"][0] == code and (runs["check"][1] != "") == bool(code)

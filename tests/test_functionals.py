@@ -292,6 +292,16 @@ def test_identity_sweep_refuses_to_check_nothing(kwargs):
                           "seed": 20240801, **kwargs})
 
 
+@pytest.mark.parametrize("trunc, bound", [
+    (4, ">= 5"), (65537, "<= 65536"), (10 ** 20, "<= 65536"),
+])
+def test_identity_sweep_refuses_an_order_outside_its_range(trunc, bound):
+    with pytest.raises(ParameterError) as e:
+        identity_sweep(per_n=1, pairs=1, trunc_order=trunc, seed=0)
+    assert str(e.value) == (
+        f"identity sweep needs trunc_order {bound}, got {trunc}")
+
+
 @pytest.mark.parametrize("n, trunc, message", [
     (0, 8, "class index n must be >= 1, got 0"),
     (3, 4, "truncation order 4 too small for n=3; need at least 5"),

@@ -86,6 +86,14 @@ def test_config_accepts_numpy_integer_angles():
     assert SamplingConfig(angles=np.int64(512)).angles == 512
 
 
+@pytest.mark.parametrize("angles", [2 ** 20 + 1, 10 ** 20])
+def test_config_refuses_more_than_2_to_the_20_angles(angles):
+    assert SamplingConfig(angles=2 ** 20).angles == 2 ** 20
+    with pytest.raises(ParameterError) as e:
+        SamplingConfig(angles=angles)
+    assert str(e.value) == f"at most 2**20 angles per circle, got {angles}"
+
+
 def test_default_radii_grid():
     cfg = SamplingConfig()
     assert cfg.radii[0] == 0.1

@@ -699,6 +699,18 @@ def test_builtin_candidate_refuses_class_index_zero(name, message):
     assert str(e.value) == message
 
 
+@pytest.mark.parametrize("trunc", [series.MAX_TRUNC_ORDER + 1, 10 ** 20])
+def test_size_rule_refuses_an_order_above_its_cap_before_building(trunc):
+    series.require_trunc_order(series.MAX_TRUNC_ORDER, 1)
+    message = f"truncation order {trunc} too large; at most 65536"
+    for build in (lambda: series.require_trunc_order(trunc, 1),
+                  lambda: series.schlicht_from_tail(1, [], trunc),
+                  lambda: builtin_candidate("koebe", trunc)):
+        with pytest.raises(SeriesError) as e:
+            build()
+        assert str(e.value) == message
+
+
 @pytest.mark.parametrize("n, trunc", [(0, 100), (-1, -5)])
 def test_size_rule_refuses_the_class_index_first(n, trunc):
     with pytest.raises(SeriesError) as e:

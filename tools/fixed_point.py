@@ -15,9 +15,12 @@ It takes no options and reads ``starcert`` from ``PYTHONPATH``.  Groups:
 * ``builtins``: LEMMA_A and LEMMA_B (beta 0.2, gamma 1, rho 0.5) and COR_A
   (gamma -0.5, alpha 0.5) on the three builtins at trunc 128, default
   config;
-* ``cli``: the README exit-code matrix and seven ``check`` runs on
-  extremal and builtin specs through ``cli.main``: exit code, stdout and
-  stderr with the scratch directory written ``<tmp>``, and the report body
+* ``cli``: the README exit-code matrix, seven ``check`` runs on extremal
+  and builtin specs, two ``extremal`` runs (one refused by its
+  self-check), a COEFFS ``check`` at the default sampling flags with and
+  without ``--no-refine``, and two ``jack`` runs on an extremal and a
+  builtin spec, all through ``cli.main``: exit code, stdout and stderr
+  with the scratch directory written ``<tmp>``, and the report body
   without its timestamp;
 * ``extremals``: 2,000 seeded extremal parameter draws: the coefficient
   bytes of each build, or the type and text of its refusal.
@@ -122,6 +125,8 @@ def _cli_runs(tmp: Path):
             "alpha": 0.867273387572356,
             "beta": [-25.25596027149765, -35.314688227781616],
             "gamma": [0.30161488684445725, -0.5706474545124733]}},
+        "small": {"kind": "COEFFS", "n": 1, "trunc": 16,
+                  "coeffs": [[0.1, 0.05], [0.02, -0.01]]},
     }
     path = {}
     for name, spec in specs.items():
@@ -163,6 +168,21 @@ def _cli_runs(tmp: Path):
           "--radii", "0.2,0.5,0.9", "--angles", "256"], True),
         (["check", path["koebe"], "--kind", "MOCANU", "--alpha", "0.5",
           *fast], True),
+        # extremal on the self-check-refused draw above and on a grid cell
+        (["extremal", "--family", "EXTREMAL_B", "--n", "1",
+          "--alpha", "0.867273387572356",
+          "--beta=-25.25596027149765,-35.314688227781616",
+          "--gamma=0.30161488684445725,-0.5706474545124733",
+          "--trunc", "58", "--radii", "0.2,0.5,0.9", "--angles", "256"], True),
+        (["extremal", "--family", "EXTREMAL_A", "--n", "2", "--alpha", "0.5",
+          "--beta=0.12,-0.024", "--gamma=1.0,-0.2", *fast], True),
+        # the sampling flags at their defaults, then without refinement
+        (["check", path["small"], "--kind", "THM_B", "--beta", "0.5",
+          "--gamma", "1", "--alpha", "0.5"], True),
+        (["check", path["small"], "--kind", "THM_B", "--beta", "0.5",
+          "--gamma", "1", "--alpha", "0.5", "--no-refine"], True),
+        (["jack", path["ext_b"], "--radius", "0.9"], True),
+        (["jack", path["koebe"], "--radius", "0.5"], True),
     ]
 
 

@@ -43,6 +43,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import re
 import stat
@@ -283,6 +284,7 @@ def probe_series_from_spec(fs: dict) -> Series:
 
 _NONFINITE = {"nan": '"nan"', "inf": '"inf"', "-inf": '"-inf"'}
 _FLOATS = {float}
+_ROWS = {list, tuple}
 
 
 def _float_items(values, pad: str) -> str:
@@ -294,6 +296,28 @@ def _float_items(values, pad: str) -> str:
     if "n" in text:
         text = sep.join(_NONFINITE.get(s, s) for s in map(float.__repr__, values))
     return "[\n" + inner + text + "\n" + pad + "]"
+
+
+def _float_table(rows, pad: str) -> str | None:
+    """JSON list of float rows at indent ``pad`` (a COEFFS echo), each row
+    as :func:`_float_items` writes it, in one join over every item; None
+    unless the rows, lists or tuples, are non-empty, of one length and
+    hold plain floats only."""
+    width = len(rows[0])
+    if not width or set(map(len, rows)) != {width}:
+        return None
+    flat = list(itertools.chain.from_iterable(rows))
+    if set(map(type, flat)) != _FLOATS:
+        return None
+    items = map(float.__repr__, flat)
+    if not math.isfinite(sum(flat)):  # a non-finite item, or an overflow
+        items = (_NONFINITE.get(s, s) for s in items)
+    inner = pad + "  "
+    cell = inner + "  "
+    text = ("\n" + inner + "],\n" + inner + "[\n" + cell).join(
+        map((",\n" + cell).join, zip(*[items] * width)))
+    return ("[\n" + inner + "[\n" + cell + text + "\n" + inner + "]\n" + pad
+            + "]")
 
 
 def _render(obj, pad: str) -> str:
@@ -308,8 +332,13 @@ def _render(obj, pad: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) == _FLOATS:
+        kinds = set(map(type, obj))
+        if kinds == _FLOATS:
             return _float_items(obj, pad)
+        if kinds <= _ROWS:
+            table = _float_table(obj, pad)
+            if table is not None:
+                return table
         inner = pad + "  "
         return ("[\n" + inner + (",\n" + inner).join(
             [_render(v, inner) for v in obj]) + "\n" + pad + "]")

@@ -15,7 +15,10 @@ candidate and kept in this module's cache, keyed by the candidate and
 dropped with it; later calls, for any parameters, return the same
 read-only series.  The builders compose ``f/z``, ``f'``, ``zf''`` and
 their products on coefficient arrays with the series kernels, and box
-only the values they cache as :class:`Series`, which checks them finite.
+only the values the cache hands to callers as :class:`Series`, which
+checks them finite.  ``1/f'`` is cached as a read-only array; the
+checked reciprocal refuses a non-finite ``f'``, a non-unit divisor or a
+non-finite result, as a box of each would.
 
 Both rewrite identities are linear in (beta, gamma).  With ``P = zf'/f``
 and ``Q = 1 + zf''/f'``, their residuals are ``(beta - gamma) R1 +
@@ -41,9 +44,10 @@ from .series import (
     MAX_TRUNC_ORDER,
     Series,
     SchlichtCandidate,
+    _checked_reciprocal,
     _derivative,
     _mul,
-    reciprocal,
+    _orders,
     require_trunc_order,
     schlicht_from_tail,
 )
@@ -86,26 +90,28 @@ def _once_per_candidate(build):
 @_once_per_candidate
 def starlike_quotient(f: SchlichtCandidate) -> Series:
     """``z f'(z) / f(z)``; constant term exactly 1."""
-    fprime = _derivative(f.series.coeffs)
-    return Series(_mul(fprime, reciprocal(unit_part(f)).coeffs))
+    c = f.series.coeffs
+    fprime = _derivative(c)
+    return Series(_mul(fprime, _checked_reciprocal(c[1:])))  # 1/u, u = f/z
 
 
 @_once_per_candidate
-def _fprime_reciprocal(f: SchlichtCandidate) -> Series:
-    """``1/f'``, the denominator of ``1 + zf''/f'`` and of ``w``."""
-    return reciprocal(Series(_derivative(f.series.coeffs)))
+def _fprime_reciprocal(f: SchlichtCandidate) -> np.ndarray:
+    """``1/f'`` as a read-only array, the denominator of ``1 + zf''/f'``
+    and of ``w``."""
+    return _checked_reciprocal(_derivative(f.series.coeffs))
 
 
 def _z_derivative(c: np.ndarray) -> np.ndarray:
     """``z g'`` from the coefficients of ``g``, one order longer than ``g'``."""
-    return np.concatenate(([0j], _derivative(c)))
+    return c * _orders(c.size)
 
 
 @_once_per_candidate
 def convex_quotient(f: SchlichtCandidate) -> Series:
     """``1 + z f''(z) / f'(z)``; constant term exactly 1."""
     # 1/f' first: it refuses an f' too large for z f'' to be finite
-    inv = _fprime_reciprocal(f).coeffs
+    inv = _fprime_reciprocal(f)
     q = _mul(_z_derivative(_derivative(f.series.coeffs)), inv)
     q[0] += 1.0
     return Series(q)
@@ -114,7 +120,7 @@ def convex_quotient(f: SchlichtCandidate) -> Series:
 @_once_per_candidate
 def w_func(f: SchlichtCandidate) -> Series:
     """``w = f/(z f') - 1``; vanishes to order >= n for class index n."""
-    w = _mul(f.series.coeffs[1:], _fprime_reciprocal(f).coeffs)
+    w = _mul(f.series.coeffs[1:], _fprime_reciprocal(f))
     w[0] += -1.0  # not -= 1.0, which keeps a -0.0 imaginary part
     return Series(w)
 
@@ -175,7 +181,7 @@ def _residual(f: SchlichtCandidate, x, y):
     r1, r2 = _identity_parts(f)
     x = np.asarray(x, dtype=np.complex128)[..., None]
     y = np.asarray(y, dtype=np.complex128)[..., None]
-    worst = np.max(np.abs(r1.coeffs * x + r2.coeffs * y), axis=-1)
+    worst = np.abs(r1.coeffs * x + r2.coeffs * y).max(axis=-1)
     return worst if worst.ndim else float(worst)
 
 
@@ -246,11 +252,8 @@ def identity_sweep(per_n: int, pairs: int, trunc_order: int,
     if seed < 0:
         raise ParameterError(f"identity sweep needs seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    beta, gamma = np.array([
-        (complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
-         complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-        for _ in range(pairs)
-    ]).T
+    # rows (Re beta, Im beta, Re gamma, Im gamma), drawn in that order
+    beta, gamma = rng.uniform(-1, 1, (pairs, 4)).view(np.complex128).T
     worst_a = 0.0
     worst_b = 0.0
     total = 0

@@ -14,16 +14,18 @@ The truncated product and the term-wise derivative are each one array
 kernel, ``_mul`` and ``_derivative``; :func:`mul` and :func:`derivative`
 box their results as a :class:`Series`, and a caller that composes
 several steps (``functionals``) runs the kernels on coefficient arrays
-and boxes only what it keeps.  :func:`reciprocal` builds ``1/b`` from an
-eight-term forward substitution and then Newton iteration in O(log N)
-convolutions, each step's residual a middle product, and is the one place
-a divisor is checked for a unit constant term.  :func:`div` is a product
-with it, so a caller dividing by one series several times builds its
-reciprocal once; :func:`log_unit` runs the same iteration on its
-unit-constant argument.  :func:`exp_unit` keeps its O(N^2) recurrence,
-which holds the relative accuracy of small coefficients; it fills its
-result back to front, so each step's dot product reads two forward
-slices.  Both loops give the bits of their
+and boxes only what it keeps.  The derivative and :func:`exp_unit`
+weight by one cached, read-only row of orders ``k``.
+:func:`reciprocal` builds ``1/b`` from an eight-term forward substitution
+and then Newton iteration in O(log N) convolutions, each step's residual
+a middle product.  Its array form ``_checked_reciprocal`` is the one
+place a divisor is checked: finite, with a unit constant term, and a
+finite result.  :func:`div` is a product with it, so a caller dividing by
+one series several times builds its reciprocal once; :func:`log_unit`
+runs the same iteration on its unit-constant argument.  :func:`exp_unit`
+keeps its O(N^2) recurrence, which holds the relative accuracy of small
+coefficients; it fills its result back to front, so each step's dot
+product reads two forward slices.  Both loops give the bits of their
 textbook forms (full product, negative-stride view).
 :func:`evaluate_grid` samples a series on a :class:`Circle` by one FFT, the
 one way a series is read off a circle.
@@ -79,6 +81,13 @@ class ResonantExponentError(SeriesError):
         )
 
 
+def _require_finite(arr: np.ndarray) -> None:
+    """Refuse an array holding a non-finite coefficient, by its first index."""
+    finite = np.isfinite(arr)
+    if np.count_nonzero(finite) != finite.size:
+        raise NonFiniteCoefficientError(int(np.argmin(finite)))
+
+
 @dataclass(frozen=True, eq=False)
 class Series:
     """Coefficients ``c0..cN`` of a power series truncated at order N."""
@@ -89,9 +98,7 @@ class Series:
         arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise SeriesError("coefficients must form a non-empty 1-d sequence")
-        finite = np.isfinite(arr)
-        if not finite.all():
-            raise NonFiniteCoefficientError(int(np.argmin(finite)))
+        _require_finite(arr)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -166,21 +173,37 @@ def _reciprocal(b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _checked_reciprocal(b: np.ndarray) -> np.ndarray:
+    """:func:`_reciprocal` of a coefficient array, as a read-only array.
+
+    Refuses, in this order, a non-finite ``b_k`` (by its first index), a
+    divisor whose ``|b0|`` is below ``UNIT_TOL`` relative to its largest
+    coefficient, and a non-finite result: the refusals of a
+    :class:`Series` box of ``b``, the unit check and a box of ``1/b``.
+    """
+    top = float(np.abs(b).max())
+    if not math.isfinite(top):  # a non-finite b_k, or |b_k| past the range
+        _require_finite(b)
+    b0 = b[0]
+    scale_ref = max(1.0, top)
+    if abs(b0) < UNIT_TOL * scale_ref:
+        raise NonUnitDivisorError(
+            f"non-unit divisor: |b0| = {abs(b0):.3e} is below "
+            f"{UNIT_TOL:g} × max(1, max|b_k|) = {scale_ref:.1e}"
+        )
+    x = _reciprocal(b)
+    _require_finite(x)
+    x.setflags(write=False)
+    return x
+
+
 def reciprocal(b: Series) -> Series:
     """``1/b`` to the order of ``b``, by Newton iteration.
 
     Requires a unit divisor: ``|b0|`` must clear ``UNIT_TOL`` relative to
     the largest retained coefficient of ``b``.
     """
-    bc = b.coeffs
-    b0 = bc[0]
-    scale_ref = max(1.0, float(np.max(np.abs(bc))))
-    if abs(b0) < UNIT_TOL * scale_ref:
-        raise NonUnitDivisorError(
-            f"non-unit divisor: |b0| = {abs(b0):.3e} is below "
-            f"{UNIT_TOL:g} × max(1, max|b_k|) = {scale_ref:.1e}"
-        )
-    return Series(_reciprocal(bc))
+    return Series(_checked_reciprocal(b.coeffs))
 
 
 def div(a: Series, b: Series) -> Series:
@@ -190,10 +213,19 @@ def div(a: Series, b: Series) -> Series:
     return mul(a, reciprocal(Series(b.coeffs[: m + 1])))
 
 
+@functools.lru_cache(maxsize=128)
+def _orders(size: int) -> np.ndarray:
+    """The orders ``k = 0..size-1`` as one read-only complex row per
+    length, the weights of every term-wise derivative."""
+    k = np.arange(size, dtype=np.complex128)
+    k.setflags(write=False)
+    return k
+
+
 def _derivative(c: np.ndarray) -> np.ndarray:
     """Term-wise derivative of the coefficients ``c0..cN``: ``k c_k`` for
     ``k = 1..N``."""
-    return c[1:] * np.arange(1, c.size)
+    return c[1:] * _orders(c.size)[1:]
 
 
 def derivative(a: Series) -> Series:
@@ -219,7 +251,7 @@ def exp_unit(a: Series) -> Series:
             "factor the scalar exponential first"
         )
     n = a.trunc_order
-    ka = a.coeffs * np.arange(n + 1)  # j * a_j
+    ka = a.coeffs * _orders(n + 1)  # j * a_j
     rev = np.zeros(n + 1, dtype=np.complex128)  # e_k is rev[n - k]
     rev[n] = 1.0
     for k in range(1, n + 1):  # e_k = sum_j j a_j e_(k-j) / k

@@ -837,6 +837,27 @@ _EDGE_SECTIONS = {
     7: "int key",
 }
 
+# Lists of float rows, the shape of a COEFFS echo: only equal-length,
+# non-empty rows of plain floats take the one-join table.
+_ROW_SECTIONS = {
+    "pairs": [[0.1, -0.0], [5e-324, 1e308], [-2.5, 3.0]],
+    "nonfinite": [[float("nan"), 1.0], [float("inf"), -float("inf")]],
+    "overflow": [[1e308, 1e308], [1e308, 0.5]],
+    "width1": [[0.5], [-0.25], [float("nan")]],
+    "width3": [[0.1, 0.2, 0.3], [-1.0, float("inf"), 2.0]],
+    "single": [[0.75, -0.75]],
+    "ragged": [[0.1, 0.2], [0.3], [0.4, 0.5, 0.6]],
+    "int_entry": [[0.1, 2], [0.3, 0.4]],
+    "bool_entry": [[0.1, True], [0.3, 0.4]],
+    "numpy_entry": [[0.1, np.float64(1 / 3)], [0.3, 0.4]],
+    "empty_row": [[], []],
+    "empty_then_rows": [[], [0.1, 0.2]],
+    "tuples": [(0.1, 0.2), (float("-inf"), -0.0)],
+    "mixed_rows": [(0.1, 0.2), [0.3, 0.4]],
+    "nested": [[[0.1, 0.2]], [[0.3, 0.4]]],
+    "outer_tuple": ([0.1, 0.2], [0.3, 0.4]),
+}
+
 
 def test_report_bodies_match_the_asdict_rendering(tmp_path, monkeypatch,
                                                   capsys):
@@ -877,9 +898,11 @@ def test_report_bodies_match_the_asdict_rendering(tmp_path, monkeypatch,
     assert [c for c, _, _ in rendered] == [
         "check", "check", "check", "extremal", "jack", "identities",
         "extremal"]
-    # edge values; the mixed list must not take the all-float join
-    rendered.append(("edge", _EDGE_SECTIONS,
-                     render("edge", _EDGE_SECTIONS)))
+    # edge values; the mixed list must not take the all-float join, nor a
+    # ragged, mixed or empty row the float-row table
+    for command, sections in (("edge", _EDGE_SECTIONS),
+                              ("rows", _ROW_SECTIONS)):
+        rendered.append((command, sections, render(command, sections)))
     for command, sections, text in rendered:
         body = {"tool": {"name": "starcert", "version": cli.__version__},
                 "command": command, **sections}

@@ -9,6 +9,7 @@ the same series for every call, so no call can see another's quotients.
 import collections
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,17 @@ def test_cached_quotient_equals_a_fresh_build(build):
         assert np.array_equal(cached.coeffs, build.__wrapped__(fresh(f)).coeffs)
 
 
+def test_fprime_reciprocal_is_one_read_only_array():
+    f = sample_candidates()[2]
+    inv = functionals._fprime_reciprocal(f)
+    convex_quotient(f)
+    w_func(f)
+    assert functionals._fprime_reciprocal(f) is inv
+    assert type(inv) is np.ndarray and not inv.flags.writeable
+    want = series.reciprocal(derivative(f.series)).coeffs
+    assert inv.tobytes() == want.tobytes()
+
+
 def test_cache_is_not_part_of_the_candidate_record():
     f = builtin_candidate("koebe", 16)
     starlike_quotient(f)
@@ -151,10 +163,11 @@ def test_check_reports_match_uncached_reference():
 
 @pytest.fixture
 def reciprocal_calls(monkeypatch):
-    """Calls to ``series.reciprocal`` through every starcert module's
-    binding; ``series.div`` makes one."""
+    """Calls to the checked reciprocal ``series._checked_reciprocal``
+    through every starcert module's binding; ``series.reciprocal`` and
+    ``series.div`` make one each."""
     calls = []
-    original = series.reciprocal
+    original = series._checked_reciprocal
 
     def counting(b):
         calls.append(1)
@@ -215,13 +228,14 @@ def test_identity_sweep_builds_pair_parts_once_per_candidate(sweep_work, pairs):
     assert sweep_work["identity_a_residual"] == res.functions
     assert sweep_work["identity_b_residual"] == res.functions
     # zf'/f, 1 + zf''/f' and w are one product each with a reciprocal, R1
-    # and R2 two more; f' for zf'/f, for 1/f' and for zf'', then zf'' and
-    # z w' are the derivatives; no pair adds either
+    # and R2 two more; f' for zf'/f, for 1/f' and for zf'' are the
+    # derivatives, while zf'' and z w' each scale by the orders; no pair
+    # adds either
     assert sweep_work["_mul"] == 5 * res.functions
-    assert sweep_work["_derivative"] == 5 * res.functions
-    # the candidate, f/z and f' with their reciprocals, and the five
-    # cached series zf'/f, 1 + zf''/f', w, R1, R2
-    assert sweep_work["Series"] <= 10 * res.functions
+    assert sweep_work["_derivative"] == 3 * res.functions
+    # the candidate and the five cached series zf'/f, 1 + zf''/f', w, R1,
+    # R2; f/z, f' and the two reciprocals stay arrays
+    assert sweep_work["Series"] <= 6 * res.functions
 
 
 def add(a: Series, b: Series) -> Series:
@@ -294,6 +308,69 @@ def test_convex_quotient_refuses_an_overflowing_zf2():
     for _ in range(2):
         with pytest.raises(series.SeriesError):
             convex_quotient(f)
+
+
+def _unit_refusal(scale_ref: str):
+    return (series.NonUnitDivisorError,
+            "non-unit divisor: |b0| = 1.000e+00 is below 1e-12 × max(1, "
+            f"max|b_k|) = {scale_ref}")
+
+
+def _nonfinite_refusal(index: int):
+    return (series.NonFiniteCoefficientError,
+            f"non-finite coefficient at index {index}")
+
+
+_OVERFLOW = ["RuntimeWarning: overflow encountered in multiply"]
+_REFUSAL_CALLS = {
+    "starlike_quotient": starlike_quotient,
+    "convex_quotient": convex_quotient,
+    "w_func": w_func,
+    "reciprocal(f/z)": lambda f: series.reciprocal(unit_part(f)),
+    "reciprocal(f')": lambda f: series.reciprocal(derivative(f.series)),
+}
+
+
+# f = z + c z^k at truncation order ``order``, made with make_series, whose
+# f', or the reciprocal of f' or of f/z, overflows or nearly does: each
+# refusal, and the warnings before it, are what a Series box of f' and of
+# each reciprocal gives.  A non-finite f' is named by its index before any
+# unit check.
+@pytest.mark.parametrize("k, c, order, call, refusal, warns", [
+    (6, 1e308, 12, "starlike_quotient", _unit_refusal("1.0e+308"), _OVERFLOW),
+    (6, 1e308, 12, "convex_quotient", _nonfinite_refusal(5), _OVERFLOW),
+    (6, 1e308, 12, "w_func", _nonfinite_refusal(5), _OVERFLOW),
+    (6, 1e308, 12, "reciprocal(f/z)", _unit_refusal("1.0e+308"), []),
+    (2, 1e308 + 1e308j, 12, "starlike_quotient", _unit_refusal("1.4e+308"),
+     _OVERFLOW),
+    (2, 1e308 + 1e308j, 12, "convex_quotient", _nonfinite_refusal(1),
+     _OVERFLOW),
+    (2, 1e308 + 1e308j, 12, "w_func", _nonfinite_refusal(1), _OVERFLOW),
+    # |f'_1| overflows though f'_1 is finite
+    (2, 0.85e308 + 0.85e308j, 12, "convex_quotient", _unit_refusal("inf"), []),
+    (2, 0.85e308 + 0.85e308j, 12, "w_func", _unit_refusal("inf"), []),
+    (2, 0.85e308 + 0.85e308j, 12, "reciprocal(f')", _unit_refusal("inf"), []),
+    (3, 5e307, 12, "starlike_quotient", _unit_refusal("5.0e+307"), []),
+    (3, 5e307, 12, "convex_quotient", _unit_refusal("1.5e+308"), []),
+    # both reciprocals overflow in a Newton step
+    (2, 1e11, 40, "starlike_quotient", _nonfinite_refusal(29), []),
+    (2, 1e11, 40, "convex_quotient", _nonfinite_refusal(28), []),
+    (2, 1e11, 40, "w_func", _nonfinite_refusal(28), []),
+    (2, 1e11, 40, "reciprocal(f/z)", _nonfinite_refusal(29), []),
+    (2, 1e11, 40, "reciprocal(f')", _nonfinite_refusal(28), []),
+])
+def test_overflowing_candidates_keep_their_refusals(k, c, order, call,
+                                                    refusal, warns):
+    arr = np.zeros(order + 1, dtype=np.complex128)
+    arr[1], arr[k] = 1.0, c
+    f = SchlichtCandidate(1, series.make_series(arr))
+    error, text = refusal
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(error) as err:
+            _REFUSAL_CALLS[call](f)
+    assert str(err.value) == text
+    assert [f"{w.category.__name__}: {w.message}" for w in seen] == warns
 
 
 def test_identity_parts_are_shared_and_read_only():

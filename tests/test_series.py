@@ -409,6 +409,19 @@ def test_non_unit_divisor_keeps_its_message():
                               "1e-12 × max(1, max|b_k|) = 1.0e+00")
 
 
+@pytest.mark.parametrize("b, index", [
+    ([1, np.nan, 0], 1),
+    ([np.inf, 1], 0),
+    ([1, 0, complex(np.nan, 1)], 2),
+    ([1, complex(1e308, np.inf)], 1),
+    ([1e-13, np.inf], 1),   # named before the unit check reads |b0|
+])
+def test_checked_reciprocal_names_a_non_finite_divisor(b, index):
+    with pytest.raises(NonFiniteCoefficientError) as err:
+        series._checked_reciprocal(np.array(b, dtype=np.complex128))
+    assert str(err.value) == f"non-finite coefficient at index {index}"
+
+
 @pytest.mark.parametrize("kernel, a1, size, index", [
     (series.reciprocal, 1e11, 40, 29),  # overflows in a Newton step
     (log_unit, 1e60, 20, 6),            # in the forward substitution

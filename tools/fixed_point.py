@@ -18,10 +18,13 @@ It takes no options and reads ``starcert`` from ``PYTHONPATH``.  Groups:
 * ``cli``: the README exit-code matrix, seven ``check`` runs on extremal
   and builtin specs, two ``extremal`` runs (one refused by its
   self-check), a COEFFS ``check`` at the default sampling flags with and
-  without ``--no-refine``, and two ``jack`` runs on an extremal and a
-  builtin spec, all through ``cli.main``: exit code, stdout and stderr
-  with the scratch directory written ``<tmp>``, and the report body
-  without its timestamp;
+  without ``--no-refine``, two ``jack`` runs on an extremal and a
+  builtin spec, the ``identities`` run of the benchmark's identities
+  workload, and a MOCANU ``check`` of a convex trunc-256 COEFFS spec,
+  whose report echoes its 255 coefficient pairs, all through
+  ``cli.main``: exit code, stdout and stderr
+  with the scratch directory written ``<tmp>``, and the bytes of the
+  report body, which follow its timestamp;
 * ``extremals``: 2,000 seeded extremal parameter draws: the coefficient
   bytes of each build, or the type and text of its refusal.
 
@@ -105,6 +108,15 @@ def builtins():
             yield repr(check_criterion(f, crit, DEFAULT_CFG))
 
 
+def _convex_coeffs(trunc: int) -> list[list[float]]:
+    """``a_2..a_trunc`` as ``[re, im]`` pairs, ``a_k = s 0.9^k e^(ik)`` with
+    ``sum k^2 |a_k| = 0.6``, so ``z + ...`` is convex on the closed disk."""
+    orders = range(2, trunc + 1)
+    s = 0.6 / sum(k * k * 0.9 ** k for k in orders)
+    return [[s * 0.9 ** k * math.cos(k), s * 0.9 ** k * math.sin(k)]
+            for k in orders]
+
+
 def _cli_runs(tmp: Path):
     """``(argv, writes a report)`` for each CLI run of the ``cli`` group."""
     specs = {
@@ -127,6 +139,8 @@ def _cli_runs(tmp: Path):
             "gamma": [0.30161488684445725, -0.5706474545124733]}},
         "small": {"kind": "COEFFS", "n": 1, "trunc": 16,
                   "coeffs": [[0.1, 0.05], [0.02, -0.01]]},
+        "convex256": {"kind": "COEFFS", "n": 1, "trunc": 256,
+                      "coeffs": _convex_coeffs(256)},
     }
     path = {}
     for name, spec in specs.items():
@@ -183,6 +197,11 @@ def _cli_runs(tmp: Path):
           "--gamma", "1", "--alpha", "0.5", "--no-refine"], True),
         (["jack", path["ext_b"], "--radius", "0.9"], True),
         (["jack", path["koebe"], "--radius", "0.5"], True),
+        # the identities workload's invocation, and a long COEFFS echo
+        (["identities", "--per-n", "4", "--pairs", "5", "--trunc", "48",
+          "--seed", "7"], True),
+        (["check", path["convex256"], "--kind", "MOCANU", "--alpha", "0.5"],
+         True),
     ]
 
 
@@ -198,10 +217,8 @@ def cli_runs():
                   contextlib.redirect_stderr(stderr)):
                 code = cli.main(argv)
             body = None
-            if out.exists():
-                doc = json.loads(out.read_text())
-                del doc["timestamp"]
-                body = json.dumps(doc, sort_keys=True, indent=2)
+            if out.exists():  # the body's own bytes, after the timestamp
+                body = out.read_text().split('\n"report":\n', 1)[1]
             yield repr((code, stdout.getvalue(), stderr.getvalue(), body)
                        ).replace(name, "<tmp>")
 

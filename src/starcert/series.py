@@ -224,8 +224,8 @@ def _orders(size: int) -> np.ndarray:
 
 def _derivative(c: np.ndarray) -> np.ndarray:
     """Term-wise derivative of the coefficients ``c0..cN``: ``k c_k`` for
-    ``k = 1..N``."""
-    return c[1:] * _orders(c.size)[1:]
+    ``k = 1..N``; of each row when ``c`` stacks several series."""
+    return c[..., 1:] * _orders(c.shape[-1])[1:]
 
 
 def derivative(a: Series) -> Series:

@@ -637,6 +637,10 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
                  id="identities-trunc-cap"),
     pytest.param(["identities", "--trunc", str(10 ** 20)], 3,
                  id="identities-trunc-huge"),
+    pytest.param(["identities", "--per-n", "1", "--pairs", str(10 ** 10),
+                  "--trunc", "8"], 3, id="identities-pairs-cap"),
+    pytest.param(["identities", "--per-n", "1", "--pairs", str(10 ** 20),
+                  "--trunc", "8"], 3, id="identities-pairs-huge"),
     pytest.param(["check", "identity.json", *THM_B, "--angles", "1048577"], 3,
                  id="check-angles-cap"),
     pytest.param(["check", "identity.json", *THM_B, "--angles",

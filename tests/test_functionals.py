@@ -17,11 +17,12 @@ from starcert.functionals import (
     convex_quotient,
     identity_a_residual,
     identity_b_residual,
+    identity_parts,
     identity_sweep,
     lhs_a,
     lhs_b,
     mocanu_functional,
-    random_candidate,
+    random_candidates,
     starlike_quotient,
     unit_part,
     w_func,
@@ -54,6 +55,17 @@ def max_coeff_diff(a: Series, b: Series) -> float:
 
 N = 48
 RNG_SEED = 424242
+
+
+def random_candidate(n, trunc_order, rng):
+    """One random class member: a one-row block draw, as a candidate."""
+    return SchlichtCandidate(
+        n, Series(random_candidates(n, 1, trunc_order, rng)[0]))
+
+
+def parts(f):
+    """``R1`` and ``R2`` of one candidate, as a one-row block."""
+    return identity_parts(f.series.coeffs[None])
 
 
 def identity_f(order=N, n=1):
@@ -186,7 +198,7 @@ def test_proof_identity_a_random_sweep():
             f = random_candidate(n, N, rng)
             beta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             gamma = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            worst = max(worst, identity_a_residual(f, beta, gamma))
+            worst = max(worst, identity_a_residual(parts(f), beta, gamma))
     assert worst < 1e-10
 
 
@@ -198,7 +210,7 @@ def test_proof_identity_b_random_sweep():
             f = random_candidate(n, N, rng)
             beta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             gamma = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-            worst = max(worst, identity_b_residual(f, beta, gamma))
+            worst = max(worst, identity_b_residual(parts(f), beta, gamma))
     assert worst < 1e-10
 
 
@@ -276,6 +288,25 @@ def test_random_candidate_equals_hand_built_array(n):
     assert got.series.coeffs.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_random_candidates_draw_what_consecutive_rows_draw(n):
+    # a block of four rows is four hand-built draws in a row, and the
+    # stream goes on from where a row-by-row draw would leave it
+    rng = np.random.default_rng(RNG_SEED + n)
+    got = random_candidates(n, 4, N, rng)
+    ref = np.random.default_rng(RNG_SEED + n)
+    count = N - n
+    want = np.zeros((4, N + 1), dtype=np.complex128)
+    for row in want:
+        radii = 0.15 * 0.15 ** np.arange(count) * ref.uniform(0.5, 1.0, count)
+        phases = ref.uniform(0.0, 2.0 * np.pi, count)
+        row[1] = 1.0
+        row[n + 1 :] = radii * np.exp(1j * phases)
+    assert got.shape == (4, N + 1)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_identity_sweep_summary():
     res = identity_sweep(per_n=5, pairs=2, trunc_order=24, seed=99)
     assert res.functions == 15
@@ -302,6 +333,19 @@ def test_identity_sweep_refuses_an_order_outside_its_range(trunc, bound):
         f"identity sweep needs trunc_order {bound}, got {trunc}")
 
 
+@pytest.mark.parametrize("pairs", [65537, 10 ** 10, 10 ** 20])
+def test_identity_sweep_refuses_too_many_pairs(pairs):
+    with pytest.raises(ParameterError) as e:
+        identity_sweep(per_n=1, pairs=pairs, trunc_order=8, seed=0)
+    assert str(e.value) == f"identity sweep needs pairs <= 65536, got {pairs}"
+
+
+def test_identity_sweep_takes_as_many_pairs_as_its_cap():
+    res = identity_sweep(per_n=1, pairs=2 ** 16, trunc_order=5, seed=0)
+    assert res.pairs == 2 ** 16
+    assert max(res.max_residual_a, res.max_residual_b) < 1e-10
+
+
 @pytest.mark.parametrize("n, trunc, message", [
     (0, 8, "class index n must be >= 1, got 0"),
     (3, 4, "truncation order 4 too small for n=3; need at least 5"),
@@ -310,7 +354,7 @@ def test_random_candidate_refuses_before_it_draws(n, trunc, message):
     rng = np.random.default_rng(RNG_SEED)
     state = rng.bit_generator.state
     with pytest.raises(SeriesError) as e:
-        random_candidate(n, trunc, rng)
+        random_candidates(n, 1, trunc, rng)
     assert str(e.value) == message
     assert rng.bit_generator.state == state
 
@@ -388,9 +432,9 @@ def test_functionals_equal_series_operation_reference():
             assert np.array_equal(
                 lhs_b(f, beta, gamma).coeffs,
                 _combination_reference(f, beta, gamma, 0.0).coeffs)
-            assert (identity_a_residual(f, beta, gamma)
+            assert (identity_a_residual(parts(f), beta, gamma)
                     == _residual_a_reference(f, beta, gamma))
-            assert (identity_b_residual(f, beta, gamma)
+            assert (identity_b_residual(parts(f), beta, gamma)
                     == _residual_b_reference(f, beta, gamma))
         for alpha in (0.0, 0.3, 1.0, -0.5, 2.5):
             assert np.array_equal(
@@ -411,9 +455,9 @@ def test_pair_free_residuals_agree_with_the_product_form():
                  for _ in range(3)] + [(0.0, 1.0), (1.0 + 0j, 1.0 + 0j)]
         for beta, gamma in pairs:
             bound = eps * (abs(beta) + abs(gamma)) * norm
-            assert (abs(identity_a_residual(f, beta, gamma)
+            assert (abs(identity_a_residual(parts(f), beta, gamma)
                         - _product_residual_a(f, beta, gamma)) <= bound)
-            assert (abs(identity_b_residual(f, beta, gamma)
+            assert (abs(identity_b_residual(parts(f), beta, gamma)
                         - _product_residual_b(f, beta, gamma)) <= bound)
 
 

@@ -1,6 +1,8 @@
 """The per-candidate quotient cache: each of ``zf'/f``, ``1 + zf''/f'`` and
 ``w``, and the reciprocal of ``f'`` the last two share, is built once per
-candidate, and sharing it changes no result.
+candidate, and sharing it changes no result.  The identity sweep builds the
+same series for a block of candidates at a time, outside the cache, with
+the same bits.
 
 The uncached reference is built here, on a fresh ``SchlichtCandidate`` with
 the same series for every call, so no call can see another's quotients.
@@ -28,10 +30,11 @@ from starcert.functionals import (
     convex_quotient,
     identity_a_residual,
     identity_b_residual,
+    identity_parts,
     identity_sweep,
     lhs_a,
     mocanu_functional,
-    random_candidate,
+    random_candidates,
     starlike_quotient,
     unit_part,
     w_func,
@@ -55,6 +58,12 @@ FAMILY_KIND = {ExtremalFamily.EXTREMAL_A: CriterionKind.THM_A,
 def fresh(f: SchlichtCandidate) -> SchlichtCandidate:
     """The same function as ``f`` with an empty quotient cache."""
     return SchlichtCandidate(f.n, f.series)
+
+
+def random_candidate(n, trunc_order, rng):
+    """One random class member: a one-row block draw, as a candidate."""
+    return SchlichtCandidate(
+        n, Series(random_candidates(n, 1, trunc_order, rng)[0]))
 
 
 def shift(a: Series, k: int) -> Series:
@@ -142,8 +151,10 @@ def test_identity_sweep_matches_uncached_reference():
         for _ in range(per_n):
             f = random_candidate(n, trunc, rng)
             for beta, gamma in bg:
-                worst_a = max(worst_a, identity_a_residual(fresh(f), beta, gamma))
-                worst_b = max(worst_b, identity_b_residual(fresh(f), beta, gamma))
+                worst_a = max(worst_a, identity_a_residual(
+                    reference_parts(f), beta, gamma))
+                worst_b = max(worst_b, identity_b_residual(
+                    reference_parts(f), beta, gamma))
     assert (got.max_residual_a, got.max_residual_b) == (worst_a, worst_b)
 
 
@@ -193,9 +204,9 @@ def test_identity_sweep_builds_two_reciprocals_per_candidate(reciprocal_calls,
 
 @pytest.fixture
 def sweep_work(monkeypatch):
-    """Identity-part builds, and calls functionals makes to ``w_func``, the
-    product and derivative kernels and the two residuals; and every
-    ``Series`` constructed."""
+    """Calls functionals makes to the cached quotients, the product and
+    derivative kernels and the two residuals; and every ``Series``
+    constructed."""
     counts = collections.Counter()
 
     def counting(name, original):
@@ -204,38 +215,103 @@ def sweep_work(monkeypatch):
             return original(*args)
         return count
 
-    for name in ("w_func", "_mul", "_derivative", "identity_a_residual",
-                 "identity_b_residual"):
+    for name in ("starlike_quotient", "convex_quotient", "w_func", "_mul",
+                 "_derivative", "identity_a_residual", "identity_b_residual"):
         monkeypatch.setattr(functionals, name,
                             counting(name, getattr(functionals, name)))
-    monkeypatch.setattr(functionals, "_identity_parts",
-                        functionals._once_per_candidate(counting(
-                            "parts", functionals._identity_parts.__wrapped__)))
     monkeypatch.setattr(series.Series, "__post_init__",
                         counting("Series", series.Series.__post_init__))
     return counts
 
 
+def cache_snapshot():
+    """Each cached candidate with the objects its cache entry holds."""
+    return [(f, list(store.items()))
+            for f, store in functionals._quotients.items()]
+
+
+def assert_cache_unchanged(before):
+    after = cache_snapshot()
+    assert len(after) == len(before)
+    for (f, entry), (g, want) in zip(after, before):
+        assert f is g
+        assert [k for k, _ in entry] == [k for k, _ in want]
+        assert all(v is w for (_, v), (_, w) in zip(entry, want))
+
+
 @pytest.mark.parametrize("pairs", [1, 3, 5])
 def test_identity_sweep_builds_pair_parts_once_per_candidate(sweep_work, pairs):
+    held = builtin_candidate("koebe", 16)
+    starlike_quotient(held)
+    w_func(held)
+    before = cache_snapshot()
+    sweep_work.clear()
     res = identity_sweep(per_n=2, pairs=pairs, trunc_order=24,
                          seed=20240801)
     assert res.functions == 6
-    # R1 and R2 are built once per candidate, and w looked up once, by them
-    assert sweep_work["parts"] == res.functions
-    assert sweep_work["w_func"] == res.functions
-    # one call per identity takes every (beta, gamma) pair at once
-    assert sweep_work["identity_a_residual"] == res.functions
-    assert sweep_work["identity_b_residual"] == res.functions
+    # the six candidates are one block, which never enters the cache
+    assert sweep_work["starlike_quotient"] == 0
+    assert sweep_work["convex_quotient"] == 0
+    assert sweep_work["w_func"] == 0
+    assert_cache_unchanged(before)
+    # one call per identity takes every (beta, gamma) pair over the block
+    assert sweep_work["identity_a_residual"] == 1
+    assert sweep_work["identity_b_residual"] == 1
     # zf'/f, 1 + zf''/f' and w are one product each with a reciprocal, R1
-    # and R2 two more; f' for zf'/f, for 1/f' and for zf'' are the
-    # derivatives, while zf'' and z w' each scale by the orders; no pair
-    # adds either
+    # and R2 two more; f' is one derivative for the whole block, which zf''
+    # and z w' scale by the orders; no pair adds either
     assert sweep_work["_mul"] == 5 * res.functions
-    assert sweep_work["_derivative"] == 3 * res.functions
-    # the candidate and the five cached series zf'/f, 1 + zf''/f', w, R1,
-    # R2; f/z, f' and the two reciprocals stay arrays
-    assert sweep_work["Series"] <= 6 * res.functions
+    assert sweep_work["_derivative"] == 1
+    # the candidates, f/z, f', the reciprocals and every part stay arrays
+    assert sweep_work["Series"] == 0
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 7, 20])
+def test_identity_sweep_is_the_same_across_block_boundaries(monkeypatch,
+                                                            sweep_work, rows):
+    per_n, pairs, trunc, seed = 7, 3, 40, 5
+    want = identity_sweep(per_n=per_n, pairs=pairs, trunc_order=trunc,
+                          seed=seed)
+    # the per-candidate reference: one-row draws, the residuals of each
+    # candidate's uncached Series-operation parts, pair by pair
+    rng = np.random.default_rng(seed)
+    bg = rng.uniform(-1, 1, (pairs, 4)).view(np.complex128)
+    worst_a = worst_b = 0.0
+    for n in (1, 2, 3):
+        for _ in range(per_n):
+            f = random_candidate(n, trunc, rng)
+            for beta, gamma in bg:
+                worst_a = max(worst_a, identity_a_residual(
+                    reference_parts(f), beta, gamma))
+                worst_b = max(worst_b, identity_b_residual(
+                    reference_parts(f), beta, gamma))
+    assert (want.max_residual_a, want.max_residual_b) == (worst_a, worst_b)
+    # blocks of ``rows`` candidates, which straddle the class boundaries
+    monkeypatch.setattr(functionals, "_BLOCK_ELEMENTS",
+                        rows * pairs * (trunc + 1))
+    sweep_work.clear()
+    got = identity_sweep(per_n=per_n, pairs=pairs, trunc_order=trunc,
+                         seed=seed)
+    assert got == want
+    blocks = -(-3 * per_n // rows)
+    assert sweep_work["identity_a_residual"] == blocks
+    assert sweep_work["identity_b_residual"] == blocks
+    assert sweep_work["_derivative"] == blocks
+    assert sweep_work["_mul"] == 5 * got.functions
+
+
+def test_a_block_residual_is_the_largest_row_residual():
+    rng = np.random.default_rng(21)
+    block = np.concatenate([random_candidates(n, 4, 32, rng) for n in (1, 2, 3)])
+    beta = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
+    gamma = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
+    r1, r2 = identity_parts(block)
+    for residual in (identity_a_residual, identity_b_residual):
+        got = residual((r1, r2), beta, gamma)
+        rows = [residual(identity_parts(row[None]), beta, gamma)
+                for row in block]
+        assert got.tobytes() == np.max(rows, axis=0).tobytes()
+        assert residual((r1, r2), beta[2], gamma[2]) == got[2]
 
 
 def add(a: Series, b: Series) -> Series:
@@ -265,6 +341,18 @@ def _series_reference(f: SchlichtCandidate):
     return p, q, w, r1, r2
 
 
+def reference_parts(f: SchlichtCandidate):
+    """``R1`` and ``R2`` of ``f`` as the public Series operations build
+    them, on a candidate with an empty cache."""
+    r1, r2 = _series_reference(f)[3:]
+    return r1.coeffs, r2.coeffs
+
+
+def parts(f: SchlichtCandidate):
+    """``R1`` and ``R2`` of one candidate, as a one-row block."""
+    return identity_parts(f.series.coeffs[None])
+
+
 def reference_candidates():
     rng = np.random.default_rng(18)
     out = sample_candidates()
@@ -278,11 +366,14 @@ def reference_candidates():
 
 def test_functionals_equal_the_series_operation_reference():
     for f in reference_candidates():
-        got = (starlike_quotient(f), convex_quotient(f), w_func(f),
-               *functionals._identity_parts(f))
-        for s, want in zip(got, _series_reference(f)):
-            assert s.coeffs.tobytes() == want.coeffs.tobytes()
+        want = _series_reference(f)
+        got = (starlike_quotient(f), convex_quotient(f), w_func(f))
+        for s, ref in zip(got, want):
+            assert s.coeffs.tobytes() == ref.coeffs.tobytes()
             assert not s.coeffs.flags.writeable
+        for r, ref in zip(parts(f), want[3:]):
+            assert r.shape == (1, f.trunc_order)
+            assert r[0].tobytes() == ref.coeffs.tobytes()
 
 
 def test_array_residuals_equal_the_scalar_calls():
@@ -291,10 +382,10 @@ def test_array_residuals_equal_the_scalar_calls():
         beta = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
         gamma = rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6)
         for residual in (identity_a_residual, identity_b_residual):
-            got = residual(f, beta, gamma)
+            got = residual(parts(f), beta, gamma)
             assert got.shape == (6,)
             for b, g, r in zip(beta, gamma, got):
-                one = residual(f, complex(b), complex(g))
+                one = residual(parts(f), complex(b), complex(g))
                 assert type(one) is float
                 assert r == one
 
@@ -373,19 +464,15 @@ def test_overflowing_candidates_keep_their_refusals(k, c, order, call,
     assert [f"{w.category.__name__}: {w.message}" for w in seen] == warns
 
 
-def test_identity_parts_are_shared_and_read_only():
-    f = sample_candidates()[1]
-    parts = functionals._identity_parts(f)
-    identity_a_residual(f, 0.3, 1.0 - 0.5j)
-    identity_b_residual(f, -0.2j, 0.7)
-    assert functionals._identity_parts(f) is parts
-    r1, r2 = parts
-    for s in (r1, r2):
-        assert not s.coeffs.flags.writeable
-        with pytest.raises(ValueError):
-            s.coeffs[0] = 1.0
-    # P(1 + w) - 1 and Q(1 + w) - 1 + z w' have exact zero constant terms
-    assert r1.coeffs[0] == 0 and r2.coeffs[0] == 0
+def test_identity_parts_have_exact_zero_constant_terms():
+    rng = np.random.default_rng(22)
+    for trunc in (5, 8, 48, 130):
+        block = np.concatenate([random_candidates(n, 3, trunc, rng)
+                                for n in (1, 2, 3)])
+        r1, r2 = identity_parts(block)
+        assert r1.shape == r2.shape == (9, trunc)
+        # P(1 + w) - 1 and Q(1 + w) - 1 + z w' have exact zero constant terms
+        assert np.all(r1[:, 0] == 0) and np.all(r2[:, 0] == 0)
 
 
 @pytest.mark.parametrize("kind", [

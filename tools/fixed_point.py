@@ -20,7 +20,9 @@ It takes no options and reads ``starcert`` from ``PYTHONPATH``.  Groups:
   self-check), a COEFFS ``check`` at the default sampling flags with and
   without ``--no-refine``, two ``jack`` runs on an extremal and a
   builtin spec, the ``identities`` run of the benchmark's identities
-  workload, and a MOCANU ``check`` of a convex trunc-256 COEFFS spec,
+  workload, an ``identities`` run of 3,000 candidates (``--per-n 1000``
+  at the default pairs, order and seed), which the sweep takes in several
+  blocks, and a MOCANU ``check`` of a convex trunc-256 COEFFS spec,
   whose report echoes its 255 coefficient pairs, all through
   ``cli.main``: exit code, stdout and stderr
   with the scratch directory written ``<tmp>``, and the bytes of the
@@ -197,9 +199,11 @@ def _cli_runs(tmp: Path):
           "--gamma", "1", "--alpha", "0.5", "--no-refine"], True),
         (["jack", path["ext_b"], "--radius", "0.9"], True),
         (["jack", path["koebe"], "--radius", "0.5"], True),
-        # the identities workload's invocation, and a long COEFFS echo
+        # the identities workload's invocation, a sweep of several blocks,
+        # and a long COEFFS echo
         (["identities", "--per-n", "4", "--pairs", "5", "--trunc", "48",
           "--seed", "7"], True),
+        (["identities", "--per-n", "1000"], True),
         (["check", path["convex256"], "--kind", "MOCANU", "--alpha", "0.5"],
          True),
     ]

@@ -31,9 +31,11 @@ Reports are written as JSON with a ``timestamp`` header and a ``report``
 body; the body is deterministic for identical inputs and tool version.  It
 is rendered in one walk over the report objects, and its text equals
 ``json.dumps(sort_keys=True, indent=2)`` of their plain form (see
-:func:`_render`).  A report replaces a regular file as a new file, never by
-truncating it, so a process crash leaves no partial report behind (see
-:func:`write_report`); an empty or unwritable ``--out`` is a usage error.
+:func:`_render`); a list of floats, or of float rows of one length, is
+written by one join.  A report replaces a regular file as a new file,
+never by truncating it, so a process crash leaves no partial report
+behind (see :func:`write_report`); an empty or unwritable ``--out`` is a
+usage error.
 """
 
 from __future__ import annotations
@@ -287,32 +289,17 @@ _FLOATS = {float}
 _ROWS = {list, tuple}
 
 
-def _float_items(values, pad: str) -> str:
-    """JSON list of floats at indent ``pad``: ``float.__repr__`` for each,
-    non-finite ones spelled as strings.  A finite repr has no 'n'."""
-    inner = pad + "  "
-    sep = ",\n" + inner
-    text = sep.join(map(float.__repr__, values))
-    if "n" in text:
-        text = sep.join(_NONFINITE.get(s, s) for s in map(float.__repr__, values))
-    return "[\n" + inner + text + "\n" + pad + "]"
-
-
-def _float_table(rows, pad: str) -> str | None:
-    """JSON list of float rows at indent ``pad`` (a COEFFS echo), each row
-    as :func:`_float_items` writes it, in one join over every item; None
-    unless the rows, lists or tuples, are non-empty, of one length and
-    hold plain floats only."""
-    width = len(rows[0])
-    if not width or set(map(len, rows)) != {width}:
-        return None
-    flat = list(itertools.chain.from_iterable(rows))
-    if set(map(type, flat)) != _FLOATS:
-        return None
-    items = map(float.__repr__, flat)
-    if not math.isfinite(sum(flat)):  # a non-finite item, or an overflow
+def _floats(values, pad: str, width: int = 0) -> str:
+    """JSON list of the plain floats ``values`` at indent ``pad``:
+    ``float.__repr__`` for each, non-finite ones spelled as strings; with
+    a ``width``, a list of rows of that many (a COEFFS echo).  One join
+    over every item either way."""
+    items = map(float.__repr__, values)
+    if not math.isfinite(sum(values)):  # a non-finite item, or an overflow
         items = (_NONFINITE.get(s, s) for s in items)
     inner = pad + "  "
+    if not width:
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     cell = inner + "  "
     text = ("\n" + inner + "],\n" + inner + "[\n" + cell).join(
         map((",\n" + cell).join, zip(*[items] * width)))
@@ -334,11 +321,13 @@ def _render(obj, pad: str) -> str:
             return "[]"
         kinds = set(map(type, obj))
         if kinds == _FLOATS:
-            return _float_items(obj, pad)
-        if kinds <= _ROWS:
-            table = _float_table(obj, pad)
-            if table is not None:
-                return table
+            return _floats(obj, pad)
+        # rows of one length, non-empty, of plain floats: one table
+        width = len(obj[0]) if kinds <= _ROWS else 0
+        if width and set(map(len, obj)) == {width}:
+            flat = list(itertools.chain.from_iterable(obj))
+            if set(map(type, flat)) == _FLOATS:
+                return _floats(flat, pad, width)
         inner = pad + "  "
         return ("[\n" + inner + (",\n" + inner).join(
             [_render(v, inner) for v in obj]) + "\n" + pad + "]")
@@ -370,7 +359,7 @@ def _render(obj, pad: str) -> str:
     if isinstance(obj, np.floating):
         return _render(float(obj), pad)
     if isinstance(obj, (complex, np.complexfloating)):
-        return _float_items((float(obj.real), float(obj.imag)), pad)
+        return _floats((float(obj.real), float(obj.imag)), pad)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 

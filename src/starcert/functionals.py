@@ -13,10 +13,10 @@ other functional only recombines them with beta, gamma, alpha or a
 centre.  So each reciprocal and each quotient is built at most once per
 candidate and kept in this module's cache, keyed by the candidate and
 dropped with it; later calls, for any parameters, return the same
-read-only series.  Each quotient's formula is one function on coefficient
-arrays, composed from ``f/z``, ``f'`` and ``zf''`` with the series
-kernels; the cached builders box only the values the cache hands to
-callers as :class:`Series`, which checks them finite.  ``1/f'`` is cached
+read-only series.  Each quotient is composed on coefficient arrays from
+``f/z`` (the coefficients past ``c0``), ``f'`` and ``zf''`` with the
+series kernels; the cached builders box only the values the cache hands
+to callers as :class:`Series`, which checks them finite.  ``1/f'`` is cached
 as a read-only array; the checked reciprocal refuses a non-finite ``f'``,
 a non-unit divisor or a non-finite result, as a box of each would.
 
@@ -26,11 +26,11 @@ gamma R2`` (A) and ``beta R1 + gamma R2`` (B), where ``R1 = P(1 + w) - 1``
 and ``R2 = Q(1 + w) - 1 + z w'`` vanish in exact arithmetic.  The
 identity sweep lays its random candidates out as rows of one coefficient
 block and builds ``R1`` and ``R2`` for every row with the same array
-functions and kernels, so a row has the bits of its cached build; no
-sweep candidate enters the cache.  A (beta, gamma) pair costs no product,
-and arrays of beta and gamma take every pair over every row of a block
-in one elementwise expression, each entry with the bits of its scalar
-call.
+functions and kernels, taking ``1 + w`` as the one product ``u (1/f')``,
+so a row has the bits of its cached build; no sweep candidate enters the
+cache.  A (beta, gamma) pair costs no product, and arrays of beta and
+gamma take every pair over every row of a block in one elementwise
+expression, each entry with the bits of its scalar call.
 That cache is the one piece of state here: neither a candidate nor a
 cached series can change, so sharing changes no result.
 """
@@ -65,12 +65,6 @@ class FunctionalKind(Enum):
 
 class ParameterError(ValueError):
     """Scalar parameter outside its admissible range."""
-
-
-def unit_part(f: SchlichtCandidate) -> Series:
-    """``u = f/z``: the candidate's ``c0`` is exactly 0, so dropping it
-    divides by ``z``, and the constant term is its ``c1``, exactly 1."""
-    return Series(f.series.coeffs[1:])
 
 
 # Candidate -> {builder: what it built}; a candidate hashes by identity.
@@ -132,18 +126,12 @@ def convex_quotient(f: SchlichtCandidate) -> Series:
     return Series(_convex(_z_derivative(_derivative(f.series.coeffs)), inv))
 
 
-def _w(c: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """``w = f/(z f') - 1`` of one row from the coefficients of ``f`` and
-    ``1/f'``."""
-    w = _mul(c[1:], inv)
-    w[0] += -1.0  # not -= 1.0, which keeps a -0.0 imaginary part
-    return w
-
-
 @_once_per_candidate
 def w_func(f: SchlichtCandidate) -> Series:
     """``w = f/(z f') - 1``; vanishes to order >= n for class index n."""
-    return Series(_w(f.series.coeffs, _fprime_reciprocal(f)))
+    w = _mul(f.series.coeffs[1:], _fprime_reciprocal(f))
+    w[0] += -1.0  # not -= 1.0, which keeps a -0.0 imaginary part
+    return Series(w)
 
 
 def _combination(f: SchlichtCandidate, x: complex, y: complex,
@@ -188,24 +176,24 @@ def identity_parts(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The derivatives are taken once for the block; the two reciprocals and
     five products run per row, with the kernels the cached quotients use,
-    so each row has the bits of a build from those quotients.
+    so each row has the bits of a build from those quotients.  ``1 + w``
+    is the product ``(f/z)(1/f')``, whose constant term is exactly 1, and
+    ``z w'`` is ``z (1 + w)'``.
     """
     fprime = _derivative(c)
     zf2 = _z_derivative(fprime)
-    w = np.empty_like(fprime)
+    one_plus_w = np.empty_like(fprime)
     r1 = np.empty_like(fprime)
     r2 = np.empty_like(fprime)
     for i, row in enumerate(c):
         p = _starlike(row, fprime[i])
         inv = _checked_reciprocal(fprime[i])
-        w[i] = _w(row, inv)
-        one_plus_w = w[i].copy()
-        one_plus_w[0] += 1.0
-        r1[i] = _mul(p, one_plus_w)
-        r2[i] = _mul(_convex(zf2[i], inv), one_plus_w)
+        one_plus_w[i] = _mul(row[1:], inv)
+        r1[i] = _mul(p, one_plus_w[i])
+        r2[i] = _mul(_convex(zf2[i], inv), one_plus_w[i])
     r1[:, 0] += -1.0
     r2[:, 0] += -1.0
-    r2 += _z_derivative(w)
+    r2 += _z_derivative(one_plus_w)
     return r1, r2
 
 
@@ -269,8 +257,9 @@ def random_candidates(n: int, count: int, trunc_order: int,
 MAX_PAIRS = 2 ** 16
 # Elements in the largest temporary of one sweep block, the residual
 # expression over (pair, row, order): a block holds
-# max(1, _BLOCK_ELEMENTS // (pairs (N + 1))) candidates, so a sweep's
-# memory does not grow with its number of candidates.
+# max(1, _BLOCK_ELEMENTS // (pairs (N + 1))) candidates and its residuals
+# take max(1, _BLOCK_ELEMENTS // (N + 1)) pairs at a time, so a sweep's
+# memory grows neither with its candidates nor with its pairs.
 _BLOCK_ELEMENTS = 2 ** 14
 
 
@@ -294,7 +283,9 @@ def identity_sweep(per_n: int, pairs: int, trunc_order: int,
     cannot be made (class 3 needs ``trunc_order >= 5``), or whose pairs or
     order exceed their caps, is refused.  The candidates are drawn, in
     class order, as blocks of coefficient rows, and each block's
-    residuals are taken for every pair by one call per identity.
+    residuals are taken by one call per identity and slice of pairs (one
+    slice unless ``pairs (N + 1)`` exceeds ``_BLOCK_ELEMENTS``); the
+    largest residual does not depend on the slicing.
     """
     if per_n < 1 or pairs < 1:
         raise ParameterError(
@@ -313,6 +304,7 @@ def identity_sweep(per_n: int, pairs: int, trunc_order: int,
     # rows (Re beta, Im beta, Re gamma, Im gamma), drawn in that order
     beta, gamma = rng.uniform(-1, 1, (pairs, 4)).view(np.complex128).T
     rows = max(1, _BLOCK_ELEMENTS // (pairs * (trunc_order + 1)))
+    step = max(1, _BLOCK_ELEMENTS // (trunc_order + 1))
     total = 3 * per_n
     worst_a = 0.0
     worst_b = 0.0
@@ -325,8 +317,10 @@ def identity_sweep(per_n: int, pairs: int, trunc_order: int,
                                 for n, count in counts if count > 0])
         _require_finite(block)
         parts = identity_parts(block)
-        worst_a = max(worst_a, float(identity_a_residual(parts, beta, gamma).max()))
-        worst_b = max(worst_b, float(identity_b_residual(parts, beta, gamma).max()))
+        for lo in range(0, pairs, step):
+            b, g = beta[lo:lo + step], gamma[lo:lo + step]
+            worst_a = max(worst_a, float(identity_a_residual(parts, b, g).max()))
+            worst_b = max(worst_b, float(identity_b_residual(parts, b, g).max()))
     return IdentitySweepResult(
         max_residual_a=worst_a,
         max_residual_b=worst_b,

@@ -10,10 +10,10 @@ gains more than that rounding tolerance.  The steps do their arithmetic
 on Python floats, which round as numpy's scalars do.  :func:`check_criterion`
 samples each criterion's strict inequalities in one straight line, each
 with an explicit margin; proves ``f/z`` and ``f'`` zero-free from their
-coefficients where it can and otherwise counts their zeros by the argument
-principle (on samples scaled by one power of two, so the phase products
-cannot overflow); and :func:`jack_demo` demonstrates the boundary-maximum
-lemma numerically.
+coefficient arrays where it can and otherwise samples them and counts
+their zeros by the argument principle (on samples scaled by one power of
+two, so the phase products cannot overflow); and :func:`jack_demo`
+demonstrates the boundary-maximum lemma numerically.
 
 A passing verdict is always ``CERTIFIED_SAMPLED``: every sampled point
 satisfies each strict inequality, the modulus hypothesis with its heuristic
@@ -35,7 +35,8 @@ from .series import (
     Series,
     SchlichtCandidate,
     SeriesError,
-    derivative,
+    _derivative,
+    _require_finite,
     evaluate_grid,
     radius_powers,
     tail_estimate,
@@ -48,7 +49,6 @@ from .functionals import (
     lhs_b,
     mocanu_functional,
     starlike_quotient,
-    unit_part,
 )
 from .criteria import CriterionKind, CriterionParams, CriterionSpec, build_spec
 
@@ -319,13 +319,20 @@ def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig):
     nonzero argument-principle count (untrusted, so also flagged, when a
     phase step reaches pi/2) reported at the sample of least modulus, is a
     violation.  A zero-free polynomial has its least modulus on the
-    boundary, so near-zeros inside show on this circle too."""
+    boundary, so near-zeros inside show on this circle too.  Both run on
+    the coefficient arrays, ``c[1:]`` and ``f'``; an ``f'`` that
+    overflows is refused before either is looked at, and only a sampled
+    one is boxed as a :class:`Series`."""
     circle = Circle(cfg.radii[-1], cfg.angles)
+    c = f.series.coeffs
+    with np.errstate(over="ignore"):  # an overflow is the refusal below
+        fprime = _derivative(c)
+    _require_finite(fprime)
     out = []
-    for label, s in (("f/z", unit_part(f)), ("f'", derivative(f.series))):
-        if _zero_free(s.coeffs, circle.r):
+    for label, b in (("f/z", c[1:]), ("f'", fprime)):
+        if _zero_free(b, circle.r):
             continue
-        vals = evaluate_grid(s, circle)
+        vals = evaluate_grid(Series(b), circle)
         mags = np.abs(vals)
         bad = (mags < _DENOM_FLOOR).nonzero()[0]
         if not bad.size:

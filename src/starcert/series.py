@@ -11,21 +11,21 @@ factors the ``z^c`` part out symbolically, and :func:`pow_unit`,
 :func:`exp_unit`, :func:`log_unit` stay on the principal branch anchored
 at the unit constant term.
 The truncated product and the term-wise derivative are each one array
-kernel, ``_mul`` and ``_derivative``; :func:`mul` and :func:`derivative`
-box their results as a :class:`Series`, and a caller that composes
-several steps (``functionals``) runs the kernels on coefficient arrays
-and boxes only what it keeps.  The derivative and :func:`exp_unit`
-weight by one cached, read-only row of orders ``k``.
-:func:`reciprocal` builds ``1/b`` from an eight-term forward substitution
-and then Newton iteration in O(log N) convolutions, each step's residual
-a middle product.  Its array form ``_checked_reciprocal`` is the one
-place a divisor is checked: finite, with a unit constant term, and a
-finite result.  :func:`div` is a product with it, so a caller dividing by
-one series several times builds its reciprocal once; :func:`log_unit`
-runs the same iteration on its unit-constant argument.  :func:`exp_unit`
-keeps its O(N^2) recurrence, which holds the relative accuracy of small
-coefficients; it fills its result back to front, so each step's dot
-product reads two forward slices.  Both loops give the bits of their
+kernel, ``_mul`` and ``_derivative``; a caller that composes several
+steps (``functionals``, the denominator monitor) runs them on coefficient
+arrays and boxes only what it keeps, and :func:`mul` boxes one product.
+The derivative and :func:`exp_unit` weight by one cached, read-only row
+of orders ``k``.  ``_reciprocal`` builds ``1/b`` from an eight-term
+forward substitution and then Newton iteration in O(log N) convolutions,
+each step's residual a middle product.  ``_checked_reciprocal`` is the
+one checked entry to it and the one place a divisor is checked: finite,
+with a unit constant term, and a finite result.  :func:`div` is a
+product with it, so a caller dividing by one series several times builds
+the reciprocal once; :func:`log_unit` runs the same iteration on its
+unit-constant argument.  :func:`exp_unit` keeps its O(N^2) recurrence,
+which holds the relative accuracy of small coefficients; it fills its
+result back to front, so each step's dot product reads two forward
+slices.  Both loops give the bits of their
 textbook forms (full product, negative-stride view).
 :func:`evaluate_grid` samples a series on a :class:`Circle` by one FFT, the
 one way a series is read off a circle.
@@ -197,20 +197,11 @@ def _checked_reciprocal(b: np.ndarray) -> np.ndarray:
     return x
 
 
-def reciprocal(b: Series) -> Series:
-    """``1/b`` to the order of ``b``, by Newton iteration.
-
-    Requires a unit divisor: ``|b0|`` must clear ``UNIT_TOL`` relative to
-    the largest retained coefficient of ``b``.
-    """
-    return Series(_checked_reciprocal(b.coeffs))
-
-
 def div(a: Series, b: Series) -> Series:
     """Series quotient ``q`` with ``mul(q, b) == a`` to truncation: ``a``
-    times the :func:`reciprocal` of ``b`` cut to the common order."""
+    times the checked reciprocal of ``b`` cut to the common order."""
     m = min(a.trunc_order, b.trunc_order)
-    return mul(a, reciprocal(Series(b.coeffs[: m + 1])))
+    return mul(a, Series(_checked_reciprocal(b.coeffs[: m + 1])))
 
 
 @functools.lru_cache(maxsize=128)
@@ -226,16 +217,6 @@ def _derivative(c: np.ndarray) -> np.ndarray:
     """Term-wise derivative of the coefficients ``c0..cN``: ``k c_k`` for
     ``k = 1..N``; of each row when ``c`` stacks several series."""
     return c[..., 1:] * _orders(c.shape[-1])[1:]
-
-
-def derivative(a: Series) -> Series:
-    """Term-wise derivative; truncation order drops by one.  A coefficient
-    that overflows is refused by the ``Series`` finiteness check."""
-    if a.trunc_order == 0:
-        return Series(np.zeros(1, dtype=np.complex128))
-    with np.errstate(over="ignore"):  # an overflow is the refusal below
-        d = _derivative(a.coeffs)
-    return Series(d)
 
 
 def exp_unit(a: Series) -> Series:

@@ -193,6 +193,17 @@ def test_check_refused_conclusion_exit_1(tmp_path, capsys):
     assert "skipped radii (tail heuristic refused): [0.5, 0.8, 0.9]" in out
 
 
+def test_check_denominator_zero_exit_2(tmp_path, capsys):
+    # f' vanishes inside the outer circle while the hypothesis and the
+    # conclusion certify (test_oracle, the same input)
+    spec = write_spec(tmp_path, "f.json", {"kind": "COEFFS", "n": 1,
+                                           "trunc": 64, "coeffs": [[0.55, 0]]})
+    code = main(["check", spec, "--kind", "LEMMA_B", "--beta", "1",
+                 "--gamma", "1e-5", "--rho", "1000"])
+    assert code == 2
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: DEGENERATE"
+
+
 def test_check_escalation_exit_1(tmp_path, capsys):
     # the certified-hypothesis, failed-conclusion case of
     # test_oracle::test_certified_hypothesis_with_failed_conclusion_escalates
@@ -512,6 +523,11 @@ ERROR_SPECS = {
     # finite coefficients whose derivative overflows
     "ovf_derivative.json": {"kind": "COEFFS", "n": 1, "trunc": 8,
                             "coeffs": [[1e308, 0]] * 3},
+    "list.json": [1, 2],
+    "coeffs_object.json": {"kind": "COEFFS", "n": 1, "trunc": 8,
+                           "coeffs": {"a": 1}},
+    "no_gamma.json": {"kind": "EXTREMAL_B", "n": 1, "trunc": 64,
+                      "extremal": {"alpha": 0.5, "beta": [1, 0]}},
     "latin1.json": ('{"kind": "BUILTIN", "builtin": "identity", "n": 1, '
                     '"trunc": 32, "note": "\u00e9"}').encode("latin-1"),
     # truncation orders above the cap of 2**16, refused before any array
@@ -597,6 +613,35 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
                   "nan", "--gamma", "1", "--rho", "1"], 3, id="check-beta-nan"),
     pytest.param(["check", "identity.json", "--kind", "THM_B", "--beta", "1",
                   "--gamma", "inf", "--alpha", "0.5"], 3, id="check-gamma-inf"),
+    # refusals with the opening words of their stderr line
+    pytest.param(["check", "identity.json", "--kind", "THM_B", "--beta",
+                  "1,2,3", "--gamma", "1", "--alpha", "0.5"],
+                 (3, "usage error: expected a complex scalar"),
+                 id="check-beta-three-parts"),
+    pytest.param(["check", "identity.json", "--kind", "THM_B", "--beta", "x",
+                  "--gamma", "1", "--alpha", "0.5"],
+                 (3, "usage error: expected a complex scalar"),
+                 id="check-beta-not-a-number"),
+    pytest.param(["check", "identity.json", *THM_B, "--radii", "0.5,x"],
+                 (3, "usage error: expected comma-separated radii"),
+                 id="check-radii-not-numbers"),
+    pytest.param(["check", "list.json", *THM_B],
+                 (3, "spec file error: spec file must hold a JSON object"),
+                 id="spec-not-an-object"),
+    pytest.param(["check", "coeffs_object.json", *THM_B],
+                 (3, "spec file error: field 'coeffs': list of [re, im] "
+                     "pairs required"), id="spec-coeffs-not-a-list"),
+    pytest.param(["check", "no_gamma.json", *THM_B],
+                 (3, "spec file error: field 'extremal': object with "
+                     "exactly alpha, beta, gamma required"),
+                 id="spec-extremal-without-gamma"),
+    pytest.param(["check", "identity.json", "--kind", "THM_B", "--beta", "0.1",
+                  "--gamma", "1"],
+                 (3, "parameter error: THM_B requires alpha"),
+                 id="check-theorem-without-alpha"),
+    pytest.param(["jack", "half_z.json", "--order", "0"],
+                 (3, "parameter error: vanishing order must be >= 1, got 0"),
+                 id="jack-order-0"),
     # spec files hold UTF-8 JSON, whose numbers are finite
     pytest.param(["check", "nan_coeff.json", *THM_B], 3, id="spec-nan-coeff"),
     pytest.param(["jack", "nan_coeff.json"], 3, id="jack-spec-nan-coeff"),
@@ -648,6 +693,8 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
 ])
 def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, monkeypatch,
                                              argv, expected):
+    # ``expected`` is the exit code, or the code and the line's opening words
+    expected, prefix = expected if isinstance(expected, tuple) else (expected, "")
     monkeypatch.chdir(tmp_path)  # a relative --out lands in tmp_path
     for name, payload in ERROR_SPECS.items():
         if isinstance(payload, bytes):
@@ -661,6 +708,7 @@ def test_error_exit_code_and_one_stderr_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
+    assert err.startswith(prefix), err
 
 
 def test_jack_refuses_an_overflowing_circle_without_warning(tmp_path, capsys):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from starcert import series
 from starcert.series import (
     Series,
     SchlichtCandidate,
     SeriesError,
     builtin_candidate,
-    derivative,
     div,
     mul,
     scale,
@@ -24,7 +24,6 @@ from starcert.functionals import (
     mocanu_functional,
     random_candidates,
     starlike_quotient,
-    unit_part,
     w_func,
 )
 
@@ -32,6 +31,16 @@ from starcert.functionals import (
 def shift(a: Series, k: int) -> Series:
     """``z^k a``: ``k`` zeros in front of the coefficients."""
     return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
+
+
+def derivative(a: Series) -> Series:
+    """``a'``, one order shorter: the term-wise derivative kernel, boxed."""
+    return Series(series._derivative(a.coeffs))
+
+
+def unit_part(f: SchlichtCandidate) -> Series:
+    """``u = f/z``: the candidate's coefficients past ``c0``."""
+    return Series(f.series.coeffs[1:])
 
 
 def add(a: Series, b: Series) -> Series:

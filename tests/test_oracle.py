@@ -14,7 +14,6 @@ from starcert.series import (
     Series,
     SchlichtCandidate,
     builtin_candidate,
-    derivative,
     evaluate_grid,
     make_series,
     schlicht_from_tail,
@@ -34,7 +33,6 @@ from starcert.functionals import (
     lhs_a,
     lhs_b,
     starlike_quotient,
-    unit_part,
 )
 from starcert.oracle import (
     DegenerateSeriesError,
@@ -55,6 +53,16 @@ def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
     return Series(arr)
 
 
+def derivative(a: Series) -> Series:
+    """``a'``, one order shorter: the term-wise derivative kernel, boxed."""
+    return Series(series._derivative(a.coeffs))
+
+
+def unit_part(f: SchlichtCandidate) -> Series:
+    """``u = f/z``: the candidate's coefficients past ``c0``."""
+    return Series(f.series.coeffs[1:])
+
+
 CFG = SamplingConfig(
     radii=tuple(round(0.1 + 0.05 * i, 10) for i in range(18)) + (0.99, 0.995),
     angles=512,
@@ -70,6 +78,12 @@ def test_config_validation():
         SamplingConfig(radii=(0.5, 1.0))
     with pytest.raises(ValueError):
         SamplingConfig(angles=16)
+
+
+def test_config_refuses_no_radii():
+    with pytest.raises(ParameterError,
+                       match="^at least one sampling radius is required$"):
+        SamplingConfig(radii=())
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -534,6 +548,24 @@ def test_denominator_zero_between_samples_detected():
     rep = check_criterion(f, p, SamplingConfig())
     assert [label for _, _, label, _ in rep.denominator_violations] == ["f'"]
     assert rep.verdict is not Verdict.CERTIFIED_SAMPLED
+
+
+def test_certified_hypothesis_and_conclusion_end_degenerate_on_a_zero():
+    # f = z + 0.55 z^2: f' = 1 + 1.1 z vanishes at -0.909, inside the outer
+    # circle; both inequalities certify, so the zero alone decides, with
+    # no escalation, and the monitor samples f' and reports its minimum
+    f = schlicht_from_tail(1, [0.55], 64)
+    p = CriterionParams(kind=CriterionKind.LEMMA_B, n=1, beta=1, gamma=1e-5,
+                        rho=1000)
+    rep = check_criterion(f, p, SamplingConfig())
+    assert rep.verdict is Verdict.DEGENERATE
+    assert rep.hypothesis_witness[0] == 0.9
+    assert abs(rep.hypothesis_margin - 0.0178330) < 1e-7
+    assert abs(rep.conclusion_margin - 976.7798) < 1e-4
+    assert rep.escalation is None
+    [(r, theta, label, modulus)] = rep.denominator_violations
+    assert (r, theta, label) == (0.995, math.pi, "f'")
+    assert abs(modulus - 0.0945) < 1e-15  # |f'(-0.995)| = 1.0945 - 1
 
 
 def test_truncated_koebe_derivative_zeros_detected():

@@ -36,7 +36,6 @@ from starcert.functionals import (
     mocanu_functional,
     random_candidates,
     starlike_quotient,
-    unit_part,
     w_func,
 )
 from starcert.oracle import SamplingConfig, check_criterion
@@ -44,7 +43,6 @@ from starcert.series import (
     SchlichtCandidate,
     Series,
     builtin_candidate,
-    derivative,
     div,
     mul,
 )
@@ -69,6 +67,23 @@ def random_candidate(n, trunc_order, rng):
 def shift(a: Series, k: int) -> Series:
     """``z^k a``: ``k`` zeros in front of the coefficients."""
     return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
+
+
+def derivative(a: Series) -> Series:
+    """``a'``, one order shorter: the term-wise derivative kernel, boxed; a
+    coefficient that overflows is refused by the box."""
+    with np.errstate(over="ignore"):
+        return Series(series._derivative(a.coeffs))
+
+
+def unit_part(f: SchlichtCandidate) -> Series:
+    """``u = f/z``: the candidate's coefficients past ``c0``."""
+    return Series(f.series.coeffs[1:])
+
+
+def reciprocal(b: Series) -> Series:
+    """``1/b`` to the order of ``b``: the checked Newton reciprocal, boxed."""
+    return Series(series._checked_reciprocal(b.coeffs))
 
 
 def sample_candidates():
@@ -126,7 +141,7 @@ def test_fprime_reciprocal_is_one_read_only_array():
     w_func(f)
     assert functionals._fprime_reciprocal(f) is inv
     assert type(inv) is np.ndarray and not inv.flags.writeable
-    want = series.reciprocal(derivative(f.series)).coeffs
+    want = reciprocal(derivative(f.series)).coeffs
     assert inv.tobytes() == want.tobytes()
 
 
@@ -175,8 +190,7 @@ def test_check_reports_match_uncached_reference():
 @pytest.fixture
 def reciprocal_calls(monkeypatch):
     """Calls to the checked reciprocal ``series._checked_reciprocal``
-    through every starcert module's binding; ``series.reciprocal`` and
-    ``series.div`` make one each."""
+    through every starcert module's binding; ``series.div`` makes one."""
     calls = []
     original = series._checked_reciprocal
 
@@ -300,6 +314,27 @@ def test_identity_sweep_is_the_same_across_block_boundaries(monkeypatch,
     assert sweep_work["_mul"] == 5 * got.functions
 
 
+def test_identity_sweep_takes_its_pairs_in_slices(monkeypatch):
+    # 1024 pairs at N = 64 are five slices of at most 252 pairs, so no
+    # residual temporary exceeds max(2**14, N + 1) elements; the largest
+    # residual does not depend on the slicing
+    sizes = []
+    residual = functionals.identity_a_residual
+
+    def spy(parts, beta, gamma):
+        sizes.append(len(beta) * parts[0].size)
+        return residual(parts, beta, gamma)
+
+    monkeypatch.setattr(functionals, "identity_a_residual", spy)
+    want = identity_sweep(per_n=1, pairs=1024, trunc_order=64, seed=20240801)
+    assert len(sizes) == 3 * 5
+    assert max(sizes) <= max(2 ** 14, 64 + 1)
+    for elements in (1, 3 * 65, 2 ** 30):  # one pair; three; one slice
+        monkeypatch.setattr(functionals, "_BLOCK_ELEMENTS", elements)
+        assert identity_sweep(per_n=1, pairs=1024, trunc_order=64,
+                              seed=20240801) == want
+
+
 def test_a_block_residual_is_the_largest_row_residual():
     rng = np.random.default_rng(21)
     block = np.concatenate([random_candidates(n, 4, 32, rng) for n in (1, 2, 3)])
@@ -417,8 +452,8 @@ _REFUSAL_CALLS = {
     "starlike_quotient": starlike_quotient,
     "convex_quotient": convex_quotient,
     "w_func": w_func,
-    "reciprocal(f/z)": lambda f: series.reciprocal(unit_part(f)),
-    "reciprocal(f')": lambda f: series.reciprocal(derivative(f.series)),
+    "reciprocal(f/z)": lambda f: reciprocal(unit_part(f)),
+    "reciprocal(f')": lambda f: reciprocal(derivative(f.series)),
 }
 
 

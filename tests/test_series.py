@@ -16,7 +16,6 @@ from starcert.series import (
     Series,
     SeriesError,
     builtin_candidate,
-    derivative,
     div,
     evaluate_grid,
     exp_unit,
@@ -40,6 +39,11 @@ def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
 def shift(a: Series, k: int) -> Series:
     """``z^k a``: ``k`` zeros in front of the coefficients."""
     return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
+
+
+def derivative(a: Series) -> Series:
+    """``a'``, one order shorter: the term-wise derivative kernel, boxed."""
+    return Series(series._derivative(a.coeffs))
 
 
 def add(a: Series, b: Series) -> Series:
@@ -404,7 +408,7 @@ def test_reciprocal_convolution_count(size, calls, monkeypatch):
 def test_non_unit_divisor_keeps_its_message():
     b = make_series(np.r_[1e-13, 1.0, np.zeros(10)])
     with pytest.raises(NonUnitDivisorError) as err:
-        series.reciprocal(b)
+        series._checked_reciprocal(b.coeffs)
     assert str(err.value) == ("non-unit divisor: |b0| = 1.000e-13 is below "
                               "1e-12 × max(1, max|b_k|) = 1.0e+00")
 
@@ -422,8 +426,17 @@ def test_checked_reciprocal_names_a_non_finite_divisor(b, index):
     assert str(err.value) == f"non-finite coefficient at index {index}"
 
 
+def test_checked_reciprocal_refuses_an_overflow_at_its_order():
+    # 1/(1 + 1e11 z) overflows in a Newton step
+    arr = np.zeros(40, dtype=np.complex128)
+    arr[0], arr[1] = 1.0, 1e11
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteCoefficientError) as err:
+            series._checked_reciprocal(arr)
+    assert str(err.value) == "non-finite coefficient at index 29"
+
+
 @pytest.mark.parametrize("kernel, a1, size, index", [
-    (series.reciprocal, 1e11, 40, 29),  # overflows in a Newton step
     (log_unit, 1e60, 20, 6),            # in the forward substitution
     (log_unit, 1e30, 20, 11),           # in a Newton step
 ])
@@ -439,16 +452,12 @@ def test_overflow_is_refused_at_its_order(kernel, a1, size, index):
 # ---------------------------------------------------------------- derivative
 
 def test_derivative_polynomial():
-    assert np.allclose(derivative(make_series([0, 1, 1])).coeffs, [1, 2], atol=0)
-
-
-def test_derivative_constant_is_zero():
-    d = derivative(make_series([7.0]))
-    assert d.trunc_order == 0 and d.coeffs[0] == 0
+    d = series._derivative(np.array([0, 1, 1], dtype=np.complex128))
+    assert np.allclose(d, [1, 2], atol=0)
 
 
 def test_derivative_drops_one_order():
-    assert derivative(make_series([1, 2, 3, 4])).trunc_order == 2
+    assert series._derivative(np.ones(4, dtype=np.complex128)).size == 3
 
 
 def test_fundamental_theorem_roundtrip():

@@ -22,9 +22,12 @@ It takes no options and reads ``starcert`` from ``PYTHONPATH``.  Groups:
   builtin spec, the ``identities`` run of the benchmark's identities
   workload, an ``identities`` run of 3,000 candidates (``--per-n 1000``
   at the default pairs, order and seed), which the sweep takes in several
-  blocks, and a MOCANU ``check`` of a convex trunc-256 COEFFS spec,
-  whose report echoes its 255 coefficient pairs, all through
-  ``cli.main``: exit code, stdout and stderr
+  blocks, an ``identities`` run of 400 pairs at order 48, which it takes
+  in two slices of pairs, a MOCANU ``check`` of a convex trunc-256 COEFFS
+  spec, whose report echoes its 255 coefficient pairs, a ``check`` of a
+  COEFFS spec whose ``f'`` overflows, and a LEMMA_B ``check`` whose
+  hypothesis and conclusion certify but whose ``f'`` vanishes inside
+  the outer circle, all through ``cli.main``: exit code, stdout and stderr
   with the scratch directory written ``<tmp>``, and the bytes of the
   report body, which follow its timestamp;
 * ``extremals``: 2,000 seeded extremal parameter draws: the coefficient
@@ -143,6 +146,10 @@ def _cli_runs(tmp: Path):
                   "coeffs": [[0.1, 0.05], [0.02, -0.01]]},
         "convex256": {"kind": "COEFFS", "n": 1, "trunc": 256,
                       "coeffs": _convex_coeffs(256)},
+        "ovf_derivative": {"kind": "COEFFS", "n": 1, "trunc": 8,
+                           "coeffs": [[1e308, 0]] * 3},
+        "fprime_zero": {"kind": "COEFFS", "n": 1, "trunc": 64,
+                        "coeffs": [[0.55, 0]]},
     }
     path = {}
     for name, spec in specs.items():
@@ -205,6 +212,14 @@ def _cli_runs(tmp: Path):
           "--seed", "7"], True),
         (["identities", "--per-n", "1000"], True),
         (["check", path["convex256"], "--kind", "MOCANU", "--alpha", "0.5"],
+         True),
+        # the order of the denominator monitor's refusals and verdicts
+        (["check", path["ovf_derivative"], "--kind", "THM_B", "--beta", "1",
+          "--gamma", "1", "--alpha", "0.5"], True),
+        (["check", path["fprime_zero"], "--kind", "LEMMA_B", "--beta", "1",
+          "--gamma", "1e-5", "--rho", "1000"], True),
+        # more pairs than one slice of the sweep's residual takes
+        (["identities", "--per-n", "1", "--pairs", "400", "--trunc", "48"],
          True),
     ]
 

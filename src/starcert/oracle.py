@@ -214,8 +214,10 @@ def _refine_circle(a: Series, r: float, theta0: float, span: float,
         p, p1, p2 = at(theta).tolist()
         if sign > 0:  # half the derivatives of |p|^2
             # scaled by one power of two, so the squares cannot overflow
-            # and the step d1/d2 keeps its bits
-            s = math.ldexp(1.0, -math.frexp(max(abs(p), abs(p1), abs(p2)))[1])
+            # and the step d1/d2 keeps its bits; 2^1023 is the largest
+            # finite one, which a subnormal circle would exceed
+            e = math.frexp(max(abs(p), abs(p1), abs(p2)))[1]
+            s = math.ldexp(1.0, min(1023, -e))
             p, p1, p2 = p * s, p1 * s, p2 * s
             d1 = (p.conjugate() * p1).real
             d2 = abs(p1) ** 2 + (p.conjugate() * p2).real

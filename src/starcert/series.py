@@ -27,8 +27,10 @@ which holds the relative accuracy of small coefficients; it fills its
 result back to front, so each step's dot product reads two forward
 slices.  Both loops give the bits of their
 textbook forms (full product, negative-stride view).
-:func:`evaluate_grid` samples a series on a :class:`Circle` by one FFT, the
-one way a series is read off a circle.
+:func:`evaluate_grid` samples a series on a :class:`Circle` by one FFT;
+refinement and ``jack`` read a series and its angular derivatives at
+single angles from the circle's trigonometric sums
+(``oracle._angle_sums``).
 
 Series values are immutable and all functions here are pure.
 """
@@ -113,15 +115,9 @@ class Series:
         return f"Series(order={self.trunc_order}, [{head}{tail}])"
 
 
-def make_series(coeffs, trunc_order: int | None = None) -> Series:
-    """Build a Series from ``c0..cN``, verifying length and finiteness."""
-    arr = np.asarray(coeffs, dtype=np.complex128)
-    if trunc_order is not None and arr.size != trunc_order + 1:
-        raise SeriesError(
-            f"expected {trunc_order + 1} coefficients for truncation order "
-            f"{trunc_order}, got {arr.size}"
-        )
-    return Series(arr)
+def make_series(coeffs) -> Series:
+    """Build a Series from ``c0..cN``, verifying finiteness."""
+    return Series(np.asarray(coeffs, dtype=np.complex128))
 
 
 def scale(a: Series, s) -> Series:

@@ -29,43 +29,13 @@ from starcert.extremals import (
     verify_identity_b,
 )
 from starcert.oracle import (
-    SamplingConfig,
     Verdict,
     check_criterion,
     jack_demo,
 )
 from starcert import cli
 
-
-def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
-    """``coeff z^power`` truncated at order ``trunc_order``."""
-    arr = np.zeros(trunc_order + 1, dtype=np.complex128)
-    arr[power] = coeff
-    return Series(arr)
-
-
-def add_scalar(a: Series, s) -> Series:
-    """``a + s``: ``s`` added to the constant term."""
-    c = a.coeffs.copy()
-    c[0] += complex(s)
-    return Series(c)
-
-
-def max_coeff_diff(a: Series, b: Series) -> float:
-    """Largest coefficient deviation over the common retained orders."""
-    m = min(a.trunc_order, b.trunc_order)
-    return float(np.max(np.abs(a.coeffs[: m + 1] - b.coeffs[: m + 1])))
-
-
-ACC_CFG = SamplingConfig(
-    radii=tuple(round(0.10 + 0.02 * i, 10) for i in range(45)) + (0.99,),
-    angles=512,
-)
-
-FAMILY_KIND = {
-    ExtremalFamily.EXTREMAL_A: CriterionKind.THM_A,
-    ExtremalFamily.EXTREMAL_B: CriterionKind.THM_B,
-}
+from reference_formulas import ACC_CFG, add_scalar, max_coeff_diff, monomial
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +50,7 @@ def grid_reports():
         rows = []
         for p in documented_grid(family):
             f = build_extremal(p, 128)
-            crit = CriterionParams(kind=FAMILY_KIND[family], n=p.n,
-                                   beta=p.beta, gamma=p.gamma, alpha=p.alpha)
-            rows.append((p, f, check_criterion(f, crit, ACC_CFG)))
+            rows.append((p, f, check_criterion(f, p.criterion, ACC_CFG)))
         out[family] = rows
     return out
 

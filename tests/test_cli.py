@@ -523,6 +523,9 @@ ERROR_SPECS = {
     # finite coefficients whose derivative overflows
     "ovf_derivative.json": {"kind": "COEFFS", "n": 1, "trunc": 8,
                             "coeffs": [[1e308, 0]] * 3},
+    # circle values below 2**-1024, past the refinement's largest scale
+    "subnormal.json": {"kind": "COEFFS", "n": 1, "trunc": 8,
+                       "coeffs": [[1e-320, 0]]},
     "list.json": [1, 2],
     "coeffs_object.json": {"kind": "COEFFS", "n": 1, "trunc": 8,
                            "coeffs": {"a": 1}},
@@ -563,6 +566,9 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
                   "0.5", "--beta", "1", "--gamma", "1", "--trunc", "1"], 2,
                  id="extremal-trunc-1"),
     pytest.param(["jack", "zero.json"], 2, id="jack-zero-series"),
+    pytest.param(["jack", "subnormal.json", "--radius", "0.9"],
+                 (2, "rejected: |w| below 1e-14 everywhere on |z| = 0.9"),
+                 id="jack-subnormal-circle"),
     pytest.param(["jack", "half_z.json", "--radius", "1.5"], 3,
                  id="jack-radius"),
     pytest.param(["jack", "half_z.json", "--order", "3"], 3, id="jack-order"),
@@ -759,6 +765,21 @@ def test_jack_refines_a_large_circle_without_warning(tmp_path, capsys):
         code = main(["jack", spec, "--radius", "0.9"])
     assert code == 0
     assert capsys.readouterr().err == ""
+
+
+def test_check_refines_a_subnormal_circle_without_warning(tmp_path, capsys):
+    # the Newton step's scale 2^-e for |p| below 2^-1024 is past the largest
+    # float, so it is capped at 2^1023
+    spec = write_spec(tmp_path, "tiny.json", {
+        "kind": "COEFFS", "n": 1, "trunc": 8, "coeffs": [[1e-310, 0]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["check", spec, "--kind", "THM_B", "--beta", "1",
+                     "--gamma", "1", "--alpha", "0.5"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "verdict: CERTIFIED_SAMPLED"
+    assert captured.err == ""
 
 
 def test_non_unit_divisor_names_the_relative_floor(tmp_path, capsys):

@@ -24,21 +24,10 @@ from starcert.extremals import (
     verify_identity_b,
 )
 from starcert.cli import main
-from starcert.criteria import CriterionKind, CriterionParams
 from starcert.functionals import lhs_a, lhs_b
 from starcert.oracle import SamplingConfig, check_criterion
 
-
-def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
-    """``coeff z^power`` truncated at order ``trunc_order``."""
-    arr = np.zeros(trunc_order + 1, dtype=np.complex128)
-    arr[power] = coeff
-    return Series(arr)
-
-
-def shift(a: Series, k: int) -> Series:
-    """``z^k a``: ``k`` zeros in front of the coefficients."""
-    return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
+from reference_formulas import add_scalar, monomial, shift
 
 
 FAST_CFG = SamplingConfig(
@@ -55,13 +44,6 @@ def params_a(n=1, alpha=0.4, beta=0.2j, gamma=1.0):
 def params_b(n=1, alpha=0.5, beta=1.0, gamma=1.0):
     return ExtremalParams(family=ExtremalFamily.EXTREMAL_B, n=n, alpha=alpha,
                           beta=beta, gamma=gamma)
-
-
-def thm_a_report(f, p):
-    """The THM_A check whose hypothesis is sup |lhs_a(f)| < S."""
-    crit = CriterionParams(kind=CriterionKind.THM_A, n=p.n, beta=p.beta,
-                           gamma=p.gamma, alpha=p.alpha)
-    return check_criterion(f, crit, FAST_CFG)
 
 
 # ------------------------------------------------------------------ parameters
@@ -206,13 +188,6 @@ def test_truncation_too_small_refused_before_construction(trunc):
         build_extremal(params_b(), trunc)
 
 
-def add_scalar(a: Series, s) -> Series:
-    """``a + s``: ``s`` added to the constant term."""
-    c = a.coeffs.copy()
-    c[0] += complex(s)
-    return Series(c)
-
-
 def series_built_extremal(p, trunc_order):
     """``build_extremal`` with the inner series ``g`` taken through
     ``exp_unit``/``pow_unit`` instead of its closed form."""
@@ -269,7 +244,7 @@ def test_probe_matches_beta_form_only():
     p = params_a()
     f = build_extremal(p, 128)
     assert probe_identity_a(f, p) < 1e-9
-    rep = thm_a_report(f, p)
+    rep = check_criterion(f, p.criterion, FAST_CFG)
     assert rep.hypothesis_margin > 0
     assert rep.spec.rhs_bound == p.S
     assert rep.hypothesis_sup + rep.hypothesis_tail < p.S
@@ -280,7 +255,7 @@ def test_probe_identity_function_no_match_below_bound():
     p = params_a(n=1, alpha=0.4, beta=0.2j, gamma=1.0)
     f = builtin_candidate("identity", 64)
     assert probe_identity_a(f, p) > 1e-9
-    rep = thm_a_report(f, p)
+    rep = check_criterion(f, p.criterion, FAST_CFG)
     assert rep.hypothesis_sup == pytest.approx(abs(p.beta), abs=1e-12)
     assert rep.hypothesis_margin > 0
 

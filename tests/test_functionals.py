@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from starcert import series
 from starcert.series import (
     Series,
     SchlichtCandidate,
@@ -17,7 +16,6 @@ from starcert.functionals import (
     convex_quotient,
     identity_a_residual,
     identity_b_residual,
-    identity_parts,
     identity_sweep,
     lhs_a,
     lhs_b,
@@ -27,54 +25,22 @@ from starcert.functionals import (
     w_func,
 )
 
-
-def shift(a: Series, k: int) -> Series:
-    """``z^k a``: ``k`` zeros in front of the coefficients."""
-    return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
-
-
-def derivative(a: Series) -> Series:
-    """``a'``, one order shorter: the term-wise derivative kernel, boxed."""
-    return Series(series._derivative(a.coeffs))
-
-
-def unit_part(f: SchlichtCandidate) -> Series:
-    """``u = f/z``: the candidate's coefficients past ``c0``."""
-    return Series(f.series.coeffs[1:])
-
-
-def add(a: Series, b: Series) -> Series:
-    """``a + b``, truncated at the shorter order."""
-    m = min(a.trunc_order, b.trunc_order)
-    return Series(a.coeffs[: m + 1] + b.coeffs[: m + 1])
-
-
-def add_scalar(a: Series, s) -> Series:
-    """``a + s``: ``s`` added to the constant term."""
-    c = a.coeffs.copy()
-    c[0] += complex(s)
-    return Series(c)
-
-
-def max_coeff_diff(a: Series, b: Series) -> float:
-    """Largest coefficient deviation over the common retained orders."""
-    m = min(a.trunc_order, b.trunc_order)
-    return float(np.max(np.abs(a.coeffs[: m + 1] - b.coeffs[: m + 1])))
+from reference_formulas import (
+    add,
+    add_scalar,
+    derivative,
+    max_coeff_diff,
+    parts,
+    random_candidate,
+    rewrite_parts,
+    series_quotients,
+    shift,
+    unit_part,
+)
 
 
 N = 48
 RNG_SEED = 424242
-
-
-def random_candidate(n, trunc_order, rng):
-    """One random class member: a one-row block draw, as a candidate."""
-    return SchlichtCandidate(
-        n, Series(random_candidates(n, 1, trunc_order, rng)[0]))
-
-
-def parts(f):
-    """``R1`` and ``R2`` of one candidate, as a one-row block."""
-    return identity_parts(f.series.coeffs[None])
 
 
 def identity_f(order=N, n=1):
@@ -380,17 +346,8 @@ def _combination_reference(f, x, y, c0):
     return Series(c)
 
 
-def _identity_parts_reference(f):
-    """``R1 = P(1 + w) - 1`` and ``R2 = Q(1 + w) - 1 + z w'``."""
-    w = w_func(f)
-    r1 = add_scalar(mul(starlike_quotient(f), add_scalar(w, 1.0)), -1.0)
-    r2 = add(add_scalar(mul(convex_quotient(f), add_scalar(w, 1.0)), -1.0),
-             shift(derivative(w), 1))
-    return r1, r2
-
-
 def _pair_free_reference(f, x, y):
-    r1, r2 = _identity_parts_reference(f)
+    r1, r2 = rewrite_parts(starlike_quotient(f), convex_quotient(f), w_func(f))
     return float(np.max(np.abs(add(scale(r1, x), scale(r2, y)).coeffs)))
 
 
@@ -472,9 +429,6 @@ def test_pair_free_residuals_agree_with_the_product_form():
 
 def test_shared_reciprocal_quotients_equal_division():
     for f in _reference_candidates():
-        fp = derivative(f.series)
-        assert np.array_equal(
-            convex_quotient(f).coeffs,
-            add_scalar(div(shift(derivative(fp), 1), fp), 1.0).coeffs)
-        assert np.array_equal(w_func(f).coeffs,
-                              add_scalar(div(unit_part(f), fp), -1.0).coeffs)
+        _, q, w = series_quotients(f)
+        assert np.array_equal(convex_quotient(f).coeffs, q.coeffs)
+        assert np.array_equal(w_func(f).coeffs, w.coeffs)

@@ -18,6 +18,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 SRC = ROOT / "src" / "starcert"
+REFERENCE = TESTS / "reference_formulas.py"
 MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
            + sorted(TESTS.glob("*.py")))
 
@@ -139,8 +140,33 @@ def test_guard_collects_third_party_imports():
 
 def test_every_module_the_tests_import_is_declared():
     # a fresh `pip install -e .[test]` must bring every module the tests
-    # import, or importorskip turns a missing one into a silent skip
+    # import, or importorskip turns a missing one into a silent skip; a
+    # module of tests/ itself ships with them
     needed = set()
     for path in TESTS.glob("*.py"):
         needed |= third_party_imports(path.read_text())
-    assert needed - declared_requirements() == set()
+    local = {path.stem for path in TESTS.glob("*.py")}
+    assert needed - local - declared_requirements() == set()
+
+
+def top_level_names(source: str) -> set[str]:
+    """Module-level functions, classes and plainly assigned names."""
+    return definitions(source) | {
+        t.id for node in ast.parse(source).body if isinstance(node, ast.Assign)
+        for t in node.targets if isinstance(t, ast.Name)}
+
+
+def test_reference_formulas_have_one_home_and_a_user():
+    """Each shared reference formula is defined in ``reference_formulas``
+    alone, and some test file imports it."""
+    shared = top_level_names(REFERENCE.read_text())
+    imported, redefined = set(), []
+    for path in sorted(TESTS.glob("test_*.py")):
+        source = path.read_text()
+        imported |= {a.name for node in ast.parse(source).body
+                     if isinstance(node, ast.ImportFrom)
+                     and node.module == REFERENCE.stem for a in node.names}
+        redefined += [f"{path.name}:{name}"
+                      for name in sorted(top_level_names(source) & shared)]
+    assert shared - imported == set()
+    assert redefined == []

@@ -50,6 +50,8 @@ from starcert.extremals import (
 from starcert.oracle import SamplingConfig, Verdict, check_criterion
 from starcert.series import SeriesError, schlicht_from_tail
 
+from reference_formulas import ACC_CFG
+
 CFG = SamplingConfig(radii=(0.5, 0.9, 0.99), angles=512)
 ORDERS = (2, 3, 5)
 TRUNCS = (32, 64)
@@ -129,10 +131,6 @@ def test_cross_check_matches_its_closed_form(cfg):
 
 # ------------------------------------------------------------ grid extremals
 
-ACC_CFG = SamplingConfig(
-    radii=tuple(round(0.10 + 0.02 * i, 10) for i in range(45)) + (0.99,),
-    angles=512,
-)
 EPS = float(np.finfo(float).eps)
 
 

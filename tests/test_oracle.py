@@ -45,22 +45,7 @@ from starcert.oracle import (
     sup_on_disk,
 )
 
-
-def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
-    """``coeff z^power`` truncated at order ``trunc_order``."""
-    arr = np.zeros(trunc_order + 1, dtype=np.complex128)
-    arr[power] = coeff
-    return Series(arr)
-
-
-def derivative(a: Series) -> Series:
-    """``a'``, one order shorter: the term-wise derivative kernel, boxed."""
-    return Series(series._derivative(a.coeffs))
-
-
-def unit_part(f: SchlichtCandidate) -> Series:
-    """``u = f/z``: the candidate's coefficients past ``c0``."""
-    return Series(f.series.coeffs[1:])
+from reference_formulas import ACC_CFG, derivative, monomial, unit_part
 
 
 CFG = SamplingConfig(
@@ -132,7 +117,7 @@ def test_sup_one_plus_z():
 
 
 def test_sup_truncated_geometric_near_closed_form():
-    s = make_series([1.0] * 65, 64)
+    s = make_series([1.0] * 65)
     cfg = SamplingConfig(radii=tuple(round(0.1 + 0.1 * i, 10) for i in range(9)),
                          angles=256)
     est = sup_on_disk(s, cfg)
@@ -153,7 +138,7 @@ def test_sup_witness_reproduces_value():
 
 
 def test_sup_monotone_in_angles_and_radii():
-    s = make_series([1.0] * 33, 32)
+    s = make_series([1.0] * 33)
     sups = []
     for m in (64, 256, 1024):
         cfg = SamplingConfig(radii=(0.3, 0.6, 0.9), angles=m, refine=False)
@@ -280,18 +265,13 @@ def test_family_b_hypothesis_witness_at_smallest_angle(n):
     assert rep.hypothesis_witness == (0.995, 0.0)
 
 
-@pytest.mark.parametrize("cfg", [
-    SamplingConfig(),
-    SamplingConfig(radii=tuple(round(0.10 + 0.02 * i, 10) for i in range(45))
-                   + (0.99,), angles=512),
-], ids=["default", "acceptance"])
+@pytest.mark.parametrize("cfg", [SamplingConfig(), ACC_CFG],
+                         ids=["default", "acceptance"])
 def test_grid_family_b_hypothesis_witness_not_moved_by_refinement(cfg):
     # |S z^n| is constant on the circle, so a refined angle can gain at most
     # rounding over the grid's theta = 0 and must not replace it
     for p in documented_grid(ExtremalFamily.EXTREMAL_B):
-        crit = CriterionParams(kind=CriterionKind.THM_B, n=p.n, beta=p.beta,
-                               gamma=p.gamma, alpha=p.alpha)
-        rep = check_criterion(build_extremal(p, 128), crit, cfg)
+        rep = check_criterion(build_extremal(p, 128), p.criterion, cfg)
         assert rep.hypothesis_witness == (cfg.radii[-1], 0.0), p
 
 
@@ -876,12 +856,6 @@ def _use_first_loops(monkeypatch):
     monkeypatch.setattr(oracle, "_refine_circle", _numpy_scalar_refine)
     monkeypatch.setattr(oracle, "_circle_extremum", _abs_max_circle_extremum)
     monkeypatch.setattr(oracle, "_denominator_violations", _roll_monitor)
-
-
-ACC_CFG = SamplingConfig(
-    radii=tuple(round(0.10 + 0.02 * i, 10) for i in range(45)) + (0.99,),
-    angles=512,
-)
 
 
 @pytest.mark.parametrize("cfg", [ACC_CFG, SamplingConfig()],

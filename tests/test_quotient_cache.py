@@ -4,8 +4,9 @@ candidate, and sharing it changes no result.  The identity sweep builds the
 same series for a block of candidates at a time, outside the cache, with
 the same bits.
 
-The uncached reference is built here, on a fresh ``SchlichtCandidate`` with
-the same series for every call, so no call can see another's quotients.
+The uncached reference is the Series-operation form in
+``reference_formulas``, run on a fresh ``SchlichtCandidate`` with the same
+series for every call, so no call can see another's quotients.
 """
 
 import collections
@@ -39,46 +40,24 @@ from starcert.functionals import (
     w_func,
 )
 from starcert.oracle import SamplingConfig, check_criterion
-from starcert.series import (
-    SchlichtCandidate,
-    Series,
-    builtin_candidate,
-    div,
-    mul,
+from starcert.series import SchlichtCandidate, Series, builtin_candidate
+
+from reference_formulas import (
+    derivative,
+    parts,
+    random_candidate,
+    rewrite_parts,
+    series_quotients,
+    unit_part,
 )
 
 CFG = SamplingConfig(radii=(0.5, 0.9, 0.99), angles=256)
 QUOTIENTS = (starlike_quotient, convex_quotient, w_func)
-FAMILY_KIND = {ExtremalFamily.EXTREMAL_A: CriterionKind.THM_A,
-               ExtremalFamily.EXTREMAL_B: CriterionKind.THM_B}
 
 
 def fresh(f: SchlichtCandidate) -> SchlichtCandidate:
     """The same function as ``f`` with an empty quotient cache."""
     return SchlichtCandidate(f.n, f.series)
-
-
-def random_candidate(n, trunc_order, rng):
-    """One random class member: a one-row block draw, as a candidate."""
-    return SchlichtCandidate(
-        n, Series(random_candidates(n, 1, trunc_order, rng)[0]))
-
-
-def shift(a: Series, k: int) -> Series:
-    """``z^k a``: ``k`` zeros in front of the coefficients."""
-    return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
-
-
-def derivative(a: Series) -> Series:
-    """``a'``, one order shorter: the term-wise derivative kernel, boxed; a
-    coefficient that overflows is refused by the box."""
-    with np.errstate(over="ignore"):
-        return Series(series._derivative(a.coeffs))
-
-
-def unit_part(f: SchlichtCandidate) -> Series:
-    """``u = f/z``: the candidate's coefficients past ``c0``."""
-    return Series(f.series.coeffs[1:])
 
 
 def reciprocal(b: Series) -> Series:
@@ -101,11 +80,7 @@ def grid_cases():
     cases = []
     for family in ExtremalFamily:
         for p in documented_grid(family)[::11]:
-            cases.append((
-                build_extremal(p, 96),
-                CriterionParams(kind=FAMILY_KIND[family], n=p.n, beta=p.beta,
-                                gamma=p.gamma, alpha=p.alpha),
-                p))
+            cases.append((build_extremal(p, 96), p.criterion, p))
     cases.append((builtin_candidate("koebe", 128),
                   CriterionParams(kind=CriterionKind.THM_A, n=1, beta=0.3 + 0.1j,
                                   gamma=1.0, alpha=0.5),
@@ -349,31 +324,11 @@ def test_a_block_residual_is_the_largest_row_residual():
         assert residual((r1, r2), beta[2], gamma[2]) == got[2]
 
 
-def add(a: Series, b: Series) -> Series:
-    """``a + b``, truncated at the shorter order."""
-    m = min(a.trunc_order, b.trunc_order)
-    return Series(a.coeffs[: m + 1] + b.coeffs[: m + 1])
-
-
-def add_scalar(a: Series, s) -> Series:
-    """``a + s``: ``s`` added to the constant term."""
-    c = a.coeffs.copy()
-    c[0] += complex(s)
-    return Series(c)
-
-
 def _series_reference(f: SchlichtCandidate):
     """``zf'/f``, ``1 + zf''/f'``, ``w``, ``R1`` and ``R2`` written as the
     public Series operations, on a candidate with an empty cache."""
-    f = fresh(f)
-    fp = derivative(f.series)
-    p = div(fp, unit_part(f))
-    q = add_scalar(div(shift(derivative(fp), 1), fp), 1.0)
-    w = add_scalar(div(unit_part(f), fp), -1.0)
-    r1 = add_scalar(mul(p, add_scalar(w, 1.0)), -1.0)
-    r2 = add(add_scalar(mul(q, add_scalar(w, 1.0)), -1.0),
-             shift(derivative(w), 1))
-    return p, q, w, r1, r2
+    p, q, w = series_quotients(fresh(f))
+    return (p, q, w, *rewrite_parts(p, q, w))
 
 
 def reference_parts(f: SchlichtCandidate):
@@ -381,11 +336,6 @@ def reference_parts(f: SchlichtCandidate):
     them, on a candidate with an empty cache."""
     r1, r2 = _series_reference(f)[3:]
     return r1.coeffs, r2.coeffs
-
-
-def parts(f: SchlichtCandidate):
-    """``R1`` and ``R2`` of one candidate, as a one-row block."""
-    return identity_parts(f.series.coeffs[None])
 
 
 def reference_candidates():

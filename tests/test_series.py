@@ -28,41 +28,14 @@ from starcert.series import (
     tail_estimate,
 )
 
-
-def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
-    """``coeff z^power`` truncated at order ``trunc_order``."""
-    arr = np.zeros(trunc_order + 1, dtype=np.complex128)
-    arr[power] = coeff
-    return Series(arr)
-
-
-def shift(a: Series, k: int) -> Series:
-    """``z^k a``: ``k`` zeros in front of the coefficients."""
-    return Series(np.concatenate([np.zeros(k, dtype=np.complex128), a.coeffs]))
-
-
-def derivative(a: Series) -> Series:
-    """``a'``, one order shorter: the term-wise derivative kernel, boxed."""
-    return Series(series._derivative(a.coeffs))
-
-
-def add(a: Series, b: Series) -> Series:
-    """``a + b``, truncated at the shorter order."""
-    m = min(a.trunc_order, b.trunc_order)
-    return Series(a.coeffs[: m + 1] + b.coeffs[: m + 1])
-
-
-def add_scalar(a: Series, s) -> Series:
-    """``a + s``: ``s`` added to the constant term."""
-    c = a.coeffs.copy()
-    c[0] += complex(s)
-    return Series(c)
-
-
-def max_coeff_diff(a: Series, b: Series) -> float:
-    """Largest coefficient deviation over the common retained orders."""
-    m = min(a.trunc_order, b.trunc_order)
-    return float(np.max(np.abs(a.coeffs[: m + 1] - b.coeffs[: m + 1])))
+from reference_formulas import (
+    add,
+    add_scalar,
+    derivative,
+    max_coeff_diff,
+    monomial,
+    shift,
+)
 
 
 def rand_series(rng, order, amp=1.0, decay=1.0, unit=None):
@@ -77,29 +50,24 @@ def rand_series(rng, order, amp=1.0, decay=1.0, unit=None):
 # ---------------------------------------------------------------- construction
 
 def test_make_series_identity_function():
-    s = make_series([0, 1], 1)
+    s = make_series([0, 1])
     assert s.trunc_order == 1
     assert s.coeffs[1] == 1
 
 
 def test_make_series_geometric_partial_sum():
-    s = make_series([0, 1, 1, 1], 3)
+    s = make_series([0, 1, 1, 1])
     assert list(s.coeffs) == [0, 1, 1, 1]
 
 
 def test_make_series_rejects_nan_with_index():
     with pytest.raises(NonFiniteCoefficientError) as exc:
-        make_series([0, 1, float("nan")], 2)
+        make_series([0, 1, float("nan")])
     assert exc.value.index == 2
 
 
-def test_make_series_length_mismatch():
-    with pytest.raises(SeriesError):
-        make_series([1, 2, 3], 5)
-
-
 def test_coefficients_are_immutable():
-    s = make_series([1, 2], 1)
+    s = make_series([1, 2])
     with pytest.raises(ValueError):
         s.coeffs[0] = 5.0
 
@@ -107,14 +75,14 @@ def test_coefficients_are_immutable():
 # ---------------------------------------------------------------- mul / div
 
 def test_mul_difference_of_squares():
-    a = make_series([1, 1, 0], 2)
-    b = make_series([1, -1, 0], 2)
+    a = make_series([1, 1, 0])
+    b = make_series([1, -1, 0])
     assert np.allclose(mul(a, b).coeffs, [1, 0, -1], atol=0)
 
 
 def test_mul_by_z_shifts():
-    z = make_series([0, 1, 0, 0], 3)
-    s = make_series([1, 1, 1, 0], 3)
+    z = make_series([0, 1, 0, 0])
+    s = make_series([1, 1, 1, 0])
     assert np.allclose(mul(z, s).coeffs, [0, 1, 1, 1], atol=0)
 
 
@@ -650,18 +618,18 @@ def test_circle_size_is_its_point_count():
 
 
 def test_evaluate_geometric_within_tail_bound():
-    s = make_series([1.0] * 33, 32)
+    s = make_series([1.0] * 33)
     val = np.polyval(s.coeffs[::-1], 0.5)
     assert abs(val - 2.0) <= tail_estimate(s, 0.5) + 1e-15
 
 
 def test_tail_estimate_padded_polynomial_is_zero():
-    s = make_series([1.0, 1.0] + [0.0] * 31, 32)
+    s = make_series([1.0, 1.0] + [0.0] * 31)
     assert tail_estimate(s, 0.9) == 0.0
 
 
 def test_tail_estimate_geometric():
-    s = make_series([1.0] * 33, 32)
+    s = make_series([1.0] * 33)
     est = tail_estimate(s, 0.5)
     exact_tail = 0.5**33 / (1 - 0.5)
     assert est == pytest.approx(exact_tail, rel=1e-12)
@@ -674,7 +642,7 @@ def test_tail_estimate_rejects_r_one():
 
 
 def test_tail_estimate_infinite_for_fast_growth():
-    s = make_series([2.0**k for k in range(17)], 16)
+    s = make_series([2.0**k for k in range(17)])
     assert math.isinf(tail_estimate(s, 0.9))
 
 

@@ -23,7 +23,6 @@ deliberately weaker than a proof over the open disk and the reports say so.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -175,26 +174,16 @@ def _objective(v, sign: float):
     return np.abs(v) if sign > 0 else v.real
 
 
-@functools.lru_cache(maxsize=32)
-def _index_weights(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only rows ``i k`` and ``-k^2``, ``k = 0..size-1``."""
-    k = np.arange(size)
-    ik, k2 = 1j * k, -(k * k)
-    ik.setflags(write=False)
-    k2.setflags(write=False)
-    return ik, k2
-
-
 def _angle_sums(a: Series, r: float):
     """``p(theta) = a(r e^(i theta))``, the trigonometric sum of ``c_k r^k``,
     with its first two derivatives in ``theta`` (``p' = i z a'(z)``), as a
     function of the angle returning all three."""
-    size = a.coeffs.size
-    ik, k2 = _index_weights(size)
-    sums = np.empty((3, size), dtype=np.complex128)
-    b = np.multiply(a.coeffs, radius_powers(r, size), out=sums[0])
+    k = np.arange(a.coeffs.size)
+    ik = 1j * k
+    sums = np.empty((3, k.size), dtype=np.complex128)
+    b = np.multiply(a.coeffs, radius_powers(r, k.size), out=sums[0])
     np.multiply(ik, b, out=sums[1])
-    np.multiply(k2, b, out=sums[2])
+    np.multiply(-(k * k), b, out=sums[2])
     return lambda theta: sums @ np.exp(ik * theta)
 
 
@@ -204,14 +193,16 @@ def _refine_circle(a: Series, r: float, theta0: float, span: float,
     toward the max of ``|a|`` (sign=+1) or min of ``Re a`` (sign=-1) on
     ``|z| = r``, on the trigonometric sums of :func:`_angle_sums`.  Stops on
     wrong-sign curvature, a step out of ``theta0 +- span``, a tiny step or the
-    cap.  Returns refined ``(theta, a(z))`` if its objective beats the grid
-    value by more than ``tol``, else the grid point: a gain at rounding
-    level is a tie, and a tie stays at the grid angle.  The steps do their
-    arithmetic on Python floats, which round as numpy's scalars do."""
+    cap.  The sums are read once per angle the steps visit: at ``theta0``,
+    then after each step that moves the angle.  Returns refined
+    ``(theta, a(z))``, the last read, if its objective beats the grid value
+    by more than ``tol``, else the grid point: a gain at rounding level is a
+    tie, and a tie stays at the grid angle.  The steps do their arithmetic
+    on Python floats, which round as numpy's scalars do."""
     at = _angle_sums(a, r)
-    theta = theta0
+    theta, sums = theta0, at(theta0)
     for _ in range(_NEWTON_STEPS):
-        p, p1, p2 = at(theta).tolist()
+        p, p1, p2 = sums.tolist()
         if sign > 0:  # half the derivatives of |p|^2
             # scaled by one power of two, so the squares cannot overflow
             # and the step d1/d2 keeps its bits; 2^1023 is the largest
@@ -228,10 +219,12 @@ def _refine_circle(a: Series, r: float, theta0: float, span: float,
         step = float(d1 / d2)
         if abs(theta - step - theta0) > span:
             break
-        theta -= step
+        if theta - step != theta:
+            theta -= step
+            sums = at(theta)
         if abs(step) < _NEWTON_TINY:
             break
-    value = at(theta)[0]
+    value = sums[0]
     better = sign * (_objective(value, sign) - _objective(value0, sign)) > tol
     return (theta, value) if better else (theta0, value0)
 
@@ -246,7 +239,7 @@ def _circle_extremum(a: Series, r: float, cfg: SamplingConfig, sign: float,
     as reaching it, so rounding cannot pick among equal values (``|S z^n|``
     is constant on the circle, for one)."""
     vals = evaluate_grid(a, Circle(r, cfg.angles))
-    obj = np.abs(vals) if sign > 0 else -vals.real
+    obj = sign * _objective(vals, sign)
     top = float(obj.max())
     # the largest |objective|: the modulus is never negative
     big = top if sign > 0 else max(top, -float(obj.min()))
@@ -469,7 +462,7 @@ def jack_demo(w: Series, m: int, r: float,
         )
     k = np.arange(mags.size)
     with np.errstate(over="ignore"):  # an overflow is the refusal below
-        bound = float(np.sum((1.0 + k * k) * mags * r ** k))
+        bound = float(np.sum((1.0 + k * k) * mags * radius_powers(r, k.size)))
     if not math.isfinite(bound):
         raise DegenerateSeriesError(
             f"sum of (1 + k^2) |c_k| r^k overflows on |z| = {r}; the circle "

@@ -12,7 +12,7 @@ import numpy as np
 from starcert import series
 from starcert.functionals import identity_parts, random_candidates
 from starcert.oracle import SamplingConfig
-from starcert.series import SchlichtCandidate, Series, div, mul
+from starcert.series import SchlichtCandidate, Series, builtin_candidate, div, mul
 
 
 def monomial(coeff: complex, power: int, trunc_order: int) -> Series:
@@ -62,6 +62,17 @@ def random_candidate(n, trunc_order, rng):
     """One random class member: a one-row block draw, as a candidate."""
     return SchlichtCandidate(
         n, Series(random_candidates(n, 1, trunc_order, rng)[0]))
+
+
+def functional_candidates():
+    """Random class members and the three builtins at orders 8 to 128, the
+    inputs the functionals are compared with their references on."""
+    rng = np.random.default_rng(424251)
+    for order in (8, 24, 48, 128):
+        for n in (1, 2, 3):
+            yield random_candidate(n, order, rng)
+        for name in ("koebe", "halfplane", "identity"):
+            yield builtin_candidate(name, order)
 
 
 def parts(f: SchlichtCandidate):

@@ -24,12 +24,15 @@ from starcert.extremals import (
     documented_grid,
 )
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from reference_formulas import ACC_CFG
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
-def _load(name):
+def _load(name, folder=PERFBENCH):
     spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+        f"{folder.name}_{name}", folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module      # dataclasses look their module up
     spec.loader.exec_module(module)
@@ -46,6 +49,15 @@ MANDATORY = [(mod, fn) for mod, fn, _, _, optional
                          ids=[f"{m}.{f}" for m, f in MANDATORY])
 def test_traced_layer_function_resolves(mod, fn):
     assert callable(getattr(importlib.import_module(f"starcert.{mod}"), fn))
+
+
+def test_fixed_point_tool_copies_the_shared_inputs():
+    # the tool writes its inputs out so that no edit elsewhere moves a hash;
+    # a drift of the copies from the tests' and workloads' own must fail
+    tool = _load("fixed_point", ROOT / "tools")
+    assert tool.ACCEPTANCE_CFG == ACC_CFG
+    assert tool.KOEBE_THM_A == WORKLOADS.KOEBE_THM_A
+    assert tool.MATRIX_FAST == WORKLOADS.MATRIX_FAST
 
 
 def test_workload_sampling_configs_run():

@@ -29,11 +29,11 @@ from reference_formulas import (
     add,
     add_scalar,
     derivative,
+    functional_candidates,
     max_coeff_diff,
     parts,
     random_candidate,
     rewrite_parts,
-    series_quotients,
     shift,
     unit_part,
 )
@@ -377,18 +377,9 @@ def _product_residual_b(f, beta, gamma):
     return max_coeff_diff(left, scale(right, -1.0))
 
 
-def _reference_candidates():
-    rng = np.random.default_rng(RNG_SEED + 9)
-    for order in (8, 24, 48, 128):
-        for n in (1, 2, 3):
-            yield random_candidate(n, order, rng)
-        for name in ("koebe", "halfplane", "identity"):
-            yield builtin_candidate(name, order)
-
-
 def test_functionals_equal_series_operation_reference():
     rng = np.random.default_rng(RNG_SEED + 10)
-    for f in _reference_candidates():
+    for f in functional_candidates():
         pairs = [(complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-1, 1, 2)))
                  for _ in range(3)] + [(0.0, 1.0), (1.0 + 0j, 1.0 + 0j)]
         for beta, gamma in pairs:
@@ -413,7 +404,7 @@ def test_pair_free_residuals_agree_with_the_product_form():
     # of the products, eps (|beta| + |gamma|) (|P|_1 + |Q|_1) |1 + w|_1
     rng = np.random.default_rng(RNG_SEED + 11)
     eps = np.finfo(float).eps
-    for f in _reference_candidates():
+    for f in functional_candidates():
         norm = ((np.abs(starlike_quotient(f).coeffs).sum()
                  + np.abs(convex_quotient(f).coeffs).sum())
                 * np.abs(add_scalar(w_func(f), 1.0).coeffs).sum())
@@ -425,10 +416,3 @@ def test_pair_free_residuals_agree_with_the_product_form():
                         - _product_residual_a(f, beta, gamma)) <= bound)
             assert (abs(identity_b_residual(parts(f), beta, gamma)
                         - _product_residual_b(f, beta, gamma)) <= bound)
-
-
-def test_shared_reciprocal_quotients_equal_division():
-    for f in _reference_candidates():
-        _, q, w = series_quotients(f)
-        assert np.array_equal(convex_quotient(f).coeffs, q.coeffs)
-        assert np.array_equal(w_func(f).coeffs, w.coeffs)

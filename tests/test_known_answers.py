@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 
 from starcert import cli
-from starcert.criteria import CriterionKind, CriterionParams
+from starcert.criteria import CriterionKind, CriterionParams, build_spec
 from starcert.extremals import (
     ExtremalFamily,
     ExtremalParams,
@@ -391,3 +391,101 @@ def test_cross_check_at_a_short_truncation_matches_its_closed_form():
     rep = check_criterion(f, _params(*KINDS[0], 0.2), CFG)
     assert rep.cross_min_re == pytest.approx(
         _min_re_starlike(5, a, CFG.radii[-1]), abs=1e-9)
+
+
+# ----------------------------------------------- false-certificate census
+# Seeded sparse polynomials, z plus 1-3 terms a_k z^k with |a_k| < 0.3/k at
+# orders k > n, under all six kinds at random admissible parameters.  Each
+# certificate is judged on 8x denser grids of the circles its report
+# sampled, by np.polyval of f, f' and f'': a polynomial input is its own
+# function, so an inequality that fails there fails for the input.
+
+POINTWISE_GATE = ("ROADMAP item 22: a sparse polynomial's functionals are "
+                  "read from truncated quotient series, which certify "
+                  "inequalities that fail on the polynomial's own circle")
+CENSUS_SEED, CENSUS_DRAWS = 3, 300
+LHS_B_KINDS = (CriterionKind.LEMMA_B, CriterionKind.THM_B)
+
+
+def _census_params(kind, n, rng):
+    """Random parameters of ``kind`` at class index ``n``, drawn until
+    admissible."""
+    while True:
+        beta, gamma = rng.uniform(-1, 1, (2, 2)) @ (1, 1j)
+        alpha = float(rng.uniform(0.05, 0.95))
+        if kind in (CriterionKind.LEMMA_A, CriterionKind.LEMMA_B):
+            p = CriterionParams(kind=kind, n=n, beta=beta, gamma=gamma,
+                                rho=float(rng.uniform(0.05, 1.0)))
+        elif kind is CriterionKind.COR_A:
+            p = CriterionParams(kind=kind, n=n, alpha=alpha,
+                                gamma=float(rng.uniform(-2, 2)))
+        elif kind is CriterionKind.MOCANU:
+            p = CriterionParams(kind=kind, n=n, alpha=alpha)
+        else:
+            p = CriterionParams(kind=kind, n=n, beta=beta, gamma=gamma,
+                                alpha=alpha)
+        if build_spec(p).admissible:
+            return p
+
+
+def _pointwise(c, r, m):
+    """``zf'/f``, ``1 + zf''/f'`` and ``f/(zf')`` at ``m`` points of
+    ``|z| = r``, from ``np.polyval`` of ``f, f', f''`` (coefficients
+    ``c``, ascending)."""
+    z = r * np.exp(2j * np.pi * np.arange(m) / m)
+    k = np.arange(c.size)
+    f, d1, d2 = (np.polyval(d[::-1], z)
+                 for d in (c, (k * c)[1:], (k * (k - 1) * c)[2:]))
+    return z * d1 / f, 1 + z * d2 / d1, f / (z * d1)
+
+
+def _false_parts(f, rep, m):
+    """The inequalities of a certificate that fail on ``m`` points of the
+    circles its report sampled."""
+    s, c, out = rep.spec, f.series.coeffs, []
+    p, q, _ = _pointwise(c, rep.hypothesis_witness[0], m)
+    if rep.kind is CriterionKind.MOCANU:
+        if ((1 - s.alpha) * p + s.alpha * q).real.min() <= s.rhs_bound:
+            out.append("hypothesis")
+    else:
+        b, g = s.eff_beta, s.eff_gamma
+        lhs = (b * (p - 1) + g * (q - 1) if rep.kind in LHS_B_KINDS
+               else (b - g) * p + g * q)
+        if np.abs(lhs).max() >= s.rhs_bound:
+            out.append("hypothesis")
+        w = _pointwise(c, rep.conclusion_witness[0], m)[2]
+        if np.abs(w - s.conclusion_center).max() >= s.conclusion_radius:
+            out.append("conclusion")
+    if (s.order is not None
+            and _pointwise(c, rep.cross_witness[0], m)[0].real.min() <= s.order):
+        out.append("cross-check")
+    return out
+
+
+def _census(seed, draws):
+    """(certificates, [(draw, kind, failed parts)] of the false ones)."""
+    rng, cfg = np.random.default_rng(seed), SamplingConfig()
+    certified, false = 0, []
+    for i in range(draws):
+        n, trunc = int(rng.integers(1, 4)), int(rng.choice((16, 32, 64)))
+        orders = rng.choice(np.arange(n + 1, trunc + 1),
+                            int(rng.integers(1, 4)), replace=False)
+        tail = np.zeros(trunc - 1, dtype=np.complex128)
+        tail[orders - 2] = (0.3 * rng.uniform(0, 1, orders.size) / orders
+                            * np.exp(2j * np.pi * rng.uniform(0, 1, orders.size)))
+        f = schlicht_from_tail(n, tail, trunc)
+        kind = list(CriterionKind)[int(rng.integers(len(CriterionKind)))]
+        rep = check_criterion(f, _census_params(kind, n, rng), cfg)
+        if rep.verdict is Verdict.CERTIFIED_SAMPLED:
+            certified += 1
+            bad = _false_parts(f, rep, 8 * cfg.angles)
+            if bad:
+                false.append((i, kind.value, bad))
+    return certified, false
+
+
+@pytest.mark.xfail(strict=True, reason=POINTWISE_GATE)
+def test_no_false_certificate_on_sparse_polynomials():
+    certified, false = _census(CENSUS_SEED, CENSUS_DRAWS)
+    assert certified  # the census reaches certificates at all
+    assert false == []

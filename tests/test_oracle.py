@@ -184,6 +184,33 @@ def test_refined_witness_is_first_order_stationary():
         assert abs((z * value_at(ds, z)).imag) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("cfg, reads", [(ACC_CFG, 584), (SamplingConfig(), 559)],
+                         ids=["acceptance", "default"])
+def test_refinement_reads_each_angle_once(monkeypatch, cfg, reads):
+    # one read at the grid angle and one after each step that moves it; a
+    # step that leaves the angle where it was, and the refined value, read
+    # nothing more
+    angles = []
+    original = oracle._angle_sums
+
+    def recording(a, r):
+        at, seen = original(a, r), []
+        angles.append(seen)
+
+        def read(theta):
+            seen.append(theta)
+            return at(theta)
+        return read
+
+    monkeypatch.setattr(oracle, "_angle_sums", recording)
+    for family in ExtremalFamily:
+        for p in documented_grid(family):
+            check_criterion(build_extremal(p, 128), p.criterion, cfg)
+    assert len(angles) == 216
+    assert all(x != y for seen in angles for x, y in zip(seen, seen[1:]))
+    assert sum(map(len, angles)) == reads
+
+
 def test_sup_skips_radii_with_infinite_tail():
     s = Series(np.array([2.0**k for k in range(17)]))
     cfg = SamplingConfig(radii=(0.2, 0.9), angles=64)

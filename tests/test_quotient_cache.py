@@ -44,6 +44,7 @@ from starcert.series import SchlichtCandidate, Series, builtin_candidate
 
 from reference_formulas import (
     derivative,
+    functional_candidates,
     parts,
     random_candidate,
     rewrite_parts,
@@ -350,7 +351,7 @@ def reference_candidates():
 
 
 def test_functionals_equal_the_series_operation_reference():
-    for f in reference_candidates():
+    for f in [*reference_candidates(), *functional_candidates()]:
         want = _series_reference(f)
         got = (starlike_quotient(f), convex_quotient(f), w_func(f))
         for s, ref in zip(got, want):

@@ -253,8 +253,10 @@ def random_candidates(n: int, count: int, trunc_order: int,
     return c
 
 
-# The most (beta, gamma) pairs a sweep takes; refused above, before any draw.
+# The most (beta, gamma) pairs, and candidates per class index, a sweep
+# takes; refused above, before any draw.
 MAX_PAIRS = 2 ** 16
+MAX_PER_N = 2 ** 16
 # Elements in the largest temporary of one sweep block, the residual
 # expression over (pair, row, order): a block holds
 # max(1, _BLOCK_ELEMENTS // (pairs (N + 1))) candidates and its residuals
@@ -280,9 +282,9 @@ def identity_sweep(per_n: int, pairs: int, trunc_order: int,
     Draws ``per_n`` random candidates for each class index 1, 2 and 3 and
     ``pairs`` random (beta, gamma) pairs, returning the largest residual
     seen for each identity.  A sweep that would check nothing, whose draws
-    cannot be made (class 3 needs ``trunc_order >= 5``), or whose pairs or
-    order exceed their caps, is refused.  The candidates are drawn, in
-    class order, as blocks of coefficient rows, and each block's
+    cannot be made (class 3 needs ``trunc_order >= 5``), or whose per_n,
+    pairs or order exceed their caps, is refused.  The candidates are
+    drawn, in class order, as blocks of coefficient rows, and each block's
     residuals are taken by one call per identity and slice of pairs (one
     slice unless ``pairs (N + 1)`` exceeds ``_BLOCK_ELEMENTS``); the
     largest residual does not depend on the slicing.
@@ -291,6 +293,9 @@ def identity_sweep(per_n: int, pairs: int, trunc_order: int,
         raise ParameterError(
             f"identity sweep needs per_n >= 1 and pairs >= 1, got "
             f"per_n={per_n}, pairs={pairs}")
+    if per_n > MAX_PER_N:
+        raise ParameterError(
+            f"identity sweep needs per_n <= {MAX_PER_N}, got {per_n}")
     if pairs > MAX_PAIRS:
         raise ParameterError(
             f"identity sweep needs pairs <= {MAX_PAIRS}, got {pairs}")

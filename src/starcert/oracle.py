@@ -35,6 +35,7 @@ from .series import (
     SchlichtCandidate,
     SeriesError,
     _derivative,
+    _growth_ratio,
     _require_finite,
     evaluate_grid,
     radius_powers,
@@ -256,33 +257,23 @@ def _circle_extremum(a: Series, r: float, cfg: SamplingConfig, sign: float,
 def sup_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:
     """Sampled supremum of ``|a|`` over ``|z| <= r``, taken on ``|z| = r``
     (maximum modulus), for the largest candidate ``r`` whose tail
-    allowance is finite.  The heuristic refuses ``r`` iff ``q r >= 1``,
-    where ``q >= 0`` and the early returns depend on ``a`` alone, and every
-    float step of the allowance is monotone in ``r``; so the refused radii,
-    reported as skipped, are the top of the ascending ladder.  The top
-    radius is tried first, and only if it is refused is the rest of the
-    ladder bisected for the last accepted one: at most
-    ``1 + ceil(log2(len(radii)))`` tail estimates, and the radius a
-    downward scan would stop at.
-    """
+    allowance is finite.  The heuristic refuses ``r`` iff ``q r >= 1`` for
+    one growth ratio ``q >= 0`` of ``a``, and ``q r`` rounds monotonely in
+    ``r``, so the refused radii, reported as skipped, top the ascending
+    ladder.  The top radius is tried first; if it is refused, the ladder is
+    cut in one pass at the last radius with ``q r < 1``: two tail estimates
+    and one growth ratio."""
     cfg = cfg or SamplingConfig()
     radii = cfg.radii
-    lo, hi = -1, len(radii) - 1  # radii[lo] accepted (-1: none yet)
-    tail = tail_estimate(a, radii[hi])
-    if not math.isinf(tail):
-        lo = hi
-    while hi - lo > 1:  # radii[hi] refused
-        mid = (lo + hi) // 2
-        t = tail_estimate(a, radii[mid])
-        if math.isinf(t):
-            hi = mid
-        else:
-            lo, tail = mid, t
-    if lo < 0:
-        raise DegenerateSeriesError(
-            "every sampling radius was refused by the tail heuristic"
-        )
-    return _circle_extremum(a, radii[lo], cfg, +1.0, tail, radii[lo + 1:])
+    top, tail = len(radii), tail_estimate(a, radii[-1])
+    if math.isinf(tail):
+        q = _growth_ratio(a)
+        top = sum(q * r < 1.0 for r in radii)
+        if not top:
+            raise DegenerateSeriesError(
+                "every sampling radius was refused by the tail heuristic")
+        tail = tail_estimate(a, radii[top - 1])
+    return _circle_extremum(a, radii[top - 1], cfg, +1.0, tail, radii[top:])
 
 
 def min_real_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:

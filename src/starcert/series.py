@@ -324,35 +324,36 @@ def evaluate_grid(a: Series, z: Circle) -> np.ndarray:
     return np.fft.ifft(b, n=z.m, norm="forward")
 
 
-def tail_estimate(a: Series, r: float) -> float:
-    """Heuristic bound for the discarded tail on ``|z| = r``.
+def _growth_ratio(a: Series) -> float:
+    """The top-quartile growth ratio ``q >= 0`` of ``a``: the largest
+    ``|c_k| / |c_(k-1)|`` over the top quarter of orders, reading ``|c_k|``
+    at or below ``TAIL_DUST`` of the largest as zero; 0.0, a zero tail,
+    when ``c_N`` is dust or no ratio is defined."""
+    mags = np.abs(a.coeffs)
+    mags = np.where(mags <= TAIL_DUST * mags.max(), 0.0, mags)
+    qstart = max(1, 3 * mags.size // 4)
+    prev = mags[qstart - 1 : -1]
+    valid = prev > 0.0
+    if mags[-1] == 0.0 or not valid.any():
+        return 0.0
+    return float(np.max(mags[qstart:][valid] / prev[valid]))
 
-    Extrapolates the top-quartile coefficient growth ratio ``q`` into a
-    geometric tail ``|c_N| q r^(N+1) / (1 - q r)``.  Returns ``inf`` when
-    ``q r >= 1`` (sampling at that radius should be refused).  Non-rigorous
-    by construction; reports must flag it as such.
-    """
+
+def tail_estimate(a: Series, r: float) -> float:
+    """Heuristic bound for the discarded tail on ``|z| = r``: the growth
+    ratio ``q`` of :func:`_growth_ratio` extrapolated into a geometric tail
+    ``|c_N| q r^(N+1) / (1 - q r)``, or ``inf`` when ``q r >= 1`` (sampling
+    at that radius should be refused).  Non-rigorous by construction;
+    reports must flag it as such."""
     if not 0.0 <= r < 1.0:
         raise SeriesError(f"tail estimate requires 0 <= r < 1, got {r}")
-    mags = np.abs(a.coeffs)
-    top = float(mags.max())
-    if top == 0.0:
-        return 0.0
-    floor = TAIL_DUST * top
-    mags = np.where(mags <= floor, 0.0, mags)
-    n = a.trunc_order
-    if mags[n] == 0.0:
-        return 0.0
-    qstart = max(1, (3 * (n + 1)) // 4)
-    prev = mags[qstart - 1 : n]
-    curr = mags[qstart : n + 1]
-    valid = prev > 0.0
-    if not valid.any():
-        return 0.0
-    q = float(np.max(curr[valid] / prev[valid]))
+    q = _growth_ratio(a)
     if q * r >= 1.0:
         return math.inf
-    return float(mags[n] * q * r ** (n + 1) / (1.0 - q * r))
+    if not q:  # a zero tail, even where |c_N| overflows to inf
+        return 0.0
+    n = a.trunc_order
+    return float(np.abs(a.coeffs[n]) * q * r ** (n + 1) / (1.0 - q * r))
 
 
 def require_trunc_order(trunc_order: int, n: int) -> None:

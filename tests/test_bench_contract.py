@@ -6,6 +6,7 @@ sampling configs from ``oracle``.  A library change that deletes or renames
 one of those breaks ``perfbench/run.py --trace 1``, and so does a change to
 the records its counter hooks read; these tests catch both in the ordinary
 suite.  The perfbench files are loaded from their paths and never modified.
+The measuring tools under ``tools/`` are loaded the same way.
 """
 
 import importlib
@@ -58,6 +59,18 @@ def test_fixed_point_tool_copies_the_shared_inputs():
     assert tool.ACCEPTANCE_CFG == ACC_CFG
     assert tool.KOEBE_THM_A == WORKLOADS.KOEBE_THM_A
     assert tool.MATRIX_FAST == WORKLOADS.MATRIX_FAST
+
+
+def test_census_tool_runs_a_small_census():
+    pytest.importorskip("mpmath")
+    tool = _load("census", ROOT / "tools")
+    rows, _ = tool.census(0, 60)
+    assert list(rows) == list(CriterionKind)
+    assert sum(checks for checks, *_ in rows.values()) == 60
+    for checks, certs, false, _ in rows.values():
+        assert 0 <= false <= certs <= checks
+    names = [line.split()[0] for line in tool.table(rows)[1:]]
+    assert names == [kind.value for kind in CriterionKind] + ["total"]
 
 
 def test_workload_sampling_configs_run():

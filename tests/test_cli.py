@@ -692,6 +692,10 @@ THM_B = ["--kind", "THM_B", "--beta", "0.1", "--gamma", "1", "--alpha", "0.5"]
                   "--trunc", "8"], 3, id="identities-pairs-cap"),
     pytest.param(["identities", "--per-n", "1", "--pairs", str(10 ** 20),
                   "--trunc", "8"], 3, id="identities-pairs-huge"),
+    pytest.param(["identities", "--per-n", str(10 ** 20), "--pairs", "1",
+                  "--trunc", "5"],
+                 (3, "parameter error: identity sweep needs per_n <= 65536"),
+                 id="identities-per-n-huge"),
     pytest.param(["check", "identity.json", *THM_B, "--angles", "1048577"], 3,
                  id="check-angles-cap"),
     pytest.param(["check", "identity.json", *THM_B, "--angles",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from starcert import functionals
 from starcert.series import (
     Series,
     SchlichtCandidate,
@@ -313,6 +314,18 @@ def test_identity_sweep_refuses_too_many_pairs(pairs):
     with pytest.raises(ParameterError) as e:
         identity_sweep(per_n=1, pairs=pairs, trunc_order=8, seed=0)
     assert str(e.value) == f"identity sweep needs pairs <= 65536, got {pairs}"
+
+
+@pytest.mark.parametrize("per_n", [65537, 10 ** 20])
+def test_identity_sweep_refuses_too_many_candidates_before_a_draw(
+        monkeypatch, per_n):
+    def no_draw(*args):
+        raise AssertionError("a candidate was drawn")
+
+    monkeypatch.setattr(functionals, "random_candidates", no_draw)
+    with pytest.raises(ParameterError) as e:
+        identity_sweep(per_n=per_n, pairs=1, trunc_order=5, seed=0)
+    assert str(e.value) == f"identity sweep needs per_n <= 65536, got {per_n}"
 
 
 def test_identity_sweep_takes_as_many_pairs_as_its_cap():

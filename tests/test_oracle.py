@@ -447,17 +447,26 @@ def tail_calls(monkeypatch):
     return calls
 
 
-def test_bisected_ladder_matches_a_linear_scan(monkeypatch, tail_calls):
+def test_ladder_cut_matches_a_linear_scan(monkeypatch, tail_calls):
+    # the top radius costs one tail estimate; a refused one costs a growth
+    # ratio and one more estimate, at the cut
     f = builtin_candidate("koebe", 128)
-    per_check = []
-    bisected = oracle.sup_on_disk
+    per_check = []  # (tail estimates, growth ratios, radii skipped)
+    cut, ratio = oracle.sup_on_disk, oracle._growth_ratio
+    ratios = []
+
+    def counting_ratio(a):
+        ratios.append(a)
+        return ratio(a)
 
     def counting(a, cfg=None):
-        before = len(tail_calls)
-        est = bisected(a, cfg)
-        per_check.append(len(tail_calls) - before)
+        before, before_ratios = len(tail_calls), len(ratios)
+        est = cut(a, cfg)
+        per_check.append((len(tail_calls) - before,
+                          len(ratios) - before_ratios, len(est.skipped_radii)))
         return est
 
+    monkeypatch.setattr(oracle, "_growth_ratio", counting_ratio)
     for beta, gamma, alpha in KOEBE_THM_A:
         p = CriterionParams(kind=CriterionKind.THM_A, n=1, alpha=alpha,
                             beta=beta, gamma=gamma)
@@ -466,27 +475,48 @@ def test_bisected_ladder_matches_a_linear_scan(monkeypatch, tail_calls):
         monkeypatch.setattr(oracle, "sup_on_disk", _linear_sup_on_disk)
         assert check_criterion(f, p, SamplingConfig()) == got
     # four hypotheses refuse the top radius (a downward scan took 31 to 85
-    # tail estimates); bisecting 91 radii takes at most 1 + 7
-    assert sum(n > 1 for n in per_check) == 4
-    assert max(per_check) <= 9
+    # tail estimates)
+    assert sum(skipped > 0 for _, _, skipped in per_check) == 4
+    for estimates, growth_ratios, skipped in per_check:
+        assert (estimates, growth_ratios) == ((2, 1) if skipped else (1, 0))
 
 
-def test_bisected_ladder_matches_a_linear_scan_on_random_ladders():
+def test_bisected_ladder_matches_a_linear_scan_on_random_ladders(tail_calls):
+    # seeded growth, then the three series with q = 0 (zero, a dust last
+    # coefficient, no ratio defined in the top quartile) and one refused at
+    # every radius; one tail estimate when the top radius is accepted, two
+    # when the ladder is cut below it
+    ones = np.ones(24)
+    zero_ratio = [np.zeros(24), np.r_[ones[:23], 1e-15],
+                  np.r_[ones[:12], np.zeros(11), 1.0]]
+    fixed = [*zero_ratio, 20.0 ** np.arange(24)]
     rng = np.random.default_rng(23)
-    for _ in range(60):
-        q = rng.uniform(0.9, 1.6)
-        s = Series(q ** np.arange(24) * rng.uniform(0.5, 1.0, 24))
+    refused = []
+    for i in range(60 + len(fixed)):
+        if i < 60:
+            q = rng.uniform(0.9, 1.6)
+            s = Series(q ** np.arange(24) * rng.uniform(0.5, 1.0, 24))
+        else:
+            s = Series(fixed[i - 60])
         radii = np.sort(rng.choice(np.arange(0.05, 0.99, 0.01),
                                    size=int(rng.integers(1, 14)),
                                    replace=False))
         cfg = SamplingConfig(radii=tuple(radii), angles=64)
+        before = len(tail_calls)
         try:
             want = _linear_sup_on_disk(s, cfg)
         except DegenerateSeriesError:
             with pytest.raises(DegenerateSeriesError):
                 sup_on_disk(s, cfg)
+            assert len(tail_calls) - before == 1
+            refused.append(i)
             continue
         assert sup_on_disk(s, cfg) == want
+        assert len(tail_calls) - before == 1 + bool(want.skipped_radii)
+        if i >= 60:
+            assert series._growth_ratio(s) == 0.0
+            assert want.tail == 0.0 and want.skipped_radii == ()
+    assert refused[-1] == 60 + len(zero_ratio)  # 20^k, refused everywhere
 
 
 def test_certified_hypothesis_with_failed_conclusion_escalates():

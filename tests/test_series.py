@@ -628,6 +628,13 @@ def test_tail_estimate_padded_polynomial_is_zero():
     assert tail_estimate(s, 0.9) == 0.0
 
 
+def test_tail_estimate_is_zero_beside_an_overflowing_modulus():
+    # |c_N| rounds to inf, so every coefficient is dust and q = 0; the
+    # geometric formula would read inf * 0
+    s = make_series([0.0, 1.0, 1.5e308 + 1.5e308j])
+    assert tail_estimate(s, 0.9) == 0.0
+
+
 def test_tail_estimate_geometric():
     s = make_series([1.0] * 33)
     est = tail_estimate(s, 0.5)

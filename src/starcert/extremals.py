@@ -40,7 +40,6 @@ from enum import Enum
 import numpy as np
 
 from .series import (
-    DEFAULT_TRUNC_ORDER,
     NonFiniteCoefficientError,
     SchlichtCandidate,
     Series,
@@ -135,8 +134,7 @@ class ExtremalParams:
                                gamma=self.gamma, alpha=self.alpha)
 
 
-def build_extremal(p: ExtremalParams, trunc_order: int = DEFAULT_TRUNC_ORDER
-                   ) -> SchlichtCandidate:
+def build_extremal(p: ExtremalParams, trunc_order: int) -> SchlichtCandidate:
     """The family's candidate ``z (k h)^e`` at the given truncation order."""
     require_trunc_order(trunc_order, p.n)
     work = trunc_order - 1

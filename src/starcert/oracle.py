@@ -254,7 +254,7 @@ def _circle_extremum(a: Series, r: float, cfg: SamplingConfig, sign: float,
                     tail, skipped_radii)
 
 
-def sup_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:
+def sup_on_disk(a: Series, cfg: SamplingConfig) -> Extremum:
     """Sampled supremum of ``|a|`` over ``|z| <= r``, taken on ``|z| = r``
     (maximum modulus), for the largest candidate ``r`` whose tail
     allowance is finite.  The heuristic refuses ``r`` iff ``q r >= 1`` for
@@ -263,7 +263,6 @@ def sup_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:
     ladder.  The top radius is tried first; if it is refused, the ladder is
     cut in one pass at the last radius with ``q r < 1``: two tail estimates
     and one growth ratio."""
-    cfg = cfg or SamplingConfig()
     radii = cfg.radii
     top, tail = len(radii), tail_estimate(a, radii[-1])
     if math.isinf(tail):
@@ -276,10 +275,9 @@ def sup_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:
     return _circle_extremum(a, radii[top - 1], cfg, +1.0, tail, radii[top:])
 
 
-def min_real_on_disk(a: Series, cfg: SamplingConfig | None = None) -> Extremum:
+def min_real_on_disk(a: Series, cfg: SamplingConfig) -> Extremum:
     """Sampled infimum of ``Re(a)`` over the largest candidate disk, taken on
     its boundary (minimum principle); no tail allowance is computed."""
-    cfg = cfg or SamplingConfig()
     return _circle_extremum(a, cfg.radii[-1], cfg, -1.0)
 
 
@@ -339,7 +337,7 @@ def _denominator_violations(f: SchlichtCandidate, cfg: SamplingConfig):
 
 
 def check_criterion(f: SchlichtCandidate, p: CriterionParams,
-                    cfg: SamplingConfig | None = None) -> VerificationReport:
+                    cfg: SamplingConfig) -> VerificationReport:
     """Sample one criterion in one straight line.  MOCANU takes ``min Re``
     of its functional once, and that record is its hypothesis and its
     conclusion.  A modulus kind takes ``sup |lhs|``, the only margin that
@@ -359,7 +357,6 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
     if p.n > f.n:
         raise ParameterError(
             f"class index n={p.n} exceeds the candidate's n={f.n}")
-    cfg = cfg or SamplingConfig()
     spec = build_spec(p)
     if not spec.admissible:
         return VerificationReport(kind=p.kind, spec=spec,
@@ -429,8 +426,7 @@ def check_criterion(f: SchlichtCandidate, p: CriterionParams,
     )
 
 
-def jack_demo(w: Series, m: int, r: float,
-              cfg: SamplingConfig | None = None) -> JackResult:
+def jack_demo(w: Series, m: int, r: float, cfg: SamplingConfig) -> JackResult:
     """Locate the modulus maximum of ``w`` on ``|z| = r`` and report
     ``k = z0 w'(z0) / w(z0)`` there.
 
@@ -440,7 +436,6 @@ def jack_demo(w: Series, m: int, r: float,
     ``sum (1 + k^2) |c_k| r^k``, a bound on every sum the probe takes,
     overflows is refused before it is sampled.
     """
-    cfg = cfg or SamplingConfig()
     if m < 1:
         raise ParameterError(f"vanishing order must be >= 1, got {m}")
     if not 0.0 < r < 1.0:

@@ -417,8 +417,8 @@ def schlicht_from_tail(n: int, tail, trunc_order: int) -> SchlichtCandidate:
 BUILTIN_NAMES = ("identity", "koebe", "halfplane")
 
 
-def builtin_candidate(name: str, trunc_order: int = DEFAULT_TRUNC_ORDER,
-                      n: int = 1) -> SchlichtCandidate:
+def builtin_candidate(name: str, trunc_order: int, n: int = 1
+                      ) -> SchlichtCandidate:
     """Named reference functions: ``identity`` (z), ``koebe`` (z/(1-z)^2),
     ``halfplane`` (z/(1-z))."""
     if name not in BUILTIN_NAMES:

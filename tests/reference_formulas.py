@@ -4,8 +4,13 @@ Each helper spells a series operation out the plain way, so a test can
 compare the library's kernels against it.  When a ``src`` helper that
 tests use as a reference is deleted, its reference copy moves here, once;
 ``tests/test_imports.py`` checks that no test file defines one of these
-names again and that every one still has a user.
+names again and that every one still has a user.  The one loader of the
+scripts under ``perfbench/`` and ``tools/`` lives here too.
 """
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -103,3 +108,14 @@ ACC_CFG = SamplingConfig(
     radii=tuple(round(0.10 + 0.02 * i, 10) for i in range(45)) + (0.99,),
     angles=512,
 )
+
+
+def load_module(name: str, folder: Path):
+    """``folder/name.py``, loaded from its path: ``perfbench/`` and
+    ``tools/`` are not packages, and the tests never modify them."""
+    spec = importlib.util.spec_from_file_location(
+        f"{folder.name}_{name}", folder / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module      # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

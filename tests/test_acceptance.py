@@ -29,6 +29,7 @@ from starcert.extremals import (
     verify_identity_b,
 )
 from starcert.oracle import (
+    SamplingConfig,
     Verdict,
     check_criterion,
     jack_demo,
@@ -223,7 +224,7 @@ def test_criterion_08_jack_conformance():
         mags = rng.uniform(0.3, 1.0, deg + 1 - m)
         phases = rng.uniform(0, 2 * math.pi, deg + 1 - m)
         arr[m:] = mags * np.exp(1j * phases)
-        res = jack_demo(Series(arr), m, 0.9)
+        res = jack_demo(Series(arr), m, 0.9, SamplingConfig())
         assert res.imag_ok and res.real_ok, (arr, res.k_est, m)
         worst_imag = max(worst_imag,
                          abs(res.k_est.imag) / (1 + abs(res.k_est)))

@@ -10,8 +10,6 @@ The measuring tools under ``tools/`` are loaded the same way.
 """
 
 import importlib
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -25,23 +23,12 @@ from starcert.extremals import (
     documented_grid,
 )
 
-from reference_formulas import ACC_CFG
+from reference_formulas import ACC_CFG, load_module
 
 ROOT = Path(__file__).resolve().parents[1]
-PERFBENCH = ROOT / "perfbench"
-
-
-def _load(name, folder=PERFBENCH):
-    spec = importlib.util.spec_from_file_location(
-        f"{folder.name}_{name}", folder / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module      # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-TRACING = _load("tracing")
-WORKLOADS = _load("workloads")
+PERFBENCH, TOOLS = ROOT / "perfbench", ROOT / "tools"
+TRACING = load_module("tracing", PERFBENCH)
+WORKLOADS = load_module("workloads", PERFBENCH)
 MANDATORY = [(mod, fn) for mod, fn, _, _, optional
              in TRACING.LAYER_FUNCTIONS if not optional]
 
@@ -55,7 +42,7 @@ def test_traced_layer_function_resolves(mod, fn):
 def test_fixed_point_tool_copies_the_shared_inputs():
     # the tool writes its inputs out so that no edit elsewhere moves a hash;
     # a drift of the copies from the tests' and workloads' own must fail
-    tool = _load("fixed_point", ROOT / "tools")
+    tool = load_module("fixed_point", TOOLS)
     assert tool.ACCEPTANCE_CFG == ACC_CFG
     assert tool.KOEBE_THM_A == WORKLOADS.KOEBE_THM_A
     assert tool.MATRIX_FAST == WORKLOADS.MATRIX_FAST
@@ -63,7 +50,7 @@ def test_fixed_point_tool_copies_the_shared_inputs():
 
 def test_census_tool_runs_a_small_census():
     pytest.importorskip("mpmath")
-    tool = _load("census", ROOT / "tools")
+    tool = load_module("census", TOOLS)
     rows, _ = tool.census(0, 60)
     assert list(rows) == list(CriterionKind)
     assert sum(checks for checks, *_ in rows.values()) == 60
@@ -71,6 +58,22 @@ def test_census_tool_runs_a_small_census():
         assert 0 <= false <= certs <= checks
     names = [line.split()[0] for line in tool.table(rows)[1:]]
     assert names == [kind.value for kind in CriterionKind] + ["total"]
+
+
+@pytest.mark.parametrize("argv", [["x", "5"], ["0", "-3"], ["0", "1.5"],
+                                  ["0", "+3"], ["0"], ["0", "3", "1"]])
+def test_census_tool_refuses_a_bad_seed_or_count(argv, capsys, monkeypatch):
+    # a SEED or COUNT that is not a non-negative integer gets the usage
+    # line and exit 2 before any draw
+    pytest.importorskip("mpmath")
+    tool = load_module("census", TOOLS)
+
+    def no_draw(*args):
+        raise AssertionError("census drew on a refused command line")
+
+    monkeypatch.setattr(tool, "checked_draw", no_draw)
+    assert tool.main(argv) == 2
+    assert capsys.readouterr() == ("", "usage: census.py SEED COUNT\n")
 
 
 def test_workload_sampling_configs_run():

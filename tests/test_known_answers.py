@@ -32,12 +32,13 @@ so the change that mends one has to drop its marker.
 import cmath
 import functools
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from starcert import cli
-from starcert.criteria import CriterionKind, CriterionParams, build_spec
+from starcert.criteria import CriterionKind, CriterionParams
 from starcert.extremals import (
     ExtremalFamily,
     ExtremalParams,
@@ -50,7 +51,7 @@ from starcert.extremals import (
 from starcert.oracle import SamplingConfig, Verdict, check_criterion
 from starcert.series import SeriesError, schlicht_from_tail
 
-from reference_formulas import ACC_CFG
+from reference_formulas import ACC_CFG, load_module
 
 CFG = SamplingConfig(radii=(0.5, 0.9, 0.99), angles=512)
 ORDERS = (2, 3, 5)
@@ -357,7 +358,8 @@ TRUNCATED_QUOTIENT = ("ROADMAP item 4: a functional read from its truncated "
                       "nonzero coefficients are spaced out")
 
 
-@pytest.mark.xfail(strict=True, reason=TRUNCATED_QUOTIENT)
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason=TRUNCATED_QUOTIENT)
 def test_cor_a_hypothesis_of_a_sparse_polynomial_fails():
     # f = z + a z^9: sup |lhs| on the circle is 8.644 against the bound 8.5,
     # but the truncated series reads 8.275 with a tail of 0
@@ -368,7 +370,8 @@ def test_cor_a_hypothesis_of_a_sparse_polynomial_fails():
     assert rep.verdict is Verdict.HYPOTHESIS_FAILED
 
 
-@pytest.mark.xfail(strict=True, reason=TRUNCATED_QUOTIENT)
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason=TRUNCATED_QUOTIENT)
 def test_thm_b_conclusion_margin_of_a_sparse_polynomial():
     # f/(zf') = (1 + u)/(1 + 5u) with u = a z^4, |u| = q on |z| = r; the
     # truncated series reads a margin of +0.114 for the true -0.114
@@ -383,7 +386,8 @@ def test_thm_b_conclusion_margin_of_a_sparse_polynomial():
         rep.spec.conclusion_radius - sup, abs=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason=TRUNCATED_QUOTIENT)
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason=TRUNCATED_QUOTIENT)
 def test_cross_check_at_a_short_truncation_matches_its_closed_form():
     # the sweep's k = 5, |a| = 1.1 x threshold, alpha = 0.2 case at trunc 32
     # reads 0.1449917 against the exact 0.1449873
@@ -394,98 +398,59 @@ def test_cross_check_at_a_short_truncation_matches_its_closed_form():
 
 
 # ----------------------------------------------- false-certificate census
-# Seeded sparse polynomials, z plus 1-3 terms a_k z^k with |a_k| < 0.3/k at
-# orders k > n, under all six kinds at random admissible parameters.  Each
-# certificate is judged on 8x denser grids of the circles its report
-# sampled, by np.polyval of f, f' and f'': a polynomial input is its own
+# The tier-1 subset of tools/census.py: its seeded sparse draws, z plus 1-3
+# terms a_k z^k with |a_k| < 0.3/k at orders k > n, under all six kinds at
+# random admissible parameters, judged by its own judge on 8x denser grids
+# of the circles each report sampled.  A polynomial input is its own
 # function, so an inequality that fails there fails for the input.
 
-POINTWISE_GATE = ("ROADMAP item 22: a sparse polynomial's functionals are "
-                  "read from truncated quotient series, which certify "
+POINTWISE_GATE = ("ROADMAP item 22: a polynomial's functionals are read "
+                  "from truncated quotient series, which certify "
                   "inequalities that fail on the polynomial's own circle")
 CENSUS_SEED, CENSUS_DRAWS = 3, 300
-LHS_B_KINDS = (CriterionKind.LEMMA_B, CriterionKind.THM_B)
 
 
-def _census_params(kind, n, rng):
-    """Random parameters of ``kind`` at class index ``n``, drawn until
-    admissible."""
-    while True:
-        beta, gamma = rng.uniform(-1, 1, (2, 2)) @ (1, 1j)
-        alpha = float(rng.uniform(0.05, 0.95))
-        if kind in (CriterionKind.LEMMA_A, CriterionKind.LEMMA_B):
-            p = CriterionParams(kind=kind, n=n, beta=beta, gamma=gamma,
-                                rho=float(rng.uniform(0.05, 1.0)))
-        elif kind is CriterionKind.COR_A:
-            p = CriterionParams(kind=kind, n=n, alpha=alpha,
-                                gamma=float(rng.uniform(-2, 2)))
-        elif kind is CriterionKind.MOCANU:
-            p = CriterionParams(kind=kind, n=n, alpha=alpha)
-        else:
-            p = CriterionParams(kind=kind, n=n, beta=beta, gamma=gamma,
-                                alpha=alpha)
-        if build_spec(p).admissible:
-            return p
-
-
-def _pointwise(c, r, m):
-    """``zf'/f``, ``1 + zf''/f'`` and ``f/(zf')`` at ``m`` points of
-    ``|z| = r``, from ``np.polyval`` of ``f, f', f''`` (coefficients
-    ``c``, ascending)."""
-    z = r * np.exp(2j * np.pi * np.arange(m) / m)
-    k = np.arange(c.size)
-    f, d1, d2 = (np.polyval(d[::-1], z)
-                 for d in (c, (k * c)[1:], (k * (k - 1) * c)[2:]))
-    return z * d1 / f, 1 + z * d2 / d1, f / (z * d1)
-
-
-def _false_parts(f, rep, m):
-    """The inequalities of a certificate that fail on ``m`` points of the
-    circles its report sampled."""
-    s, c, out = rep.spec, f.series.coeffs, []
-    p, q, _ = _pointwise(c, rep.hypothesis_witness[0], m)
-    if rep.kind is CriterionKind.MOCANU:
-        if ((1 - s.alpha) * p + s.alpha * q).real.min() <= s.rhs_bound:
-            out.append("hypothesis")
-    else:
-        b, g = s.eff_beta, s.eff_gamma
-        lhs = (b * (p - 1) + g * (q - 1) if rep.kind in LHS_B_KINDS
-               else (b - g) * p + g * q)
-        if np.abs(lhs).max() >= s.rhs_bound:
-            out.append("hypothesis")
-        w = _pointwise(c, rep.conclusion_witness[0], m)[2]
-        if np.abs(w - s.conclusion_center).max() >= s.conclusion_radius:
-            out.append("conclusion")
-    if (s.order is not None
-            and _pointwise(c, rep.cross_witness[0], m)[0].real.min() <= s.order):
-        out.append("cross-check")
-    return out
-
-
-def _census(seed, draws):
-    """(certificates, [(draw, kind, failed parts)] of the false ones)."""
-    rng, cfg = np.random.default_rng(seed), SamplingConfig()
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=POINTWISE_GATE)
+def test_no_false_certificate_on_sparse_polynomials():
+    pytest.importorskip("mpmath")
+    census = load_module("census", Path(__file__).parents[1] / "tools")
+    rng = np.random.default_rng(CENSUS_SEED)
     certified, false = 0, []
-    for i in range(draws):
-        n, trunc = int(rng.integers(1, 4)), int(rng.choice((16, 32, 64)))
-        orders = rng.choice(np.arange(n + 1, trunc + 1),
-                            int(rng.integers(1, 4)), replace=False)
-        tail = np.zeros(trunc - 1, dtype=np.complex128)
-        tail[orders - 2] = (0.3 * rng.uniform(0, 1, orders.size) / orders
-                            * np.exp(2j * np.pi * rng.uniform(0, 1, orders.size)))
-        f = schlicht_from_tail(n, tail, trunc)
-        kind = list(CriterionKind)[int(rng.integers(len(CriterionKind)))]
-        rep = check_criterion(f, _census_params(kind, n, rng), cfg)
+    for i in range(CENSUS_DRAWS):
+        f, rep = census.checked_draw(census.sparse_tail, rng)
         if rep.verdict is Verdict.CERTIFIED_SAMPLED:
             certified += 1
-            bad = _false_parts(f, rep, 8 * cfg.angles)
-            if bad:
-                false.append((i, kind.value, bad))
-    return certified, false
-
-
-@pytest.mark.xfail(strict=True, reason=POINTWISE_GATE)
-def test_no_false_certificate_on_sparse_polynomials():
-    certified, false = _census(CENSUS_SEED, CENSUS_DRAWS)
+            if census.judge(f.series.coeffs, rep, 8 * census.CFG.angles)[0]:
+                false.append((i, rep.kind.value))
     assert certified  # the census reaches certificates at all
     assert false == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=POINTWISE_GATE)
+def test_mocanu_hypothesis_of_a_dense_polynomial_fails():
+    # tools/census.py seed 0, draw 101: the report reads a hypothesis margin
+    # of +0.11203 at r = 0.995, where np.polyval of the polynomial gives a
+    # least margin of -0.01020 on the circle (-0.01016 on the 2048 points
+    # the check samples)
+    tail = [
+        -0.004129120261353657 - 0.0001215115101195852j,
+        -0.001246730361717103 - 0.005351206863333145j,
+        0.0007307438440280872 + 0.0045264880634803915j,
+        0.0005415821729204203 + 0.004307281404385427j,
+        -0.0027338364421537367 - 0.00126967733330953j,
+        0.002849598994206597 - 0.0029777370350329603j,
+        0.002765697684438193 - 0.0009487214779618597j,
+        0.0018948245070516526 - 0.0019848969924053613j,
+        0.00047156699734733593 + 0.0024645534827549397j,
+        0.001479184294605869 - 0.0008442220942999741j,
+        0.00038071164278624464 + 0.0014189342224725857j,
+        -0.001386381821024811 - 0.0012443995660717337j,
+        0.00028318774015658686 - 0.0012025653743798395j,
+        -0.00019935509861137993 + 0.0010451709908396625j,
+        -0.00032770109635110826 - 0.0012652175105272996j,
+    ]
+    f = schlicht_from_tail(1, tail, 16)
+    rep = check_criterion(f, CriterionParams(kind=CriterionKind.MOCANU, n=1,
+                                             alpha=0.6117757611031153),
+                          SamplingConfig())
+    assert rep.verdict is Verdict.HYPOTHESIS_FAILED

@@ -481,7 +481,7 @@ def test_ladder_cut_matches_a_linear_scan(monkeypatch, tail_calls):
         assert (estimates, growth_ratios) == ((2, 1) if skipped else (1, 0))
 
 
-def test_bisected_ladder_matches_a_linear_scan_on_random_ladders(tail_calls):
+def test_ladder_cut_matches_a_linear_scan_on_random_ladders(tail_calls):
     # seeded growth, then the three series with q = 0 (zero, a dust last
     # coefficient, no ratio defined in the top quartile) and one refused at
     # every radius; one tail estimate when the top radius is accepted, two
@@ -529,7 +529,7 @@ def test_certified_hypothesis_with_failed_conclusion_escalates():
                        beta=1.0, gamma=-2.0)
     crit = CriterionParams(kind=CriterionKind.COR_A, n=1, gamma=2.0, alpha=0.7)
     cfg = SamplingConfig(radii=(0.5, 0.9), angles=256)
-    rep = check_criterion(build_extremal(p), crit, cfg)
+    rep = check_criterion(build_extremal(p, 128), crit, cfg)
     assert rep.verdict is Verdict.CONCLUSION_FAILED
     assert rep.hypothesis_margin == pytest.approx(0.0177, abs=1e-4)
     assert rep.conclusion_margin == pytest.approx(-0.0227, abs=1e-4)

@@ -3,10 +3,11 @@ itself contradicts.
 
     PYTHONPATH=src python tools/census.py SEED COUNT
 
-It takes no options but a seed and a draw count, and reads ``starcert``
-from ``PYTHONPATH``.  Draws alternate between two families of COEFFS
-inputs, ``f = z + a_(n+1) z^(n+1) + ... + a_N z^N`` at class index
-``n`` in 1..3 and truncation order ``N`` in {16, 32, 64}:
+It takes no options but a seed and a draw count, each a non-negative
+integer, and reads ``starcert`` from ``PYTHONPATH``.  Draws alternate
+between two families of COEFFS inputs, ``f = z + a_(n+1) z^(n+1) + ...
++ a_N z^N`` at class index ``n`` in 1..3 and truncation order ``N`` in
+{16, 32, 64}:
 
 * sparse: 1-3 nonzero ``a_k`` at random orders ``k > n``, with
   ``|a_k| < 0.3/k`` and random phases;
@@ -29,8 +30,9 @@ dense grid; the table shows the largest per kind.  None of this shares
 evaluation code with ``starcert``.
 
 The inputs are written out here rather than imported from ``perfbench``
-or ``tests``, so an edit there cannot move a count.  Needs ``mpmath`` (the
-``test`` extra).
+or ``tests``, so an edit there cannot move a count.  The tier-1 subset in
+``tests/test_known_answers.py`` runs ``checked_draw`` and ``judge`` from
+here.  Needs ``mpmath`` (the ``test`` extra).
 """
 
 from __future__ import annotations
@@ -170,6 +172,16 @@ def judge(c: np.ndarray, rep, m: int):
     return false, unconfirmed, worst
 
 
+def checked_draw(family, rng: np.random.Generator):
+    """``(f, report)``: one input of ``family`` (``sparse_tail`` or
+    ``dense_tail``) at a random class index and truncation, checked at
+    ``CFG`` under a random kind with random admissible parameters."""
+    n, trunc = int(rng.integers(1, 4)), int(rng.choice(TRUNCS))
+    f = schlicht_from_tail(n, family(n, trunc, rng), trunc)
+    kind = KINDS[int(rng.integers(len(KINDS)))]
+    return f, check_criterion(f, draw_params(kind, n, rng), CFG)
+
+
 def census(seed: int, count: int):
     """Per kind: [checks, certificates, false certificates, largest
     overstatement], and the count of polyval failures mpmath refuted."""
@@ -177,12 +189,8 @@ def census(seed: int, count: int):
     rows = {kind: [0, 0, 0, -np.inf] for kind in KINDS}
     unconfirmed = 0
     for i in range(count):
-        n, trunc = int(rng.integers(1, 4)), int(rng.choice(TRUNCS))
-        tail = (sparse_tail if i % 2 == 0 else dense_tail)(n, trunc, rng)
-        f = schlicht_from_tail(n, tail, trunc)
-        kind = KINDS[int(rng.integers(len(KINDS)))]
-        rep = check_criterion(f, draw_params(kind, n, rng), CFG)
-        row = rows[kind]
+        f, rep = checked_draw(sparse_tail if i % 2 == 0 else dense_tail, rng)
+        row = rows[rep.kind]
         row[0] += 1
         if rep.verdict is Verdict.CERTIFIED_SAMPLED:
             false, refuted, worst = judge(f.series.coeffs, rep,
@@ -209,7 +217,7 @@ def table(rows) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    if len(argv) != 2 or not all(arg.isdecimal() for arg in argv):
         print("usage: census.py SEED COUNT", file=sys.stderr)
         return 2
     seed, count = int(argv[0]), int(argv[1])
